@@ -7,7 +7,9 @@ from .chain import (
     PolynomialKernel,
     StationaryResult,
     StochasticMatrix,
+    evaluate_batch,
     evaluate_kernel,
+    flow_batch,
     load_model,
     propagate,
     random_distribution,
@@ -47,7 +49,6 @@ from .bounds import (
     combined_bound,
 )
 from .experiments import (
-    ExperimentConfig,
     builtin_example,
     compare_bounds,
     export_report,

@@ -22,14 +22,19 @@ from .chain import (
     Distribution,
     PolynomialKernel,
     StochasticMatrix,
-    _clean_probs,
-    _flow,
-    evaluate_kernel,
+    _clean_rows,
+    _flow_steps,
+    evaluate_batch,
     stationary,
     tv_distance,
 )
 from .coupling import build_coupling_matrix, spectral_radius
-from .errors import InfiniteGammaError
+from .errors import (
+    InfiniteGammaError,
+    KernelInvalidError,
+    NmcError,
+    NonconvergenceError,
+)
 from .rng import as_generator
 
 
@@ -58,23 +63,23 @@ def _alpha_of_matrix(P: np.ndarray, k: int) -> float:
     return best
 
 
-def _kstep_matrix(K: PolynomialKernel, mu0: np.ndarray, k: int) -> np.ndarray:
-    """Product P_{mu_0} P_{mu_1} ... P_{mu_{k-1}} along the exact flow."""
-    flow = _flow(K, mu0, k - 1) if k > 1 else mu0[None, :]
-    out = np.eye(K.p)
-    for t in range(k):
-        out = out @ evaluate_kernel(K, _clean_probs(flow[t])).entries
-    return out
+def _kstep_products(K: PolynomialKernel, mus: np.ndarray, k: int) -> np.ndarray:
+    """P_{mu_0} P_{mu_1} ... P_{mu_{k-1}} along the exact flow from each
+    row of ``mus``, shape (B, p, p)."""
+    prod = None
+    for P, _ in _flow_steps(K, mus, k):
+        prod = P if prod is None else np.matmul(prod, P)
+    return prod
 
 
-def _sample_pairs(p: int, samples: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vertex pairs plus random simplex pairs, as raw vectors."""
-    pts = list(np.eye(p))
-    pairs = [(pts[i], pts[j]) for i in range(p) for j in range(p) if i != j]
+def _sample_pairs(p: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs plus random simplex pairs, as two (pairs, p) arrays."""
+    eye = np.eye(p)
+    i, j = np.nonzero(eye == 0.0)
     draws = rng.standard_exponential((samples, 2, p))
     draws /= draws.sum(axis=2, keepdims=True)
-    pairs.extend((draws[s, 0], draws[s, 1]) for s in range(samples))
-    return pairs
+    return (np.concatenate([eye[i], draws[:, 0]]),
+            np.concatenate([eye[j], draws[:, 1]]))
 
 
 def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimate:
@@ -92,16 +97,14 @@ def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimat
     K: PolynomialKernel = model
     if K.degree == 1:
         return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k), True, "exact")
-    rng = as_generator(rng)
+    mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
+    n_pairs = mus.shape[0]
+    prods = _kstep_products(K, np.concatenate([mus, nus]), k)
+    A, B = prods[:n_pairs], prods[n_pairs:]
     best = 1.0
-    n_pairs = 0
-    for mu, nu in _sample_pairs(K.p, samples, rng):
-        A = _kstep_matrix(K, mu, k)
-        B = _kstep_matrix(K, nu, k)
-        for x in range(K.p):
-            for xp in range(K.p):
-                best = min(best, float(np.minimum(A[x], B[xp]).sum()))
-        n_pairs += 1
+    for x in range(K.p):
+        # row overlaps of A[:, x] with every row of B, one sum per (pair, x')
+        best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
     return CoefficientEstimate(best, False, "upper-of-inf", n_pairs)
 
 
@@ -117,19 +120,14 @@ def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None)
         raise ValueError("k must be >= 1")
     if K.degree == 1:
         return CoefficientEstimate(0.0, True, "exact")
-    rng = as_generator(rng)
-    best = 0.0
-    n_pairs = 0
-    for mu, nu in _sample_pairs(K.p, samples, rng):
-        denom = float(np.abs(mu - nu).sum())
-        if denom < 1e-12:
-            continue
-        A = _kstep_matrix(K, mu, k)
-        B = _kstep_matrix(K, nu, k)
-        ratio = float(np.abs(A - B).sum(axis=1).max()) / denom
-        best = max(best, ratio)
-        n_pairs += 1
-    return CoefficientEstimate(best, False, "lower-of-sup", n_pairs)
+    mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
+    denom = np.abs(mus - nus).sum(axis=1)
+    keep = ~(denom < 1e-12)
+    mus, nus, denom = mus[keep], nus[keep], denom[keep]
+    n_pairs = mus.shape[0]
+    prods = _kstep_products(K, np.concatenate([mus, nus]), k)
+    ratio = np.abs(prods[:n_pairs] - prods[n_pairs:]).sum(axis=2).max(axis=1) / denom
+    return CoefficientEstimate(max(0.0, float(ratio.max())), False, "lower-of-sup", n_pairs)
 
 
 def md_bound_curve(alpha: float, lam: float, n_max: int) -> np.ndarray:
@@ -192,29 +190,27 @@ def gamma_estimate(K: PolynomialKernel, samples: int = 2000, rng=None) -> GammaE
     C1 = K.coeff[0]
     if K.degree == 1:
         return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p), True, 0)
-    points = list(np.eye(p)) + [np.full(p, 1.0 / p)]
     draws = rng.standard_exponential((samples, p))
-    points.extend(draws / draws.sum(axis=1, keepdims=True))
-    best = 0.0
-    arg_entry, arg_mu = (0, 0), points[0]
-    for mu in points:
-        Pm = evaluate_kernel(K, _clean_probs(mu)).entries
-        dead = (Pm <= 0.0) & (C1 > 0.0)
-        if dead.any():
-            x, y = map(int, np.argwhere(dead)[0])
-            raise InfiniteGammaError(
-                f"linear entry ({x},{y}) = {C1[x, y]} has zero kernel mass at some mu: "
-                "the perturbation ratio is unbounded",
-                entry=(x, y), mu=mu.copy(),
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(Pm > 0.0, C1 / np.where(Pm > 0.0, Pm, 1.0), 0.0)
-        val = float(ratio.max()) - 1.0
-        if val > best:
-            best = val
-            arg_entry = tuple(int(v) for v in np.unravel_index(np.argmax(ratio), ratio.shape))
-            arg_mu = mu.copy()
-    return GammaEstimate(max(best, 0.0), arg_entry, np.asarray(arg_mu), K.degree <= 2, samples)
+    points = np.concatenate([np.eye(p), np.full((1, p), 1.0 / p),
+                             draws / draws.sum(axis=1, keepdims=True)])
+    Pm = evaluate_batch(K, _clean_rows(points))
+    dead = (Pm <= 0.0) & (C1 > 0.0)
+    if dead.any():
+        i = int(np.argmax(dead.any(axis=(1, 2))))
+        x, y = map(int, np.argwhere(dead[i])[0])
+        raise InfiniteGammaError(
+            f"linear entry ({x},{y}) = {C1[x, y]} has zero kernel mass at some mu: "
+            "the perturbation ratio is unbounded",
+            entry=(x, y), mu=points[i].copy(),
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(Pm > 0.0, C1 / np.where(Pm > 0.0, Pm, 1.0), 0.0)
+    vals = ratio.max(axis=(1, 2)) - 1.0
+    i = int(np.argmax(vals))
+    if vals[i] <= 0.0:
+        return GammaEstimate(0.0, (0, 0), points[0], K.degree <= 2, samples)
+    arg_entry = tuple(int(v) for v in np.unravel_index(np.argmax(ratio[i]), ratio[i].shape))
+    return GammaEstimate(float(vals[i]), arg_entry, points[i].copy(), K.degree <= 2, samples)
 
 
 def initial_distance_bound(p: int) -> float:
@@ -289,17 +285,17 @@ def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int, 
     if gamma is None:
         gamma = gamma_estimate(K).value
     C1 = K.coeff[0]
-    flow = _flow(K, mu0.probs, n)
     states = rng.choice(K.p, size=samples, p=mu0.probs)
     rho = np.ones(samples)
-    for t in range(n):
-        Pm = evaluate_kernel(K, _clean_probs(flow[t])).entries
+    for P, _ in _flow_steps(K, mu0.probs[None, :], n):
+        Pm = P[0]
         cum = Pm.cumsum(axis=1)
         u = rng.random(samples)
         nxt = (cum[states] < u[:, None]).sum(axis=1)
         nxt = np.minimum(nxt, K.p - 1)
         step_prob = Pm[states, nxt]
-        assert step_prob.min() > 0.0, "realized transition has zero probability"
+        if step_prob.min() <= 0.0:
+            raise NmcError("realized transition has zero probability")
         rho *= C1[states, nxt] / step_prob
         states = nxt
     vals = rho ** k
@@ -437,9 +433,11 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
         gamma = math.inf
         flags.append("gamma_infinite: ratio assumption fails for this kernel")
 
+    # a failed fixed-point search leaves the rest of the report usable;
+    # anything else is a bug and propagates
     try:
         delta = delta_estimate(K, tol=cfg.stationary_tol, force_zero=cfg.force_delta_zero)
-    except Exception as exc:  # nonconvergence keeps the rest of the report usable
+    except (NonconvergenceError, KernelInvalidError) as exc:
         delta = math.nan
         flags.append(f"delta_unavailable: {exc}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,17 @@ class Distribution:
         return cls(v)
 
 
-def _clean_probs(vec: np.ndarray) -> Distribution:
-    """Build a Distribution from a vector carrying only float-level drift."""
-    v = np.asarray(vec, dtype=np.float64)
+def _clean_rows(v: np.ndarray) -> np.ndarray:
+    """Clip float-level negative drift and renormalize along the last axis."""
     if v.min() < -_NEG_CLIP:
         raise ValueError(f"entry {v.min():.3e} too negative to be rounding noise")
     v = np.clip(v, 0.0, None)
-    return Distribution(v / v.sum())
+    return v / v.sum(axis=-1, keepdims=True)
+
+
+def _clean_probs(vec: np.ndarray) -> Distribution:
+    """Build a Distribution from a vector carrying only float-level drift."""
+    return Distribution(_clean_rows(np.asarray(vec, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,10 @@ class StochasticMatrix:
 class PolynomialKernel:
     """Distribution-dependent kernel P_mu(x,y) = sum_j coeff[j](x,y) * mu[x]**j.
 
-    ``coeff[0]`` must be a valid stochastic matrix (the linear part).  The
-    optional ``nl_coord`` table generalizes the nonlinear terms to read an
-    arbitrary coordinate of mu per entry (``nl_coord[x, y]`` instead of
-    ``x``); the default ``None`` means the standard row-coordinate form.
+    ``coeff[0]`` must be a valid stochastic matrix (the linear part).
     """
 
     coeff: tuple
-    nl_coord: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         mats = tuple(_freeze(np.asarray(c, dtype=np.float64)) for c in self.coeff)
@@ -131,15 +131,6 @@ class PolynomialKernel:
                 raise ValueError("coefficient entries must be finite")
         StochasticMatrix(mats[0])  # validates the linear part
         object.__setattr__(self, "coeff", mats)
-        if self.nl_coord is not None:
-            tab = np.asarray(self.nl_coord, dtype=np.intp)
-            if tab.shape != (p, p):
-                raise DimensionMismatchError("nl_coord table must be p x p")
-            if tab.min() < 0 or tab.max() >= p:
-                raise ValueError("nl_coord entries must be valid state indices")
-            tab = tab.copy()
-            tab.flags.writeable = False
-            object.__setattr__(self, "nl_coord", tab)
 
     @property
     def p(self) -> int:
@@ -166,36 +157,63 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     return float(np.abs(a.probs - b.probs).sum())
 
 
-def _evaluate_entries(K: PolynomialKernel, mu: np.ndarray) -> np.ndarray:
-    """Raw evaluated matrix, no validity checks."""
-    if K.nl_coord is None:
-        base = mu[:, None]          # row x reads mu[x]
-    else:
-        base = mu[K.nl_coord]       # generalized per-entry coordinate
-    out = K.coeff[0].copy()
-    power = np.ones_like(out)
+def _polynomial(K: PolynomialKernel, mus: np.ndarray) -> np.ndarray:
+    """Raw P_mu entries for each row of ``mus``, shape (B, p, p), unchecked."""
+    B, p = mus.shape
+    if p != K.p:
+        raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={p}")
+    out = np.broadcast_to(K.coeff[0], (B, p, p)).copy()
+    base = mus[:, :, None]          # row x reads mu[x]
+    power = np.ones_like(base)
     for c in K.coeff[1:]:
         power = power * base
         out += c * power
     return out
 
 
+def _violations(m: np.ndarray) -> tuple[np.ndarray, float, float, int | None]:
+    """The one validity rule for kernels, applied to a (B, p, p) stack.
+
+    Returns the row sums (B, p, 1), the worst entry, the worst row-sum
+    deviation and the index of the first matrix with an entry below
+    -EVAL_TOL or a row sum off 1 by more than EVAL_TOL (None if all pass).
+    """
+    sums = m.sum(axis=2, keepdims=True)
+    dev = np.abs(sums - 1.0)
+    worst_neg, worst_dev = float(m.min()), float(dev.max())
+    if not (worst_neg < -EVAL_TOL or worst_dev > EVAL_TOL):
+        return sums, worst_neg, worst_dev, None
+    bad = (m < -EVAL_TOL).any(axis=(1, 2)) | (dev > EVAL_TOL).any(axis=(1, 2))
+    return sums, worst_neg, worst_dev, int(np.argmax(bad))
+
+
+def evaluate_batch(K: PolynomialKernel, mus) -> np.ndarray:
+    """P_mu for each row of ``mus`` (B x p), as a (B, p, p) array.
+
+    Raises KernelInvalidError, carrying the first offending mu, when any
+    evaluated matrix has an entry below -EVAL_TOL or a row sum off 1 by
+    more than EVAL_TOL; otherwise float noise is clipped and the rows are
+    renormalized.
+    """
+    mus = np.asarray(mus, dtype=np.float64)
+    m = _polynomial(K, mus)
+    sums, worst_neg, _, i = _violations(m)
+    if i is not None:
+        entry, dev = float(m[i].min()), float(np.abs(sums[i] - 1.0).max())
+        raise KernelInvalidError(
+            f"kernel invalid at mu: worst entry {entry:.3e}, row-sum deviation {dev:.3e}",
+            mu=mus[i].copy(), worst_entry=entry, worst_row_sum_dev=dev,
+        )
+    if worst_neg < 0.0:       # clipping moves the row sums
+        np.clip(m, 0.0, None, out=m)
+        sums = m.sum(axis=2, keepdims=True)
+    m /= sums
+    return m
+
+
 def evaluate_kernel(K: PolynomialKernel, mu: Distribution) -> StochasticMatrix:
     """Evaluate P_mu; raises KernelInvalidError if the result is not stochastic."""
-    if mu.p != K.p:
-        raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={mu.p}")
-    m = _evaluate_entries(K, mu.probs)
-    worst_neg = float(m.min())
-    row_dev = float(np.abs(m.sum(axis=1) - 1.0).max())
-    if worst_neg < -EVAL_TOL or row_dev > EVAL_TOL:
-        raise KernelInvalidError(
-            f"kernel invalid at mu: worst entry {worst_neg:.3e}, "
-            f"row-sum deviation {row_dev:.3e}",
-            mu=mu, worst_entry=worst_neg, worst_row_sum_dev=row_dev,
-        )
-    m = np.clip(m, 0.0, None)
-    m /= m.sum(axis=1, keepdims=True)
-    return StochasticMatrix(m)
+    return StochasticMatrix(evaluate_batch(K, mu.probs[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -217,75 +235,45 @@ def validate_kernel(K: PolynomialKernel, grid: int = 1000, seed: int = 0) -> Ker
         raise ValueError("grid must be >= 1")
     p = K.p
     rng = as_generator(seed)
-    points = [np.full(p, 1.0 / p)]
-    points.extend(np.eye(p))
     draws = rng.standard_exponential((grid, p))
-    points.extend(draws / draws.sum(axis=1, keepdims=True))
-    worst_neg = np.inf
-    worst_dev = 0.0
-    witness = None
-    for mu in points:
-        m = _evaluate_entries(K, mu)
-        neg = float(m.min())
-        dev = float(np.abs(m.sum(axis=1) - 1.0).max())
-        if neg < worst_neg:
-            worst_neg = neg
-        if dev > worst_dev:
-            worst_dev = dev
-        if witness is None and (neg < -EVAL_TOL or dev > EVAL_TOL):
-            witness = mu.copy()
-    ok = worst_neg >= -EVAL_TOL and worst_dev <= EVAL_TOL
-    return KernelValidationReport(ok, worst_neg, worst_dev, len(points), witness)
+    points = np.concatenate([np.full((1, p), 1.0 / p), np.eye(p),
+                             draws / draws.sum(axis=1, keepdims=True)])
+    _, worst_neg, worst_dev, i = _violations(_polynomial(K, points))
+    witness = None if i is None else points[i].copy()
+    return KernelValidationReport(i is None, worst_neg, worst_dev, points.shape[0], witness)
 
 
-def _flow(K: PolynomialKernel, mu0: np.ndarray, n: int) -> np.ndarray:
-    """Exact distribution flow as an (n+1, p) array."""
-    out = np.empty((n + 1, K.p))
-    out[0] = mu0
-    for t in range(n):
-        m = evaluate_kernel(K, _clean_probs(out[t]))
-        out[t + 1] = out[t] @ m.entries
-    return out
+def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
+    """Step the exact flows from the rows of ``mus`` (B x p) n times.
 
-
-def _flow_batch(K: PolynomialKernel, mu0s: np.ndarray, n: int) -> np.ndarray:
-    """Flows for a batch of starts, shape (n+1, B, p).
-
-    Vectorizes the per-step kernel evaluation across the batch; only valid
-    kernels should reach this path (callers validate once up front).
+    Yields (P_{mu_t}, mu_{t+1}) for t = 0..n-1, with the kernel evaluated
+    at the cleaned mu_t and mu_{t+1} = mu_t^T P_{mu_t}.  Every flow and
+    k-step product in the package advances through this loop.
     """
-    B, p = mu0s.shape
-    out = np.empty((n + 1, B, p))
+    for _ in range(n):
+        P = evaluate_batch(K, _clean_rows(mus))
+        mus = np.matmul(mus[:, None, :], P)[:, 0, :]
+        yield P, mus
+
+
+def flow_batch(K: PolynomialKernel, mu0s, n: int) -> np.ndarray:
+    """Exact flows mu_0..mu_n for a batch of starts (B x p), shape (n+1, B, p)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    mu0s = np.asarray(mu0s, dtype=np.float64)
+    out = np.empty((n + 1,) + mu0s.shape)
     out[0] = mu0s
-    coeff = K.coeff
-    for t in range(n):
-        mu = out[t]
-        if K.nl_coord is None:
-            base = mu[:, :, None]
-        else:
-            base = mu[:, K.nl_coord]
-        m = np.broadcast_to(coeff[0], (B, p, p)).copy()
-        power = np.ones_like(m)
-        for c in coeff[1:]:
-            power = power * base
-            m += c * power
-        if m.min() < -EVAL_TOL:
-            raise KernelInvalidError(
-                f"kernel invalid along batched flow at step {t}: entry {m.min():.3e}")
-        np.clip(m, 0.0, None, out=m)
-        m /= m.sum(axis=2, keepdims=True)
-        out[t + 1] = np.einsum("bx,bxy->by", mu, m)
+    for t, (_, mus) in enumerate(_flow_steps(K, mu0s, n)):
+        out[t + 1] = mus
     return out
 
 
 def propagate(K: PolynomialKernel, mu0: Distribution, n: int) -> list[Distribution]:
     """Exact flow mu_0, mu_1, ..., mu_n with mu_{t+1} = mu_t^T P_{mu_t}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if mu0.p != K.p:
         raise DimensionMismatchError("mu0 dimension does not match the kernel")
-    flow = _flow(K, mu0.probs, n)
-    return [_clean_probs(row) for row in flow]
+    flow = flow_batch(K, mu0.probs[None, :], n)
+    return [_clean_probs(row) for row in flow[:, 0, :]]
 
 
 @dataclass(frozen=True)
@@ -299,17 +287,16 @@ def stationary(K: PolynomialKernel, tol: float = 1e-10, max_iter: int = 10**6) -
     """Fixed point of mu -> mu^T P_mu by iteration from the barycenter."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mu = np.full(K.p, 1.0 / K.p)
+    mu = np.full((1, K.p), 1.0 / K.p)
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        nxt = mu @ evaluate_kernel(K, _clean_probs(mu)).entries
+    for it, (_, nxt) in enumerate(_flow_steps(K, mu, max_iter), start=1):
         residual = float(np.abs(nxt - mu).sum())
         if residual <= tol:
-            return StationaryResult(_clean_probs(mu), it, residual)
+            return StationaryResult(_clean_probs(mu[0]), it, residual)
         mu = nxt
     raise NonconvergenceError(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})",
-        last_iterate=_clean_probs(mu), residual=residual, iterations=max_iter,
+        last_iterate=_clean_probs(mu[0]), residual=residual, iterations=max_iter,
     )
 
 
@@ -322,12 +309,10 @@ def sample_trajectory(K: PolynomialKernel, mu0: Distribution, n: int, rng) -> np
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = as_generator(rng)
-    flow = _flow(K, mu0.probs, n)
     states = np.empty(n + 1, dtype=np.intp)
     states[0] = rng.choice(K.p, p=mu0.probs)
-    for t in range(n):
-        row = evaluate_kernel(K, _clean_probs(flow[t])).entries[states[t]]
-        states[t + 1] = rng.choice(K.p, p=row)
+    for t, (P, _) in enumerate(_flow_steps(K, mu0.probs[None, :], n)):
+        states[t + 1] = rng.choice(K.p, p=P[0, states[t]])
     return states
 
 

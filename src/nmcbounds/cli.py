@@ -184,7 +184,9 @@ def cmd_volatility(args) -> int:
     if args.self_check:
         check = vol_mod.variance_break_check(tv, returns, boundary - 1)
         print(f"self-check: baseline {check.mean_low:.4f} break plateau "
-              f"{check.mean_plateau:.4f} tail {check.mean_tail:.4f} -> "
+              f"{check.mean_plateau:.4f} (half medians {check.median_plateau_early:.4f} "
+              f"{check.median_plateau_late:.4f}) tail {check.mean_tail:.4f} "
+              f"(falls back: {'yes' if check.falls_back else 'no'}) -> "
               f"{'pass' if check.elevated_at_break else 'fail'}")
         return EXIT_OK if check.elevated_at_break else EXIT_STATISTICAL
     return EXIT_OK

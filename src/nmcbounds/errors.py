@@ -12,8 +12,8 @@ class DimensionMismatchError(NmcError):
 class KernelInvalidError(NmcError):
     """A kernel evaluated outside the stochastic-matrix cone.
 
-    Carries the offending distribution and the worst violation so callers
-    can report where validity breaks.
+    Carries the offending distribution (a probability vector) and the worst
+    violation so callers can report where validity breaks.
     """
 
     def __init__(self, message, mu=None, worst_entry=None, worst_row_sum_dev=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundConfig, BoundReport, full_report
-from .chain import Distribution, PolynomialKernel, _flow_batch, stationary
+from .chain import Distribution, PolynomialKernel, flow_batch, stationary
 from .errors import NmcError
 from .rng import as_generator
 
@@ -34,35 +34,13 @@ EXAMPLE2_P = np.array([
     [0.1, 0.1, 0.1, 0.3, 0.4],
 ])
 
-KAPPA_MAX = 0.25
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    example_id: int = 1
-    kappa: float = 0.1
-    trials: int = 1000
-    steps: int = 15
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.example_id not in (1, 2):
-            raise ValueError("example_id must be 1 or 2")
-        if not 0.0 <= self.kappa <= KAPPA_MAX:
-            raise ValueError(f"kappa must lie in [0, {KAPPA_MAX}] for built-in examples")
-        if self.trials < 1 or self.steps < 1:
-            raise ValueError("trials and steps must be >= 1")
-
-
-def builtin_example(example_id: int, kappa: float, printed_mu4_variant: bool = False) -> PolynomialKernel:
+def builtin_example(example_id: int, kappa: float) -> PolynomialKernel:
     """Degree-2 kernel for one of the two built-in perturbed chains.
 
     Example 1 (4 states) moves kappa*mu[0] of mass within row 0; example 2
     (5 states) boosts each diagonal by kappa*mu[x] at the expense of one
-    neighbor.  Row 2 of example 2 as printed reads its nonlinear term from
-    coordinate 3 rather than its own; that variant does not define a
-    stochastic kernel (row sums drift by kappa*(mu[2]-mu[3])) and is kept
-    only behind ``printed_mu4_variant`` for inspection.
+    neighbor.
     """
     if example_id == 1:
         C1 = EXAMPLE1_P.copy()
@@ -80,11 +58,7 @@ def builtin_example(example_id: int, kappa: float, printed_mu4_variant: bool = F
         C2[2, 3] = -kappa
         C2[3, 4] = -kappa
         C2[4, 3] = -kappa
-        coord = None
-        if printed_mu4_variant:
-            coord = np.tile(np.arange(5, dtype=np.intp)[:, None], (1, 5))
-            coord[2, 3] = 3     # the printed entry reads mu[3] in row 2
-        return PolynomialKernel((C1, C2), nl_coord=coord)
+        return PolynomialKernel((C1, C2))
     raise ValueError("example_id must be 1 or 2")
 
 
@@ -112,8 +86,9 @@ def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng,
     else:
         draws = rng.standard_exponential((trials, K.p))
         starts = draws / draws.sum(axis=1, keepdims=True)
-    flows = _flow_batch(K, starts, steps)                    # (steps+1, B, p)
-    tv = np.abs(flows - pi.probs[None, None, :]).sum(axis=2)  # (steps+1, B)
+    dev = flow_batch(K, starts, steps)                       # (steps+1, B, p)
+    dev -= pi.probs                                          # in place: one copy of the flows
+    tv = np.abs(dev, out=dev).sum(axis=2)                    # (steps+1, B)
     return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1), trials, pi)
 
 

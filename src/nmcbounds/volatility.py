@@ -47,6 +47,12 @@ class VolatilityConfig:
             raise ValueError("window lengths must be >= 20")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        # _fit_seed packs (date, length, rep) into one integer; larger
+        # lengths or rep counts would make two grid slots share a stream
+        if max(self.window_lengths) >= _SEED_T_SHIFT // _SEED_L_SHIFT:
+            raise ValueError(f"window lengths must be < {_SEED_T_SHIFT // _SEED_L_SHIFT}")
+        if self.reps >= _SEED_L_SHIFT:
+            raise ValueError(f"reps must be < {_SEED_L_SHIFT}")
         if self.n_states < 2:
             raise ValueError("n_states must be >= 2")
         if self.date_stride < 1:
@@ -374,13 +380,21 @@ def two_regime_prices(seed: int, n_low: int = 400, n_high: int = 400,
 @dataclass(frozen=True)
 class BreakCheckResult:
     """Indicator response to a variance break: the low-regime baseline, the
-    plateau of dates whose windows straddle the break, and the tail of
-    fully-high windows."""
+    plateau of dates whose windows straddle the break (mean, and the median
+    of each half in date order), and the tail of fully-high windows.
+
+    ``elevated_at_break`` (plateau mean above baseline mean) is the pass
+    criterion of ``volatility --self-check``; ``falls_back`` records whether
+    the tail mean lies below the plateau mean.
+    """
 
     mean_low: float
     mean_plateau: float
     mean_tail: float
+    median_plateau_early: float
+    median_plateau_late: float
     elevated_at_break: bool
+    falls_back: bool
 
 
 def variance_break_check(tv: TvVolatilitySeries, returns: ReturnSeries,
@@ -403,6 +417,8 @@ def variance_break_check(tv: TvVolatilitySeries, returns: ReturnSeries,
     mean_low = float(low.mean())
     mean_plateau = float(plateau.mean())
     mean_tail = float(tail.mean()) if tail.size else math.nan
+    half = plateau.size // 2
     return BreakCheckResult(mean_low, mean_plateau, mean_tail,
-                            mean_plateau > mean_low)
-
+                            float(np.median(plateau[:half])),
+                            float(np.median(plateau[half:])),
+                            mean_plateau > mean_low, mean_tail < mean_plateau)

@@ -30,3 +30,10 @@ def random_distributions(p, count, seed):
     draws = gen.standard_exponential((count, p))
     draws /= draws.sum(axis=1, keepdims=True)
     return [Distribution(row) for row in draws]
+
+
+def row_sum_drift_kernel() -> PolynomialKernel:
+    """2-state kernel whose C2 and C3 rows sum to +0.1 and -0.2, so row x
+    sums to 1 + 0.1 m (1 - 2 m) with m = mu[x]: stochastic at the barycenter
+    (its fixed point), off by up to 0.1 elsewhere, entries always >= 0.4."""
+    return PolynomialKernel((np.full((2, 2), 0.5), np.diag([0.1, 0.1]), np.diag([-0.2, -0.2])))

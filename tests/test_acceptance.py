@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nmcbounds.bounds import BoundConfig, full_report, md_alpha, likelihood_ratio_moments, initial_distance_bound, initial_distance_bruteforce, perturbation_bound
-from nmcbounds.chain import Distribution, StochasticMatrix, _flow_batch, stationary
+from nmcbounds.chain import Distribution, StochasticMatrix, flow_batch, stationary
 from nmcbounds.coupling import build_coupling_matrix, lemma_check, spectral_radius
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 from nmcbounds.ghmm import GhmmModel, fit_baum_welch, sample_ghmm
@@ -79,7 +79,7 @@ def test_criterion_04_domination():
         pi = stationary(K).distribution
         draws = gen.standard_exponential((1000, K.p))
         draws /= draws.sum(axis=1, keepdims=True)
-        flows = _flow_batch(K, draws, 30)
+        flows = flow_batch(K, draws, 30)
         tv = np.abs(flows - pi.probs[None, None, :]).sum(axis=2)
         margin = rep.curves["combined_small_n"] - tv[1:].max(axis=1)
         worst = max(worst, float(-margin.min()))
@@ -254,20 +254,12 @@ def test_criterion_13_pipeline_regime_property():
         cfg = VolatilityConfig(seed=seed, date_stride=20)
         tv = tv_volatility(rets, cfg)
         check = variance_break_check(tv, rets, boundary)
-        # the plateau as variance_break_check delimits it, split in halves
-        max_len = max(cfg.window_lengths)
-        idx = {d: i for i, d in enumerate(rets.dates)}
-        pos = np.array([idx[d] for d in tv.dates])
-        plateau = tv.tv_mean[(pos >= boundary) & (pos < boundary + max_len - 1)]
-        assert math.isclose(plateau.mean(), check.mean_plateau, rel_tol=1e-12)
-        half = plateau.shape[0] // 2
-        is_persistent = bool(np.median(plateau[:half]) > check.mean_low
-                             and np.median(plateau[half:]) > check.mean_low)
-        is_falling_back = check.mean_tail < check.mean_plateau
+        is_persistent = (check.median_plateau_early > check.mean_low
+                         and check.median_plateau_late > check.mean_low)
         elevated += check.elevated_at_break
         persistent += is_persistent
-        falls_back += is_falling_back
-        responding += check.elevated_at_break and is_persistent and is_falling_back
+        falls_back += check.falls_back
+        responding += check.elevated_at_break and is_persistent and check.falls_back
     elapsed = time.perf_counter() - t0
     ok = responding >= 95 and elapsed < 600.0
     report(13, ok, f"break response in {responding}/100 seeds (need >=95): "

@@ -19,6 +19,7 @@ from nmcbounds.bounds import (
     combined_bound,
 )
 from nmcbounds.chain import PolynomialKernel, StochasticMatrix
+from nmcbounds import bounds as bounds_mod
 from nmcbounds.errors import InfiniteGammaError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 
@@ -311,7 +312,7 @@ def test_full_report_rank_one_all_zero():
 
 
 def test_domination_small_scale():
-    from nmcbounds.chain import _flow_batch
+    from nmcbounds.chain import flow_batch
     from nmcbounds.chain import stationary as stat
     gen = np.random.default_rng(9)
     for example_id, kappa in ((1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2)):
@@ -320,8 +321,56 @@ def test_domination_small_scale():
         pi = stat(K).distribution
         draws = gen.standard_exponential((200, K.p))
         draws /= draws.sum(axis=1, keepdims=True)
-        flows = _flow_batch(K, draws, 30)
+        flows = flow_batch(K, draws, 30)
         tv = np.abs(flows - pi.probs[None, None, :]).sum(axis=2)
         curve = report.curves["combined_small_n"]
         for n in range(1, 31):
             assert tv[n].max() <= curve[n - 1] + 1e-9, (example_id, kappa, n)
+
+
+# ---------------------------------------------------------------------------
+# sampled coefficients pinned bit for bit
+
+
+# recorded before the per-sample loops were replaced by the batched engine;
+# the engine keeps the evaluation and flow arithmetic, so they hold with ==
+PINNED_MC200_SEED0 = {
+    (1, 0.1): dict(
+        alpha_nonlinear=[0.6, 0.84993286587033, 0.9450000000000002, 0.9800000000000002],
+        lam=[0.10000000000000006, 0.023759752210066612, 0.004739635672825445,
+             0.0010874498657612594],
+        gamma=0.33333333333333326, delta=0.017993031436055767),
+    (2, 0.2): dict(
+        alpha_nonlinear=[0.30000000000000004, 0.6480000000000001, 0.8429184000000002,
+                         0.9268558553544963],
+        lam=[0.20000000000000015, 0.14600000000000002, 0.07166960000000004,
+             0.033920925200512014],
+        gamma=math.inf, delta=0.03778032396366732),
+}
+
+
+@pytest.mark.parametrize("example", sorted(PINNED_MC200_SEED0))
+def test_full_report_sampled_coefficients_pinned(example):
+    report = full_report(builtin_example(*example), 10, BoundConfig(mc_samples=200), seed=0)
+    pinned = PINNED_MC200_SEED0[example]
+    assert report.alpha_nonlinear == pinned["alpha_nonlinear"]
+    assert report.lam == pinned["lam"]
+    assert report.gamma == pinned["gamma"]
+    assert report.delta == pinned["delta"]
+
+
+def test_full_report_lets_unexpected_errors_through(monkeypatch):
+    # only a failed fixed-point search becomes a flag; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside delta_estimate")
+
+    monkeypatch.setattr(bounds_mod, "delta_estimate", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        full_report(builtin_example(1, 0.1), 5, BoundConfig(mc_samples=10), seed=0)
+
+
+def test_md_alpha_and_lambda_count_evaluated_pairs():
+    K = builtin_example(1, 0.1)
+    # 12 ordered vertex pairs plus the sampled ones
+    assert md_alpha(K, 2, samples=30, rng=0).samples == 42
+    assert lipschitz_lambda(K, 2, samples=30, rng=0).samples == 42

@@ -9,7 +9,9 @@ from nmcbounds.chain import (
     Distribution,
     PolynomialKernel,
     StochasticMatrix,
+    evaluate_batch,
     evaluate_kernel,
+    flow_batch,
     load_model,
     propagate,
     random_distribution,
@@ -26,7 +28,7 @@ from nmcbounds.errors import (
 )
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 
-from conftest import random_distributions
+from conftest import random_distributions, row_sum_drift_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,25 @@ def test_evaluate_kernel_rejects_invalid():
         evaluate_kernel(K, Distribution([1, 0, 0, 0]))
 
 
+def test_evaluate_batch_matches_evaluate_kernel_rowwise():
+    K = builtin_example(2, 0.2)
+    mus = np.array([d.probs for d in random_distributions(5, 50, seed=4)])
+    batch = evaluate_batch(K, mus)
+    assert batch.shape == (50, 5, 5)
+    for mu, m in zip(mus, batch):
+        assert (evaluate_kernel(K, Distribution(mu)).entries == m).all()
+
+
+def test_evaluate_batch_reports_first_offending_mu():
+    K = row_sum_drift_kernel()
+    mus = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+    with pytest.raises(KernelInvalidError) as info:
+        evaluate_batch(K, mus)
+    assert (info.value.mu == mus[1]).all()
+    assert info.value.worst_entry > 0.0           # a row-sum failure, not a sign one
+    assert info.value.worst_row_sum_dev == pytest.approx(0.1 * 0.8 * 0.6, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # validate_kernel
 
@@ -208,6 +229,26 @@ def test_propagate_outputs_valid_distributions():
         for out in propagate(K, mu, 10):
             assert out.probs.min() >= 0.0
             assert abs(out.probs.sum() - 1.0) <= 1e-12
+
+
+def test_flow_batch_rows_match_single_start_flows():
+    K = builtin_example(1, 0.2)
+    starts = np.array([d.probs for d in random_distributions(4, 30, seed=6)])
+    flows = flow_batch(K, starts, 12)
+    assert flows.shape == (13, 30, 4)
+    assert (flows[0] == starts).all()
+    for b in (0, 17, 29):
+        assert (flow_batch(K, starts[b:b + 1], 12)[:, 0] == flows[:, b]).all()
+    seq = propagate(K, Distribution(starts[3]), 12)
+    assert np.abs(np.array([d.probs for d in seq]) - flows[:, 3]).max() < 1e-15
+
+
+def test_flow_batch_rejects_row_sum_drift():
+    # every entry stays positive, so a check on signs alone lets it through
+    starts = np.array([[0.5, 0.5], [0.3, 0.7]])
+    with pytest.raises(KernelInvalidError):
+        flow_batch(row_sum_drift_kernel(), starts, 3)
+    assert (flow_batch(row_sum_drift_kernel(), starts[:1], 3) == 0.5).all()
 
 
 # ---------------------------------------------------------------------------

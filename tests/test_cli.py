@@ -154,7 +154,8 @@ def test_volatility_self_check(tmp_path, capsys):
             "--seed", "2", "--out-prefix", str(prefix)]
     code, stdout, _ = run_cli(args, capsys)
     assert code == 0
-    assert "self-check" in stdout and "pass" in stdout
+    line = next(l for l in stdout.splitlines() if l.startswith("self-check:"))
+    assert "half medians" in line and "falls back:" in line and line.endswith("-> pass")
     assert (tmp_path / "vol_comparison.csv").exists()
     assert (tmp_path / "vol_garch.csv").exists()
     garch = parse_report(tmp_path / "vol_garch.csv")
@@ -172,6 +173,16 @@ def test_volatility_deterministic_outputs(tmp_path, capsys):
     code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert (tmp_path / "det_comparison.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("flags", [["--reps", "1024"],
+                                   ["--window-min", "1024", "--window-max", "1024"]])
+def test_volatility_seed_collision_range_exits_2(tmp_path, capsys, flags):
+    args = ["volatility", "--self-check", "--out-prefix", str(tmp_path / "x")] + flags
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "must be < 1024" in err
+    assert not (tmp_path / "x_comparison.csv").exists()
 
 
 def test_volatility_window_defaults_echoed(tmp_path, capsys):

@@ -6,7 +6,6 @@ from nmcbounds.errors import KernelInvalidError
 from nmcbounds.experiments import (
     EXAMPLE1_P,
     ComparisonTable,
-    ExperimentConfig,
     builtin_example,
     compare_bounds,
     export_report,
@@ -14,15 +13,7 @@ from nmcbounds.experiments import (
     tv_envelope,
 )
 
-
-def test_config_invariants():
-    ExperimentConfig(1, 0.2, 10, 5, 0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(3, 0.1, 10, 5, 0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(1, 0.3, 10, 5, 0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(1, 0.1, 0, 5, 0)
+from conftest import row_sum_drift_kernel
 
 
 def test_builtin_example1_matches_published_entries():
@@ -41,16 +32,6 @@ def test_builtin_example1_kappa_zero_is_linear():
 def test_builtin_example2_validates_at_02():
     report = validate_kernel(builtin_example(2, 0.2), grid=500)
     assert report.ok
-
-
-def test_builtin_example2_printed_variant_is_not_stochastic():
-    # row 2's printed nonlinear term reads coordinate 3, which breaks the
-    # row sum whenever mu[2] != mu[3]
-    K = builtin_example(2, 0.1, printed_mu4_variant=True)
-    report = validate_kernel(K, grid=200)
-    assert not report.ok
-    with pytest.raises(KernelInvalidError):
-        evaluate_kernel(K, Distribution([0.0, 0.0, 1.0, 0.0, 0.0]))
 
 
 def test_envelope_zero_at_fixed_point():
@@ -75,6 +56,13 @@ def test_envelope_rank_one_collapses():
     K = PolynomialKernel.linear(np.tile([0.25, 0.25, 0.25, 0.25], (4, 1)))
     env = tv_envelope(K, trials=50, steps=4, rng=2)
     assert (env.tv_max[1:] < 1e-12).all()
+
+
+def test_envelope_rejects_row_sum_drift():
+    # the barycenter is a fixed point where rows sum to 1, so the stationary
+    # search passes; the flows from random starts must still be refused
+    with pytest.raises(KernelInvalidError):
+        tv_envelope(row_sum_drift_kernel(), trials=20, steps=5, rng=0)
 
 
 def test_compare_bounds_columns_and_domination():

@@ -92,6 +92,16 @@ def test_tv_volatility_variance_break_elevates_indicator():
     assert high.mean() > low.mean()
 
 
+def test_config_rejects_grids_that_would_share_seed_streams():
+    # the per-slot seed is t * 2**20 + L * 2**10 + rep, so a length of 1024
+    # or more, or 1024 reps or more, would collide with a neighbouring slot
+    VolatilityConfig(window_lengths=(60, 1023), reps=1023)
+    with pytest.raises(ValueError, match="window lengths"):
+        VolatilityConfig(window_lengths=(60, 1024))
+    with pytest.raises(ValueError, match="reps"):
+        VolatilityConfig(reps=1024)
+
+
 def test_tv_volatility_needs_enough_returns():
     rets = returns_from(np.zeros(30))
     with pytest.raises(ValueError):
