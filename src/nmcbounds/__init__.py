@@ -22,13 +22,15 @@ from .coupling import (
     CouplingMatrix,
     CouplingState,
     build_coupling_matrix,
+    coupling_matrices,
     kappa,
     lemma_check,
     marginal_kernels,
-    matrix_one_norm,
+    max_row_sum_norm,
     overlap_q,
     sample_coupled_pair,
     simulate_coupled_chain,
+    spectral_radii,
     spectral_radius,
     split_densities,
 )

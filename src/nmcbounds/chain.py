@@ -83,6 +83,20 @@ def _clean_probs(vec: np.ndarray) -> Distribution:
     return Distribution(_clean_rows(np.asarray(vec, dtype=np.float64)))
 
 
+def _check_stochastic(m: np.ndarray) -> None:
+    """The StochasticMatrix rules on a (..., p, p) stack of matrices: square
+    with p >= 2, finite, entries in [0, 1], every row sum within SUM_TOL of 1."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
+        raise DimensionMismatchError("transition matrix must be square with p >= 2")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    if m.min() < 0.0 or m.max() > 1.0:
+        raise ValueError("matrix entries must lie in [0, 1]")
+    dev = np.abs(m.sum(axis=-1) - 1.0).max()
+    if dev > SUM_TOL:
+        raise ValueError(f"row sums deviate from 1 by {dev:.3e}")
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic p x p matrix."""
@@ -91,15 +105,9 @@ class StochasticMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        if m.ndim != 2:
             raise DimensionMismatchError("transition matrix must be square with p >= 2")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValueError("matrix entries must lie in [0, 1]")
-        dev = np.abs(m.sum(axis=1) - 1.0).max()
-        if dev > SUM_TOL:
-            raise ValueError(f"row sums deviate from 1 by {dev:.3e}")
+        _check_stochastic(m)
         object.__setattr__(self, "entries", _freeze(m))
 
     @property
@@ -163,11 +171,10 @@ def _polynomial(K: PolynomialKernel, mus: np.ndarray) -> np.ndarray:
     if p != K.p:
         raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={p}")
     out = np.broadcast_to(K.coeff[0], (B, p, p)).copy()
-    base = mus[:, :, None]          # row x reads mu[x]
-    power = np.ones_like(base)
+    power = np.ones_like(mus)
     for c in K.coeff[1:]:
-        power = power * base
-        out += c * power
+        power = power * mus
+        out += np.einsum("bx,xy->bxy", power, c)    # row x reads mu[x]
     return out
 
 

@@ -7,6 +7,11 @@ dropping into the overlap law xi, after which zeta = 0 and the chains
 coincide forever.  The not-yet-met dynamics restricted to ordered distinct
 pairs form a sub-stochastic matrix whose spectral radius sets the
 geometric rate of convergence in total variation.
+
+The coupling operator is batch-first: ``coupling_matrices`` builds the pair
+matrices of a (B, p, p) stack of transition matrices and ``spectral_radii``
+runs the Gelfand iteration on all of them at once; ``build_coupling_matrix``
+and ``spectral_radius`` are their one-matrix wrappers.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, _clean_probs
+from .chain import Distribution, StochasticMatrix, _check_stochastic, _clean_probs
 from .errors import DimensionMismatchError
 from .rng import as_generator
 
@@ -220,35 +225,50 @@ class CouplingMatrix:
         return [self.pair_of(i) for i in range(self.dim)]
 
 
-def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
-    """Not-yet-met pair dynamics of the coupled chain.
+def coupling_matrices(Ps) -> np.ndarray:
+    """Not-yet-met pair dynamics of a (B, p, p) stack of transition
+    matrices, as a (B, d, d) stack with d = p(p - 1).
 
     Entry [(x1,x2),(y1,y2)] = residual1(y1) * residual2(y2) / (1 - kappa),
     where residual_i(y) = P(x_i, y) - min(P(x1,y), P(x2,y)).  The residuals
     have disjoint supports, so diagonal targets carry no mass and each row
-    sums to exactly 1 - kappa(x1, x2).  Rows with kappa = 1 are zero.
+    sums to exactly 1 - kappa(x1, x2).  Rows with kappa = 1 are zero.  The
+    rows are filled one x1 block of p - 1 pairs at a time, so no temporary
+    grows beyond (B, p - 1, p * p).
     """
-    p = P.p
-    d = p * (p - 1)
-    pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
-    M = np.zeros((d, d))
-    for i, (x1, x2) in enumerate(pairs):
-        m = np.minimum(P.entries[x1], P.entries[x2])
-        k = m.sum()
-        if k >= 1.0 - _ONE_TOL:
-            continue
-        r1 = P.entries[x1] - m
-        r2 = P.entries[x2] - m
-        for j, (y1, y2) in enumerate(pairs):
-            M[i, j] = r1[y1] * r2[y2] / (1.0 - k)
-    return CouplingMatrix(p, M)
+    Ps = np.asarray(Ps, dtype=np.float64)
+    if Ps.ndim != 3:
+        raise DimensionMismatchError("need a (B, p, p) stack of transition matrices")
+    _check_stochastic(Ps)
+    B, p, _ = Ps.shape
+    off_diagonal = ~np.eye(p, dtype=bool).ravel()      # row-major (y1, y2), y1 != y2
+    M = np.zeros((B, p * (p - 1), p * (p - 1)))
+    for x1 in range(p):
+        row1 = Ps[:, x1, None, :]                       # (B, 1, p)
+        rows2 = Ps[:, np.arange(p) != x1, :]            # (B, p - 1, p): x2 != x1
+        m = np.minimum(row1, rows2)
+        k = m.sum(axis=-1)
+        dead = k >= 1.0 - _ONE_TOL
+        block = ((row1 - m)[..., :, None] * (rows2 - m)[..., None, :]).reshape(B, p - 1, p * p)
+        block = block[..., off_diagonal]
+        block /= np.where(dead, 1.0, 1.0 - k)[..., None]
+        block[dead] = 0.0
+        M[:, x1 * (p - 1):(x1 + 1) * (p - 1)] = block
+    return M
 
 
-def matrix_one_norm(M: CouplingMatrix) -> float:
-    """Max row sum (entries are nonnegative)."""
-    if M.dim == 0:
-        return 0.0
-    return float(M.entries.sum(axis=1).max())
+def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
+    """Pair matrix of one transition matrix (see ``coupling_matrices``)."""
+    return CouplingMatrix(P.p, coupling_matrices(P.entries[None])[0])
+
+
+def _max_row_sums(A: np.ndarray) -> np.ndarray:
+    return A.sum(axis=-1).max(axis=-1)
+
+
+def max_row_sum_norm(M: CouplingMatrix) -> float:
+    """Max row sum, the induced infinity-norm (entries are nonnegative)."""
+    return float(_max_row_sums(M.entries))
 
 
 @dataclass(frozen=True)
@@ -259,37 +279,70 @@ class SpectralRadiusEstimate:
     estimates: np.ndarray
 
 
-def spectral_radius(M: CouplingMatrix, K_max: int = 2**20) -> SpectralRadiusEstimate:
-    """Gelfand estimate r_k = ||M^(2^k)||^(1/2^k) by repeated squaring.
+@dataclass(frozen=True)
+class SpectralRadii:
+    """Per-item Gelfand estimates of a stack; ``estimates[i]`` has
+    ``squarings[i] + 1`` entries."""
+
+    r: np.ndarray
+    eps: np.ndarray
+    squarings: np.ndarray
+    estimates: tuple
+
+
+def spectral_radii(Ms, K_max: int = 2**20) -> SpectralRadii:
+    """Gelfand estimates r_k = ||M^(2^k)||^(1/2^k) of a (B, d, d) stack by
+    repeated squaring, all items advancing together.
 
     Powers are renormalized after every squaring (the log scale is carried
     separately) so the iteration cannot under- or overflow.  The sequence
     is nonincreasing; ``eps`` is the final decrement, an upper bound on
-    how unconverged the estimate still is in practice.
+    how unconverged the estimate still is in practice.  An item whose
+    power vanishes stops there with r = eps = 0.
     """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
-    norm0 = matrix_one_norm(M)
-    if norm0 == 0.0:
-        return SpectralRadiusEstimate(0.0, 0.0, 0, np.zeros(1))
-    A = M.entries / norm0
-    log_scale = np.log(norm0)
-    estimates = [norm0]
-    k = 0
-    while 2 ** (k + 1) <= K_max:
-        k += 1
+    Ms = np.asarray(Ms, dtype=np.float64)
+    if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
+        raise DimensionMismatchError("need a (B, d, d) stack of square matrices")
+    steps = 0
+    while 2 ** (steps + 1) <= K_max:
+        steps += 1
+    B = Ms.shape[0]
+    est = np.zeros((B, steps + 1))
+    squarings = np.zeros(B, dtype=int)
+    est[:, 0] = norm0 = _max_row_sums(Ms)
+    live = np.flatnonzero(norm0 != 0.0)
+    A = Ms[live] / norm0[live, None, None]
+    log_scale = np.log(norm0[live])
+    for k in range(1, steps + 1):
+        if live.size == 0:
+            break
         A = A @ A
-        c = float(A.sum(axis=1).max())
-        if not np.isfinite(c):
+        c = _max_row_sums(A)
+        if not np.all(np.isfinite(c)):
             raise FloatingPointError("non-finite intermediate in spectral radius iteration")
-        if c == 0.0:
-            estimates.append(0.0)
-            return SpectralRadiusEstimate(0.0, 0.0, k, np.asarray(estimates))
-        A /= c
+        squarings[live] = k
+        vanished = c == 0.0
+        if vanished.any():      # est[., k] stays 0 for these
+            live, A, c, log_scale = (a[~vanished] for a in (live, A, c, log_scale))
+        A /= c[:, None, None]
         log_scale = 2.0 * log_scale + np.log(c)
-        estimates.append(float(np.exp(log_scale / 2**k)))
-    eps = max(0.0, estimates[-2] - estimates[-1]) if len(estimates) > 1 else 0.0
-    return SpectralRadiusEstimate(estimates[-1], eps, k, np.asarray(estimates))
+        est[live, k] = np.exp(log_scale / 2**k)
+    r = np.zeros(B)
+    eps = np.zeros(B)
+    r[live] = est[live, steps]
+    if steps:
+        eps[live] = np.maximum(0.0, est[live, steps - 1] - est[live, steps])
+    return SpectralRadii(r, eps, squarings,
+                         tuple(est[i, :n + 1] for i, n in enumerate(squarings.tolist())))
+
+
+def spectral_radius(M: CouplingMatrix, K_max: int = 2**20) -> SpectralRadiusEstimate:
+    """Gelfand estimate of one pair matrix (see ``spectral_radii``)."""
+    est = spectral_radii(M.entries[None], K_max)
+    return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]),
+                                  int(est.squarings[0]), est.estimates[0])
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def _forward_backward_batch(initial, transition, means, variances, obs2d):
     """Scaled recursions for a batch of models, one observation column each.
 
     Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (T,B),
-    emissions (T,B,K), floored_flags (B,)).
+    emissions (T,B,K), beta (T,B,K), floored_flags (B,)).
     """
     T = obs2d.shape[0]
     B, K = means.shape
@@ -123,7 +123,7 @@ def _forward_backward_batch(initial, transition, means, variances, obs2d):
     else:
         xi_sum = np.zeros((B, K, K))
     loglik = np.log(scales).sum(axis=0)
-    return loglik, gamma, xi_sum, scales, b, floored
+    return loglik, gamma, xi_sum, scales, b, beta, floored
 
 
 @dataclass(frozen=True)
@@ -142,35 +142,22 @@ def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
         raise ValueError("obs must be a non-empty 1-d sequence")
     init = model.initial[None, :]
     trans = model.transition[None, :, :]
-    loglik, gamma, _, scales, b, floored = _forward_backward_batch(
+    loglik, gamma, _, scales, b, beta, floored = _forward_backward_batch(
         init, trans, model.means[None, :], model.variances[None, :], obs[:, None])
     T, K = obs.shape[0], model.n_states
     # full pairwise posteriors (the batch core only keeps their sum)
     pairwise = np.empty((max(T - 1, 0), K, K))
     if T > 1:
-        beta = _beta_from(gamma, b, scales, trans)
         ahat = init[0] * b[0, 0]
         ahat = ahat / ahat.sum()
         for t in range(T - 1):
-            w = b[t + 1, 0] * beta[t + 1] / scales[t + 1, 0]
+            w = b[t + 1, 0] * beta[t + 1, 0] / scales[t + 1, 0]
             xi = ahat[:, None] * model.transition * w[None, :]
             pairwise[t] = xi / xi.sum()
             nxt = (ahat @ model.transition) * b[t + 1, 0]
             ahat = nxt / nxt.sum()
     return ForwardBackwardResult(float(loglik[0]), gamma[:, 0, :], pairwise,
                                  scales[:, 0], bool(floored[0]))
-
-
-def _beta_from(gamma, b, scales, trans):
-    """Recompute scaled beta for the single-model path."""
-    T = gamma.shape[0]
-    K = gamma.shape[2]
-    beta = np.empty((T, K))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        w = b[t + 1, 0] * beta[t + 1]
-        beta[t] = (trans[0] @ w) / scales[t + 1, 0]
-    return beta
 
 
 def quantile_init(obs, n_states: int, self_loop: float = 0.8) -> GhmmModel:
@@ -189,20 +176,29 @@ def quantile_init(obs, n_states: int, self_loop: float = 0.8) -> GhmmModel:
     return GhmmModel(initial, transition, means, variances)
 
 
-def random_init(obs, n_states: int, rng) -> GhmmModel:
-    """Seeded perturbation of the quantile start (means jittered, variances
-    rescaled, transition rows mixed with a Dirichlet draw)."""
-    rng = as_generator(rng)
-    base = quantile_init(obs, n_states)
+def random_inits(obs, n_states: int, rngs) -> list:
+    """One seeded perturbation of the quantile start per generator (means
+    jittered, variances rescaled, transition rows mixed with a Dirichlet
+    draw); the quantile start itself is computed once and shared."""
     obs = np.asarray(obs, dtype=np.float64)
+    base = quantile_init(obs, n_states)
     spread = max(float(obs.std()), math.sqrt(VARIANCE_FLOOR))
-    means = base.means + rng.normal(0.0, 0.5 * spread, n_states)
-    variances = np.maximum(base.variances * np.exp(rng.uniform(-1.0, 1.0, n_states)),
-                           VARIANCE_FLOOR)
-    mix = rng.dirichlet(np.ones(n_states), size=n_states)
-    transition = 0.6 * base.transition + 0.4 * mix
-    transition /= transition.sum(axis=1, keepdims=True)
-    return GhmmModel(base.initial, transition, means, variances)
+    inits = []
+    for rng in rngs:
+        rng = as_generator(rng)
+        means = base.means + rng.normal(0.0, 0.5 * spread, n_states)
+        variances = np.maximum(base.variances * np.exp(rng.uniform(-1.0, 1.0, n_states)),
+                               VARIANCE_FLOOR)
+        mix = rng.dirichlet(np.ones(n_states), size=n_states)
+        transition = 0.6 * base.transition + 0.4 * mix
+        transition /= transition.sum(axis=1, keepdims=True)
+        inits.append(GhmmModel(base.initial, transition, means, variances))
+    return inits
+
+
+def random_init(obs, n_states: int, rng) -> GhmmModel:
+    """Seeded perturbation of the quantile start (see ``random_inits``)."""
+    return random_inits(obs, n_states, [rng])[0]
 
 
 @dataclass
@@ -276,14 +272,14 @@ def fit_window_batch(windows, inits: list, epochs: int) -> list:
     traces = np.empty((B, epochs + 1))
     flags = [[] for _ in range(B)]
     for epoch in range(epochs):
-        loglik, gamma, xi_sum, _, _, _ = _forward_backward_batch(
+        loglik, gamma, xi_sum, _, _, _, _ = _forward_backward_batch(
             initial, transition, means, variances, obs2d)
         traces[:, epoch] = loglik
         initial, transition, means, variances, starved = _mstep(
             gamma, xi_sum, obs2d, means, global_var)
         for bidx, k in zip(*np.nonzero(starved)):
             flags[bidx].append((epoch, int(k)))
-    loglik, _, _, _, _, _ = _forward_backward_batch(
+    loglik, _, _, _, _, _, _ = _forward_backward_batch(
         initial, transition, means, variances, obs2d)
     traces[:, epochs] = loglik
 

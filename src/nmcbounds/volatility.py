@@ -6,6 +6,10 @@ convergence bound 2(1 - 1/K)(r + eps) through its coupling matrix, and the
 mean/spread over (window length x random restart) pairs is the indicator.
 A calm market fits nearly interchangeable states (row overlaps near 1, r
 near 0); regime stress separates the states and pushes r up.
+
+The grid runs batch-first: per window length, one EM batch fits every
+(date, restart) pair from starts that share each date's quantile start, and
+one pass of the batched coupling operator bounds all fitted transitions.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ import numpy as np
 from scipy import optimize as _optimize
 from scipy import signal as _scipy_signal
 
-from .chain import StochasticMatrix
-from .coupling import build_coupling_matrix, spectral_radius
+from .coupling import coupling_matrices, spectral_radii
 from .errors import AlignmentError
 from .experiments import ComparisonTable
-from .ghmm import fit_window_batch, random_init
+from .ghmm import fit_window_batch, random_inits
 from .rng import child_generator
 from .signal import PriceSeries, ReturnSeries
 
@@ -80,17 +83,26 @@ def _fit_seed(t: int, length: int, rep: int) -> int:
     return t * _SEED_T_SHIFT + length * _SEED_L_SHIFT + rep
 
 
+def transition_tv_bounds(transitions, n_states: int,
+                         eps_override: float | None = None,
+                         exponent: int = 1) -> np.ndarray:
+    """One-step spectral-radius bounds of a (B, K, K) stack of fitted hidden
+    chains, each in [0, 2]."""
+    trans = np.asarray(transitions, dtype=np.float64)
+    est = spectral_radii(coupling_matrices(trans / trans.sum(axis=-1, keepdims=True)))
+    eps = est.eps.tolist() if eps_override is None else [eps_override] * len(est.eps)
+    scale = 2.0 * (1.0 - 1.0 / n_states)
+    # C pow on Python floats: numpy's vectorized power may round differently
+    return np.array([min(max(scale * (r + e) ** exponent, 0.0), 2.0)
+                     for r, e in zip(est.r.tolist(), eps)])
+
+
 def transition_tv_bound(transition: np.ndarray, n_states: int,
                         eps_override: float | None = None,
                         exponent: int = 1) -> float:
     """One-step spectral-radius bound of a fitted hidden chain, in [0, 2]."""
-    trans = np.asarray(transition, dtype=np.float64)
-    trans = trans / trans.sum(axis=1, keepdims=True)
-    P = StochasticMatrix(trans)
-    est = spectral_radius(build_coupling_matrix(P))
-    eps = est.eps if eps_override is None else eps_override
-    value = 2.0 * (1.0 - 1.0 / n_states) * (est.r + eps) ** exponent
-    return float(min(max(value, 0.0), 2.0))
+    trans = np.asarray(transition, dtype=np.float64)[None]
+    return float(transition_tv_bounds(trans, n_states, eps_override, exponent)[0])
 
 
 def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None) -> TvVolatilitySeries:
@@ -111,24 +123,19 @@ def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None)
 
     values = np.empty((D, n_fits))
     bad = np.zeros(D, dtype=int)
-    slot = 0
-    for L in cfg.window_lengths:
+    for j, L in enumerate(cfg.window_lengths):
         windows = np.stack([returns.values[t - L + 1:t + 1] for t in eval_idx])
         inits = []
         for d, t in enumerate(eval_idx):
-            for rep in range(cfg.reps):
-                inits.append(random_init(windows[d], cfg.n_states,
-                                         child_generator(cfg.seed, _fit_seed(t, L, rep))))
+            inits += random_inits(windows[d], cfg.n_states,
+                                  [child_generator(cfg.seed, _fit_seed(t, L, rep))
+                                   for rep in range(cfg.reps)])
         fits = fit_window_batch(np.repeat(windows, cfg.reps, axis=0), inits, cfg.epochs)
-        for d in range(D):
-            for rep in range(cfg.reps):
-                fit = fits[d * cfg.reps + rep]
-                values[d, slot + rep] = transition_tv_bound(
-                    fit.model.transition, cfg.n_states,
-                    cfg.eps_override, cfg.bound_exponent)
-                if fit.starvation_flags:
-                    bad[d] += 1
-        slot += cfg.reps
+        bounds = transition_tv_bounds(np.stack([fit.model.transition for fit in fits]),
+                                      cfg.n_states, cfg.eps_override, cfg.bound_exponent)
+        values[:, j * cfg.reps:(j + 1) * cfg.reps] = bounds.reshape(D, cfg.reps)
+        starved = np.array([bool(fit.starvation_flags) for fit in fits])
+        bad += starved.reshape(D, cfg.reps).sum(axis=1)
 
     means = values.mean(axis=1)
     stds = values.std(axis=1, ddof=1) if n_fits > 1 else np.zeros(D)

@@ -8,18 +8,21 @@ from nmcbounds.coupling import (
     CouplingMatrix,
     CouplingState,
     build_coupling_matrix,
+    coupling_matrices,
     kappa,
     lemma_check,
     marginal_kernels,
-    matrix_one_norm,
+    max_row_sum_norm,
     overlap_curve,
     overlap_q,
     pairchain_meet_curve,
     sample_coupled_pair,
     simulate_coupled_chain,
+    spectral_radii,
     spectral_radius,
     split_densities,
 )
+from nmcbounds.errors import DimensionMismatchError
 from conftest import random_distributions
 
 
@@ -254,21 +257,152 @@ def test_pair_index_bijection(p2_matrix):
 
 
 # ---------------------------------------------------------------------------
-# spectral radius and one-norm
+# batched coupling operator against the scalar loops it replaced
+
+
+def loop_coupling_matrix(P):
+    """Entry-by-entry pair matrix, the scalar loop the builder replaced."""
+    p = P.shape[0]
+    pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
+    M = np.zeros((len(pairs), len(pairs)))
+    for i, (x1, x2) in enumerate(pairs):
+        m = np.minimum(P[x1], P[x2])
+        k = m.sum()
+        if k >= 1.0 - 1e-12:
+            continue
+        r1 = P[x1] - m
+        r2 = P[x2] - m
+        for j, (y1, y2) in enumerate(pairs):
+            M[i, j] = r1[y1] * r2[y2] / (1.0 - k)
+    return M
+
+
+def loop_spectral_radius(M, K_max=2**20):
+    """One-matrix Gelfand iteration (r, eps, squarings, estimates), the
+    scalar loop the batched iteration replaced."""
+    norm0 = float(M.sum(axis=1).max())
+    if norm0 == 0.0:
+        return 0.0, 0.0, 0, [0.0]
+    A = M / norm0
+    log_scale = np.log(norm0)
+    estimates = [norm0]
+    k = 0
+    while 2 ** (k + 1) <= K_max:
+        k += 1
+        A = A @ A
+        c = float(A.sum(axis=1).max())
+        if c == 0.0:
+            return 0.0, 0.0, k, estimates + [0.0]
+        A /= c
+        log_scale = 2.0 * log_scale + np.log(c)
+        estimates.append(float(np.exp(log_scale / 2**k)))
+    eps = max(0.0, estimates[-2] - estimates[-1]) if len(estimates) > 1 else 0.0
+    return estimates[-1], eps, k, estimates
+
+
+def dirichlet_chain(gen, p, a=0.3):
+    P = gen.dirichlet(np.full(p, a), size=p)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+# degenerate 3-state chains: all rows equal (M = 0, norm0 = 0); rows 1 and 2
+# equal, so every pair reaches a kappa = 1 pair in one step (M @ M = 0, the
+# c == 0 exit); rows 0 and 1 equal (two kappa = 1 rows next to live ones)
+DEGENERATE_CHAINS = (
+    np.tile([0.2, 0.3, 0.5], (3, 1)),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.1, 0.2, 0.7]]),
+)
+
+
+def test_degenerate_chains_take_the_early_exits():
+    est = spectral_radii(coupling_matrices(np.stack(DEGENERATE_CHAINS)))
+    zero, nilpotent, live = est.estimates
+    assert zero.tolist() == [0.0]
+    assert nilpotent.tolist() == [1.0, 0.0]
+    assert est.squarings.tolist() == [0, 1, 20] and live.size == 21
+    assert est.r[:2].tolist() == [0.0, 0.0] and est.eps[:2].tolist() == [0.0, 0.0]
+    assert est.r[2] > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 12),
+       st.sets(st.integers(0, 11), max_size=4), st.sampled_from([1, 2, 5, 2**20]))
+def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at, K_max):
+    gen = np.random.default_rng(seed)
+    stack = [dirichlet_chain(gen, p) for _ in range(B)]
+    if p == 3:
+        for i in sorted(degenerate_at):
+            stack[i % B] = DEGENERATE_CHAINS[i % len(DEGENERATE_CHAINS)]
+    Ms = coupling_matrices(np.stack(stack))
+    est = spectral_radii(Ms, K_max)
+    for i, P in enumerate(stack):
+        M = loop_coupling_matrix(P)
+        assert Ms[i].tobytes() == M.tobytes()
+        r, eps, squarings, estimates = loop_spectral_radius(M, K_max)
+        assert (est.r[i], est.eps[i], est.squarings[i]) == (r, eps, squarings)
+        assert est.estimates[i].tolist() == estimates
+        single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)), K_max)
+        assert (single.r, single.eps, single.squarings) == (r, eps, squarings)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_batched_builder_equals_loop_dirichlet(seed, p):
+    gen = np.random.default_rng(seed)
+    stack = np.stack([dirichlet_chain(gen, p) for _ in range(3)])
+    Ms = coupling_matrices(stack)
+    for P, M in zip(stack, Ms):
+        assert M.tobytes() == loop_coupling_matrix(P).tobytes()
+
+
+@pytest.mark.parametrize("p", [24, 40])
+def test_builder_equals_loop_at_large_p(p):
+    P = dirichlet_chain(np.random.default_rng(p), p)
+    M = build_coupling_matrix(StochasticMatrix(P))
+    assert M.entries.tobytes() == loop_coupling_matrix(P).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.5], [1.1, -0.1]]), "lie in"),
+    (np.array([[0.5, 0.5], [0.5, 0.6]]), "row sums"),
+    (np.array([[0.5, 0.5], [np.nan, 0.5]]), "finite"),
+])
+def test_coupling_matrices_validates_every_item(bad, message):
+    good = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValueError, match=message):
+        coupling_matrices(np.stack([good, bad]))
+    with pytest.raises(ValueError, match=message):
+        StochasticMatrix(bad)
+
+
+def test_batched_coupling_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatchError):
+        coupling_matrices(np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        coupling_matrices(np.ones((2, 1, 1)))
+    with pytest.raises(DimensionMismatchError):
+        spectral_radii(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError):
+        spectral_radii(np.zeros((1, 2, 2)), K_max=0)
+
+
+# ---------------------------------------------------------------------------
+# spectral radius and max-row-sum norm
 
 
 def test_spectral_radius_diagonal():
     M = CouplingMatrix(2, np.diag([0.3, 0.1]))
     est = spectral_radius(M)
     assert est.r == pytest.approx(0.3, abs=1e-9)
-    assert matrix_one_norm(M) == pytest.approx(0.3)
+    assert max_row_sum_norm(M) == pytest.approx(0.3)
 
 
 def test_spectral_radius_zero_matrix():
     M = CouplingMatrix(2, np.zeros((2, 2)))
     est = spectral_radius(M)
     assert est.r == 0.0 and est.eps == 0.0
-    assert matrix_one_norm(M) == 0.0
+    assert max_row_sum_norm(M) == 0.0
 
 
 def test_spectral_radius_example1_matches_eigenvalue_oracle(p1_matrix):
@@ -285,7 +419,7 @@ def test_spectral_radius_below_one_norm(p1_matrix, p2_matrix):
     for P in (p1_matrix, p2_matrix):
         M = build_coupling_matrix(P)
         est = spectral_radius(M)
-        assert est.r <= matrix_one_norm(M) + 1e-12
+        assert est.r <= max_row_sum_norm(M) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -297,7 +431,7 @@ def test_spectral_radius_random_substochastic(seed, p):
     arr *= gen.random() / arr.sum(axis=1, keepdims=True)  # row sums < 1
     M = CouplingMatrix(p, arr)
     est = spectral_radius(M)
-    assert est.r <= matrix_one_norm(M) + 1e-12
+    assert est.r <= max_row_sum_norm(M) + 1e-12
     eig = float(np.abs(np.linalg.eigvals(arr)).max())
     assert est.r == pytest.approx(eig, abs=1e-5)
 

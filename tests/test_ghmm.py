@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmcbounds.chain import StochasticMatrix
 from nmcbounds.ghmm import (
@@ -12,6 +14,7 @@ from nmcbounds.ghmm import (
     forward_backward,
     quantile_init,
     random_init,
+    random_inits,
     sample_ghmm,
     viterbi,
 )
@@ -221,3 +224,28 @@ def test_emission_floor_flagged_for_absurd_observation():
     res = forward_backward(model, np.array([0.0, 1e6]))
     assert res.emission_floored
     assert np.isfinite(res.log_likelihood)
+
+
+def per_rng_random_init(obs, n_states, rng):
+    """The quantile start perturbed for one generator, recomputing the
+    start itself (the per-restart form that random_inits shares)."""
+    base = quantile_init(obs, n_states)
+    spread = max(float(np.std(obs)), math.sqrt(1e-10))
+    means = base.means + rng.normal(0.0, 0.5 * spread, n_states)
+    variances = np.maximum(base.variances * np.exp(rng.uniform(-1.0, 1.0, n_states)), 1e-10)
+    transition = 0.6 * base.transition + 0.4 * rng.dirichlet(np.ones(n_states), size=n_states)
+    transition /= transition.sum(axis=1, keepdims=True)
+    return GhmmModel(base.initial, transition, means, variances)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6))
+def test_shared_base_random_inits_equal_per_rng_random_init(seed, n_states, reps):
+    obs = np.random.default_rng(seed).standard_t(3, 70) * 0.01
+    shared = random_inits(obs, n_states, [np.random.default_rng([seed, rep]) for rep in range(reps)])
+    assert len(shared) == reps
+    for rep, model in enumerate(shared):
+        for single in (random_init(obs, n_states, np.random.default_rng([seed, rep])),
+                       per_rng_random_init(obs, n_states, np.random.default_rng([seed, rep]))):
+            for name in ("initial", "transition", "means", "variances"):
+                assert getattr(model, name).tobytes() == getattr(single, name).tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmcbounds.errors import AlignmentError
 from nmcbounds.signal import ReturnSeries, log_returns
@@ -10,6 +12,7 @@ from nmcbounds.volatility import (
     fit_garch11,
     garch_conditional_vol,
     transition_tv_bound,
+    transition_tv_bounds,
     tv_volatility,
     two_regime_prices,
 )
@@ -90,6 +93,35 @@ def test_tv_volatility_variance_break_elevates_indicator():
     # and including the break, the high-sigma side sits above the low side
     high = tv.tv_mean[pos >= 149]
     assert high.mean() > low.mean()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 20),
+       st.sampled_from([None, 0.0, 0.05]), st.integers(1, 3))
+def test_batched_transition_bounds_equal_per_fit_bounds(seed, K, B, eps_override, exponent):
+    gen = np.random.default_rng(seed)
+    stack = gen.dirichlet(np.full(K, 0.5), size=(B, K))
+    stack[0] = 1.0 / K                       # kappa = 1 everywhere: bound 0
+    values = transition_tv_bounds(stack, K, eps_override, exponent)
+    singles = [transition_tv_bound(P, K, eps_override, exponent) for P in stack]
+    assert values.tolist() == singles
+    assert values[0] == (0.0 if eps_override is None else
+                         2.0 * (1.0 - 1.0 / K) * eps_override ** exponent)
+
+
+def test_tv_volatility_prefix_reproduces_first_dates():
+    # every (date, length, rep) slot owns its seed stream and the bound pass
+    # is per item, so fewer dates in the batch leave the first ones unchanged
+    gen = np.random.default_rng(8)
+    rets = returns_from(gen.standard_t(4, 140) * 0.01)
+    cfg = VolatilityConfig(window_lengths=(30, 40), reps=3, seed=4, date_stride=6)
+    full = tv_volatility(rets, cfg)
+    n = 40 + 6 * 2                           # the first three dates
+    prefix = tv_volatility(ReturnSeries(rets.dates[:n], rets.values[:n]), cfg)
+    assert len(prefix.dates) == 3 and prefix.dates == full.dates[:3]
+    for name in ("tv_mean", "tv_std", "tv_ci_lo", "tv_ci_hi"):
+        assert getattr(prefix, name).tobytes() == getattr(full, name)[:3].tobytes()
+    assert prefix.quality_flags == full.quality_flags[:3]
 
 
 def test_config_rejects_grids_that_would_share_seed_streams():
