@@ -305,14 +305,8 @@ def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int, 
     return RatioMomentReport(mean, se, bound, gamma, mean <= bound + 3.0 * se, samples)
 
 
-def delta_estimate(K: PolynomialKernel, tol: float = 1e-10, force_zero: bool = False) -> float:
-    """TV distance between the nonlinear and linear fixed points.
-
-    ``force_zero`` implements the coarse mode where the two limiting
-    distributions are simply identified.
-    """
-    if force_zero:
-        return 0.0
+def delta_estimate(K: PolynomialKernel, tol: float = 1e-10) -> float:
+    """TV distance between the nonlinear and linear fixed points."""
     pi = stationary(K, tol=tol).distribution
     pi_star = stationary(PolynomialKernel.linear(K.coeff[0]), tol=tol).distribution
     return tv_distance(pi, pi_star)
@@ -333,16 +327,14 @@ def combined_bound(r: float, eps: float, delta: float, p: int, n: int,
     return min(2.0, 2.0 * delta + tail)
 
 
+K_RANGE = (1, 2, 3, 4)      # the k of the k-step coefficients and curves
+
+
 @dataclass
 class BoundConfig:
-    """Knobs for full_report; defaults mirror the published experiments."""
+    """Knobs for full_report; the default mirrors the published experiments."""
 
-    k_range: tuple = (1, 2, 3, 4)
     mc_samples: int = 2000
-    eps_override: float | None = None
-    force_delta_zero: bool = False
-    stationary_tol: float = 1e-10
-    spectral_k_max: int = 2**20
 
 
 @dataclass
@@ -358,7 +350,7 @@ class BoundReport:
     r: float
     eps: float
     curves: dict = field(default_factory=dict)   # name -> array over n = 1..n_max
-    k_range: tuple = (1, 2, 3, 4)
+    k_range: tuple = K_RANGE
     n_max: int = 0
     seed: int | None = None
     mc_samples: int = 0
@@ -390,12 +382,6 @@ class BoundReport:
             rows.append([i + 1] + [float(self.curves[c][i]) for c in sorted(self.curves)])
         return names, rows
 
-    def to_csv(self, path) -> None:
-        """One row per step n, one column per curve (15 significant digits)."""
-        from .experiments import ComparisonTable, export_report
-        names, rows = self.curve_table()
-        export_report(ComparisonTable(names, rows), path)
-
     def to_json(self, path) -> None:
         """Coefficients plus run metadata."""
         import json
@@ -420,12 +406,12 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     flags = []
 
     P_lin = StochasticMatrix(K.coeff[0])
-    alpha = [md_alpha(P_lin, k).value for k in cfg.k_range]
+    alpha = [md_alpha(P_lin, k).value for k in K_RANGE]
     if K.degree > 1:
-        alpha_nl = [md_alpha(K, k, cfg.mc_samples, rng).value for k in cfg.k_range]
+        alpha_nl = [md_alpha(K, k, cfg.mc_samples, rng).value for k in K_RANGE]
     else:
-        alpha_nl = [None for _ in cfg.k_range]
-    lam = [lipschitz_lambda(K, k, cfg.mc_samples, rng).value for k in cfg.k_range]
+        alpha_nl = [None for _ in K_RANGE]
+    lam = [lipschitz_lambda(K, k, cfg.mc_samples, rng).value for k in K_RANGE]
 
     try:
         gamma = gamma_estimate(K, cfg.mc_samples, rng).value
@@ -436,14 +422,12 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     # a failed fixed-point search leaves the rest of the report usable;
     # anything else is a bug and propagates
     try:
-        delta = delta_estimate(K, tol=cfg.stationary_tol, force_zero=cfg.force_delta_zero)
+        delta = delta_estimate(K)
     except (NonconvergenceError, KernelInvalidError) as exc:
         delta = math.nan
         flags.append(f"delta_unavailable: {exc}")
 
-    M = build_coupling_matrix(P_lin)
-    est = spectral_radius(M, cfg.spectral_k_max)
-    eps = cfg.eps_override if cfg.eps_override is not None else est.eps
+    est = spectral_radius(build_coupling_matrix(P_lin))
 
     n = np.arange(1, n_max + 1, dtype=np.float64)
     # "md" is the published bound of the mapping linear chain; the variant
@@ -451,19 +435,19 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     curves = {
         "md": md_bound_curve(alpha[0], 0.0, n_max),
         "md_lipschitz": md_bound_curve(alpha[0], lam[0], n_max),
-        "spectral": np.clip(2.0 * (1.0 - 1.0 / p) * (est.r + eps) ** n, 0.0, 2.0),
+        "spectral": np.clip(2.0 * (1.0 - 1.0 / p) * (est.r + est.eps) ** n, 0.0, 2.0),
     }
     d0 = initial_distance_bound(p)
-    for i, k in enumerate(cfg.k_range):
+    for i, k in enumerate(K_RANGE):
         curves[f"kstep_k{k}"] = kstep_bound_curve(alpha[i], lam[i], lam[0], d0, k, n_max)
     delta_for_curve = 0.0 if math.isnan(delta) else delta
     curves["combined_small_n"] = np.array(
-        [combined_bound(est.r, eps, delta_for_curve, p, int(i), "small-n") for i in n])
+        [combined_bound(est.r, est.eps, delta_for_curve, p, int(i), "small-n") for i in n])
     curves["combined_large_n"] = np.array(
-        [combined_bound(est.r, eps, delta_for_curve, p, int(i), "large-n") for i in n])
+        [combined_bound(est.r, est.eps, delta_for_curve, p, int(i), "large-n") for i in n])
 
     return BoundReport(
         p=p, alpha=alpha, alpha_nonlinear=alpha_nl, lam=lam, gamma=gamma,
-        delta=delta, r=est.r, eps=eps, curves=curves, k_range=tuple(cfg.k_range),
+        delta=delta, r=est.r, eps=est.eps, curves=curves, k_range=K_RANGE,
         n_max=n_max, seed=seed, mc_samples=cfg.mc_samples, flags=flags,
     )

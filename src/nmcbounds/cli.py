@@ -67,7 +67,7 @@ def cmd_bounds(args) -> int:
     kernel = _resolve_kernel(args)
     report = bounds_mod.full_report(kernel, args.steps, seed=args.seed)
     names, rows = report.curve_table()
-    report.to_csv(f"{args.out_prefix}_bounds.csv")
+    export_report(ComparisonTable(names, rows), f"{args.out_prefix}_bounds.csv")
     report.to_json(f"{args.out_prefix}_coefficients.json")
     show = min(4, args.steps)
     print("bound curves, n = 1..%d" % show)

@@ -4,9 +4,12 @@ sampling and Viterbi decoding.
 Emissions are univariate Gaussians, one (mean, variance) pair per hidden
 state.  Training runs a fixed number of EM epochs with no early stopping;
 the fixed budget doubles as overfitting control for the short windows the
-volatility indicator feeds in.  The internal recursions carry a batch
-axis so many models can be fitted against the same observation window at
-once.
+volatility indicator feeds in.
+
+The EM core is batch-first: starts (``quantile_starts``, ``random_inits``)
+and fits (``fit_window_batch``) of a whole (B, T) window array are
+``GhmmStack`` parameter stacks.  ``GhmmModel`` and ``BaumWelchFit`` are
+built only by the single-model API.
 """
 
 from __future__ import annotations
@@ -23,6 +26,32 @@ VARIANCE_FLOOR = 1e-10
 EMISSION_FLOOR = 1e-300
 STARVATION_MASS = 1e-8
 
+_PARAMS = ("initial", "transition", "means", "variances")
+
+
+def _check_params(initial, transition, means, variances) -> None:
+    """The GhmmModel rules on a stack: (B, K) initial, means and variances
+    and (B, K, K) transitions; initial and transition rows are probability
+    vectors and every variance is at least VARIANCE_FLOOR."""
+    if (initial.ndim != 2 or transition.shape != initial.shape + initial.shape[1:]
+            or means.shape != initial.shape or variances.shape != initial.shape):
+        raise ValueError("inconsistent state counts across model arrays")
+    if (np.abs(initial.sum(axis=1) - 1.0) > 1e-10).any() or (initial < 0).any():
+        raise ValueError("initial distribution must be a probability vector")
+    if (np.abs(transition.sum(axis=2) - 1.0) > 1e-10).any() or (transition < 0).any():
+        raise ValueError("transition rows must be probability vectors")
+    if (variances < VARIANCE_FLOOR).any():
+        raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
+
+
+def _freeze_params(obj, stacked: bool) -> None:
+    arrays = [np.asarray(getattr(obj, name), dtype=np.float64) for name in _PARAMS]
+    _check_params(*(arrays if stacked else [a[None] for a in arrays]))
+    for name, arr in zip(_PARAMS, arrays):
+        a = arr.copy()
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+
 
 @dataclass(frozen=True)
 class GhmmModel:
@@ -32,24 +61,7 @@ class GhmmModel:
     variances: np.ndarray
 
     def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=np.float64)
-        transition = np.asarray(self.transition, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
-        k = initial.shape[0]
-        if transition.shape != (k, k) or means.shape != (k,) or variances.shape != (k,):
-            raise ValueError("inconsistent state counts across model arrays")
-        if abs(initial.sum() - 1.0) > 1e-10 or initial.min() < 0:
-            raise ValueError("initial distribution must be a probability vector")
-        if np.abs(transition.sum(axis=1) - 1.0).max() > 1e-10 or transition.min() < 0:
-            raise ValueError("transition rows must be probability vectors")
-        if variances.min() < VARIANCE_FLOOR:
-            raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
-        for arr, name in ((initial, "initial"), (transition, "transition"),
-                          (means, "means"), (variances, "variances")):
-            a = arr.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        _freeze_params(self, stacked=False)
 
     @property
     def n_states(self) -> int:
@@ -75,6 +87,31 @@ class GhmmModel:
                    np.asarray(doc["means"]), np.asarray(doc["variances"]))
 
 
+@dataclass(frozen=True)
+class GhmmStack:
+    """B parameter sets along a leading axis: initial (B, K), transition
+    (B, K, K), means (B, K), variances (B, K).  Validated once per stack by
+    the GhmmModel rules."""
+
+    initial: np.ndarray
+    transition: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self):
+        _freeze_params(self, stacked=True)
+
+    def __len__(self) -> int:
+        return self.initial.shape[0]
+
+    @property
+    def n_states(self) -> int:
+        return self.initial.shape[1]
+
+    def model(self, index: int) -> GhmmModel:
+        return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
+
+
 def _emissions(obs2d, means, variances):
     """Gaussian densities, shape (T, B, K); floored to avoid hard zeros.
 
@@ -90,7 +127,7 @@ def _forward_backward_batch(initial, transition, means, variances, obs2d):
     """Scaled recursions for a batch of models, one observation column each.
 
     Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (T,B),
-    emissions (T,B,K), beta (T,B,K), floored_flags (B,)).
+    emissions (T,B,K), alpha (T,B,K), beta (T,B,K), floored_flags (B,)).
     """
     T = obs2d.shape[0]
     B, K = means.shape
@@ -123,7 +160,7 @@ def _forward_backward_batch(initial, transition, means, variances, obs2d):
     else:
         xi_sum = np.zeros((B, K, K))
     loglik = np.log(scales).sum(axis=0)
-    return loglik, gamma, xi_sum, scales, b, beta, floored
+    return loglik, gamma, xi_sum, scales, b, alpha, beta, floored
 
 
 @dataclass(frozen=True)
@@ -140,65 +177,69 @@ def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 1 or obs.shape[0] < 1:
         raise ValueError("obs must be a non-empty 1-d sequence")
-    init = model.initial[None, :]
-    trans = model.transition[None, :, :]
-    loglik, gamma, _, scales, b, beta, floored = _forward_backward_batch(
-        init, trans, model.means[None, :], model.variances[None, :], obs[:, None])
-    T, K = obs.shape[0], model.n_states
-    # full pairwise posteriors (the batch core only keeps their sum)
-    pairwise = np.empty((max(T - 1, 0), K, K))
-    if T > 1:
-        ahat = init[0] * b[0, 0]
-        ahat = ahat / ahat.sum()
-        for t in range(T - 1):
-            w = b[t + 1, 0] * beta[t + 1, 0] / scales[t + 1, 0]
-            xi = ahat[:, None] * model.transition * w[None, :]
-            pairwise[t] = xi / xi.sum()
-            nxt = (ahat @ model.transition) * b[t + 1, 0]
-            ahat = nxt / nxt.sum()
+    loglik, gamma, _, scales, b, alpha, beta, floored = _forward_backward_batch(
+        *(getattr(model, name)[None] for name in _PARAMS), obs[:, None])
+    # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
+    # (Rabiner 1989, eq. 37, in the scaled variables)
+    w = b[1:, 0] * beta[1:, 0] / scales[1:, 0, None]
+    xi = alpha[:-1, 0, :, None] * model.transition * w[:, None, :]
+    pairwise = xi / xi.sum(axis=(1, 2), keepdims=True)
     return ForwardBackwardResult(float(loglik[0]), gamma[:, 0, :], pairwise,
                                  scales[:, 0], bool(floored[0]))
 
 
-def quantile_init(obs, n_states: int, self_loop: float = 0.8) -> GhmmModel:
-    """Deterministic start: contiguous quantile groups set means/variances."""
-    obs = np.asarray(obs, dtype=np.float64)
-    srt = np.sort(obs)
-    groups = np.array_split(srt, n_states)
-    means = np.array([g.mean() for g in groups])
-    global_var = max(float(obs.var()), VARIANCE_FLOOR)
-    variances = np.array([max(float(g.var()), global_var * 1e-3, VARIANCE_FLOOR)
-                          for g in groups])
+def quantile_starts(windows, n_states: int, self_loop: float = 0.8) -> GhmmStack:
+    """Deterministic starts for a (B, T) window array: contiguous quantile
+    groups of each sorted row set that row's means/variances."""
+    windows = np.asarray(windows, dtype=np.float64)
+    groups = np.array_split(np.sort(windows, axis=1), n_states, axis=1)
+    means = np.stack([g.mean(axis=1) for g in groups], axis=1)
+    global_var = np.maximum(windows.var(axis=1), VARIANCE_FLOOR)
+    variances = np.maximum(np.maximum(np.stack([g.var(axis=1) for g in groups], axis=1),
+                                      global_var[:, None] * 1e-3), VARIANCE_FLOOR)
     k = n_states
     transition = np.full((k, k), (1.0 - self_loop) / (k - 1) if k > 1 else 0.0)
     np.fill_diagonal(transition, self_loop if k > 1 else 1.0)
-    initial = np.full(k, 1.0 / k)
-    return GhmmModel(initial, transition, means, variances)
+    B = windows.shape[0]
+    return GhmmStack(np.full((B, k), 1.0 / k), np.broadcast_to(transition, (B, k, k)),
+                     means, variances)
 
 
-def random_inits(obs, n_states: int, rngs) -> list:
-    """One seeded perturbation of the quantile start per generator (means
-    jittered, variances rescaled, transition rows mixed with a Dirichlet
-    draw); the quantile start itself is computed once and shared."""
-    obs = np.asarray(obs, dtype=np.float64)
-    base = quantile_init(obs, n_states)
-    spread = max(float(obs.std()), math.sqrt(VARIANCE_FLOOR))
-    inits = []
-    for rng in rngs:
+def quantile_init(obs, n_states: int, self_loop: float = 0.8) -> GhmmModel:
+    """Deterministic start of one sequence (see ``quantile_starts``)."""
+    return quantile_starts(np.asarray(obs, dtype=np.float64)[None], n_states, self_loop).model(0)
+
+
+def random_inits(windows, n_states: int, rngs) -> GhmmStack:
+    """Seeded perturbations of the quantile starts of a (D, T) window array
+    (or one sequence): means jittered, variances rescaled, transition rows
+    mixed with a Dirichlet draw.  ``rngs`` holds R generators per window,
+    window-major; the R slots of a window share its quantile start."""
+    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    D = windows.shape[0]
+    if not D or len(rngs) % D:
+        raise ValueError("need the same number of generators for every window")
+    reps = len(rngs) // D
+    base = quantile_starts(windows, n_states)
+    spread = np.maximum(windows.std(axis=1), math.sqrt(VARIANCE_FLOOR))
+    jitter = np.empty((len(rngs), n_states))
+    log_scale = np.empty((len(rngs), n_states))
+    mix = np.empty((len(rngs), n_states, n_states))
+    for i, rng in enumerate(rngs):
         rng = as_generator(rng)
-        means = base.means + rng.normal(0.0, 0.5 * spread, n_states)
-        variances = np.maximum(base.variances * np.exp(rng.uniform(-1.0, 1.0, n_states)),
-                               VARIANCE_FLOOR)
-        mix = rng.dirichlet(np.ones(n_states), size=n_states)
-        transition = 0.6 * base.transition + 0.4 * mix
-        transition /= transition.sum(axis=1, keepdims=True)
-        inits.append(GhmmModel(base.initial, transition, means, variances))
-    return inits
+        jitter[i] = rng.normal(0.0, 0.5 * spread[i // reps], n_states)
+        log_scale[i] = rng.uniform(-1.0, 1.0, n_states)
+        mix[i] = rng.dirichlet(np.ones(n_states), size=n_states)
+    slot = np.repeat(np.arange(D), reps)
+    variances = np.maximum(base.variances[slot] * np.exp(log_scale), VARIANCE_FLOOR)
+    transition = 0.6 * base.transition[slot] + 0.4 * mix
+    transition /= transition.sum(axis=2, keepdims=True)
+    return GhmmStack(base.initial[slot], transition, base.means[slot] + jitter, variances)
 
 
 def random_init(obs, n_states: int, rng) -> GhmmModel:
     """Seeded perturbation of the quantile start (see ``random_inits``)."""
-    return random_inits(obs, n_states, [rng])[0]
+    return random_inits(obs, n_states, [rng]).model(0)
 
 
 @dataclass
@@ -232,12 +273,8 @@ def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
     # starved states: variance back to that item's global variance, row uniform
-    if starved.any():
-        variances = np.where(starved,
-                             np.maximum(global_var[:, None], VARIANCE_FLOOR),
-                             variances)
-        for bidx, k in zip(*np.nonzero(starved)):
-            transition[bidx, k, :] = 1.0 / K
+    variances = np.where(starved, np.maximum(global_var[:, None], VARIANCE_FLOOR), variances)
+    transition[starved] = 1.0 / K
     initial /= initial.sum(axis=1, keepdims=True)
     transition /= transition.sum(axis=2, keepdims=True)
     return initial, transition, means, variances, starved
@@ -246,55 +283,37 @@ def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
 _MAX_ENGINE_COLUMNS = 4096   # memory cap per batched EM call
 
 
-def fit_window_batch(windows, inits: list, epochs: int) -> list:
-    """EM for several (sequence, init) pairs at once.
+def fit_window_batch(windows, inits: GhmmStack, epochs: int):
+    """EM for B (window, start) pairs at once.
 
-    ``windows`` is (B, T), one observation row per init; all rows share T.
-    Runs exactly ``epochs`` updates per model with no early stopping.
+    ``windows`` is (B, T), one observation row per start in ``inits``; all
+    rows share T.  Runs exactly ``epochs`` updates per item with no early
+    stopping.  Returns the fitted ``GhmmStack``, the (B, epochs + 1)
+    log-likelihood traces (before each update, then final) and the
+    (B, epochs, K) starvation mask of the states reset in each epoch.
     """
     windows = np.asarray(windows, dtype=np.float64)
     B = len(inits)
     if windows.shape[0] != B:
         raise ValueError("one window row per init required")
-    if B > _MAX_ENGINE_COLUMNS:
-        out = []
-        for lo in range(0, B, _MAX_ENGINE_COLUMNS):
-            hi = lo + _MAX_ENGINE_COLUMNS
-            out.extend(fit_window_batch(windows[lo:hi], inits[lo:hi], epochs))
-        return out
-    obs2d = np.ascontiguousarray(windows.T)           # (T, B)
-    initial = np.stack([m.initial for m in inits])
-    transition = np.stack([m.transition for m in inits])
-    means = np.stack([m.means for m in inits])
-    variances = np.stack([m.variances for m in inits])
-    global_var = np.maximum(windows.var(axis=1), VARIANCE_FLOOR)
-
+    fitted = [np.empty_like(getattr(inits, name)) for name in _PARAMS]
     traces = np.empty((B, epochs + 1))
-    flags = [[] for _ in range(B)]
-    for epoch in range(epochs):
-        loglik, gamma, xi_sum, _, _, _, _ = _forward_backward_batch(
-            initial, transition, means, variances, obs2d)
-        traces[:, epoch] = loglik
-        initial, transition, means, variances, starved = _mstep(
-            gamma, xi_sum, obs2d, means, global_var)
-        for bidx, k in zip(*np.nonzero(starved)):
-            flags[bidx].append((epoch, int(k)))
-    loglik, _, _, _, _, _, _ = _forward_backward_batch(
-        initial, transition, means, variances, obs2d)
-    traces[:, epochs] = loglik
-
-    fits = []
-    for i in range(B):
-        model = GhmmModel(initial[i], transition[i], means[i], variances[i])
-        fits.append(BaumWelchFit(model, traces[i].copy(), flags[i]))
-    return fits
-
-
-def fit_baum_welch_batch(obs, inits: list, epochs: int) -> list:
-    """EM for several inits on one shared sequence."""
-    obs = np.asarray(obs, dtype=np.float64)
-    windows = np.broadcast_to(obs, (len(inits), obs.shape[0]))
-    return fit_window_batch(windows, inits, epochs)
+    starved = np.zeros((B, epochs, inits.n_states), dtype=bool)
+    for lo in range(0, B, _MAX_ENGINE_COLUMNS):
+        part = slice(lo, lo + _MAX_ENGINE_COLUMNS)
+        obs2d = np.ascontiguousarray(windows[part].T)         # (T, chunk)
+        global_var = np.maximum(windows[part].var(axis=1), VARIANCE_FLOOR)
+        initial, transition, means, variances = (getattr(inits, name)[part] for name in _PARAMS)
+        for epoch in range(epochs):
+            traces[part, epoch], gamma, xi_sum = _forward_backward_batch(
+                initial, transition, means, variances, obs2d)[:3]
+            initial, transition, means, variances, starved[part, epoch] = _mstep(
+                gamma, xi_sum, obs2d, means, global_var)
+        traces[part, epochs] = _forward_backward_batch(
+            initial, transition, means, variances, obs2d)[0]
+        for dst, arr in zip(fitted, (initial, transition, means, variances)):
+            dst[part] = arr
+    return GhmmStack(*fitted), traces, starved
 
 
 def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15,
@@ -310,12 +329,14 @@ def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15,
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if init_policy == "quantile":
-        init = quantile_init(obs, n_states)
+        start = quantile_starts(obs[None], n_states)
     elif init_policy == "random":
-        init = random_init(obs, n_states, rng)
+        start = random_inits(obs, n_states, [rng])
     else:
         raise ValueError("init_policy must be 'quantile' or 'random'")
-    return fit_baum_welch_batch(obs, [init], epochs)[0]
+    fitted, traces, starved = fit_window_batch(obs[None], start, epochs)
+    flags = [(int(epoch), int(k)) for epoch, k in zip(*np.nonzero(starved[0]))]
+    return BaumWelchFit(fitted.model(0), traces[0], flags)
 
 
 def sample_ghmm(model: GhmmModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:

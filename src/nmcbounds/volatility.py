@@ -7,9 +7,12 @@ mean/spread over (window length x random restart) pairs is the indicator.
 A calm market fits nearly interchangeable states (row overlaps near 1, r
 near 0); regime stress separates the states and pushes r up.
 
-The grid runs batch-first: per window length, one EM batch fits every
-(date, restart) pair from starts that share each date's quantile start, and
-one pass of the batched coupling operator bounds all fitted transitions.
+The grid runs batch-first on stacked parameter arrays: per window length,
+one ``random_inits`` call builds the start stack of every (date, restart)
+slot from one quantile sort of the date windows, one ``fit_window_batch``
+call fits them all, and one pass of the batched coupling operator bounds
+the fitted transition stack; the starvation mask becomes the per-date
+quality flags.  No per-slot model object is built.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ class VolatilityConfig:
     reps: int = 10
     n_states: int = 3
     epochs: int = 15
-    eps_override: float | None = None
-    bound_exponent: int = 1          # n in 2(1-1/K)(r+eps)^n
     seed: int = 0
     date_stride: int = 1             # evaluate every stride-th date
 
@@ -83,26 +84,18 @@ def _fit_seed(t: int, length: int, rep: int) -> int:
     return t * _SEED_T_SHIFT + length * _SEED_L_SHIFT + rep
 
 
-def transition_tv_bounds(transitions, n_states: int,
-                         eps_override: float | None = None,
-                         exponent: int = 1) -> np.ndarray:
-    """One-step spectral-radius bounds of a (B, K, K) stack of fitted hidden
-    chains, each in [0, 2]."""
+def transition_tv_bounds(transitions, n_states: int) -> np.ndarray:
+    """One-step spectral-radius bounds 2(1 - 1/K)(r + eps) of a (B, K, K)
+    stack of fitted hidden chains, each clipped to [0, 2]."""
     trans = np.asarray(transitions, dtype=np.float64)
     est = spectral_radii(coupling_matrices(trans / trans.sum(axis=-1, keepdims=True)))
-    eps = est.eps.tolist() if eps_override is None else [eps_override] * len(est.eps)
-    scale = 2.0 * (1.0 - 1.0 / n_states)
-    # C pow on Python floats: numpy's vectorized power may round differently
-    return np.array([min(max(scale * (r + e) ** exponent, 0.0), 2.0)
-                     for r, e in zip(est.r.tolist(), eps)])
+    return np.clip(2.0 * (1.0 - 1.0 / n_states) * (est.r + est.eps), 0.0, 2.0)
 
 
-def transition_tv_bound(transition: np.ndarray, n_states: int,
-                        eps_override: float | None = None,
-                        exponent: int = 1) -> float:
+def transition_tv_bound(transition: np.ndarray, n_states: int) -> float:
     """One-step spectral-radius bound of a fitted hidden chain, in [0, 2]."""
     trans = np.asarray(transition, dtype=np.float64)[None]
-    return float(transition_tv_bounds(trans, n_states, eps_override, exponent)[0])
+    return float(transition_tv_bounds(trans, n_states)[0])
 
 
 def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None) -> TvVolatilitySeries:
@@ -125,17 +118,14 @@ def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None)
     bad = np.zeros(D, dtype=int)
     for j, L in enumerate(cfg.window_lengths):
         windows = np.stack([returns.values[t - L + 1:t + 1] for t in eval_idx])
-        inits = []
-        for d, t in enumerate(eval_idx):
-            inits += random_inits(windows[d], cfg.n_states,
-                                  [child_generator(cfg.seed, _fit_seed(t, L, rep))
-                                   for rep in range(cfg.reps)])
-        fits = fit_window_batch(np.repeat(windows, cfg.reps, axis=0), inits, cfg.epochs)
-        bounds = transition_tv_bounds(np.stack([fit.model.transition for fit in fits]),
-                                      cfg.n_states, cfg.eps_override, cfg.bound_exponent)
+        starts = random_inits(windows, cfg.n_states,
+                              [child_generator(cfg.seed, _fit_seed(t, L, rep))
+                               for t in eval_idx for rep in range(cfg.reps)])
+        fitted, _, starved = fit_window_batch(np.repeat(windows, cfg.reps, axis=0),
+                                              starts, cfg.epochs)
+        bounds = transition_tv_bounds(fitted.transition, cfg.n_states)
         values[:, j * cfg.reps:(j + 1) * cfg.reps] = bounds.reshape(D, cfg.reps)
-        starved = np.array([bool(fit.starvation_flags) for fit in fits])
-        bad += starved.reshape(D, cfg.reps).sum(axis=1)
+        bad += starved.any(axis=(1, 2)).reshape(D, cfg.reps).sum(axis=1)
 
     means = values.mean(axis=1)
     stds = values.std(axis=1, ddof=1) if n_fits > 1 else np.zeros(D)

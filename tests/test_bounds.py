@@ -237,7 +237,6 @@ def test_delta_linear_zero():
 def test_delta_example1(ex1_k01):
     d = delta_estimate(ex1_k01)
     assert 0.0 < d < 0.2
-    assert delta_estimate(ex1_k01, force_zero=True) == 0.0
 
 
 def test_combined_bound_example1_value(p1_matrix):

@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.chain import StochasticMatrix
+from nmcbounds import ghmm
 from nmcbounds.ghmm import (
+    STARVATION_MASS,
+    VARIANCE_FLOOR,
     GhmmModel,
+    GhmmStack,
+    _forward_backward_batch,
     fit_baum_welch,
-    fit_baum_welch_batch,
+    fit_window_batch,
     forward_backward,
     quantile_init,
+    quantile_starts,
     random_init,
     random_inits,
     sample_ghmm,
@@ -130,14 +136,15 @@ def test_permutation_invariance():
     obs = np.random.default_rng(17).standard_normal(200)
     init = quantile_init(obs, 3)
     perm = [2, 0, 1]
-    permuted = GhmmModel(init.initial[perm], init.transition[np.ix_(perm, perm)],
-                         init.means[perm], init.variances[perm])
-    fit_a = fit_baum_welch_batch(obs, [init], 10)[0]
-    fit_b = fit_baum_welch_batch(obs, [permuted], 10)[0]
-    assert np.allclose(fit_b.model.means, fit_a.model.means[perm], atol=1e-9)
-    assert np.allclose(fit_b.model.transition, fit_a.model.transition[np.ix_(perm, perm)],
+    starts = GhmmStack(np.stack([init.initial, init.initial[perm]]),
+                       np.stack([init.transition, init.transition[np.ix_(perm, perm)]]),
+                       np.stack([init.means, init.means[perm]]),
+                       np.stack([init.variances, init.variances[perm]]))
+    fitted, traces, _ = fit_window_batch(np.stack([obs, obs]), starts, 10)
+    assert np.allclose(fitted.means[1], fitted.means[0][perm], atol=1e-9)
+    assert np.allclose(fitted.transition[1], fitted.transition[0][np.ix_(perm, perm)],
                        atol=1e-9)
-    assert fit_a.loglik_trace == pytest.approx(fit_b.loglik_trace, abs=1e-8)
+    assert traces[0] == pytest.approx(traces[1], abs=1e-8)
 
 
 def test_fitted_transition_is_stochastic():
@@ -244,8 +251,253 @@ def test_shared_base_random_inits_equal_per_rng_random_init(seed, n_states, reps
     obs = np.random.default_rng(seed).standard_t(3, 70) * 0.01
     shared = random_inits(obs, n_states, [np.random.default_rng([seed, rep]) for rep in range(reps)])
     assert len(shared) == reps
-    for rep, model in enumerate(shared):
+    for rep in range(reps):
         for single in (random_init(obs, n_states, np.random.default_rng([seed, rep])),
                        per_rng_random_init(obs, n_states, np.random.default_rng([seed, rep]))):
             for name in ("initial", "transition", "means", "variances"):
-                assert getattr(model, name).tobytes() == getattr(single, name).tobytes()
+                assert getattr(shared, name)[rep].tobytes() == getattr(single, name).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 5), st.integers(1, 4))
+def test_random_inits_of_many_windows_equal_per_window_starts(seed, n_states, D, reps):
+    windows = np.random.default_rng(seed).standard_t(3, (D, 60)) * 0.01
+    rngs = [[np.random.default_rng([seed, d, rep]) for rep in range(reps)] for d in range(D)]
+    stack = random_inits(windows, n_states, [np.random.default_rng([seed, d, rep])
+                                             for d in range(D) for rep in range(reps)])
+    assert len(stack) == D * reps
+    for d in range(D):
+        single = random_inits(windows[d], n_states, rngs[d])
+        for name in ("initial", "transition", "means", "variances"):
+            rows = getattr(stack, name)[d * reps:(d + 1) * reps]
+            assert rows.tobytes() == getattr(single, name).tobytes()
+
+
+def test_random_inits_needs_the_same_restarts_per_window():
+    windows = np.zeros((2, 40))
+    with pytest.raises(ValueError, match="same number of generators"):
+        random_inits(windows, 2, [np.random.default_rng(0)] * 3)
+
+
+# ---------------------------------------------------------------------------
+# the batch-first EM core against the former per-model path
+
+
+def parent_quantile_init(obs, n_states, self_loop=0.8):
+    """The per-sequence quantile start: one sort and one mean/var per
+    np.array_split group of the 1-d sequence."""
+    srt = np.sort(obs)
+    groups = np.array_split(srt, n_states)
+    means = np.array([g.mean() for g in groups])
+    global_var = max(float(obs.var()), VARIANCE_FLOOR)
+    variances = np.array([max(float(g.var()), global_var * 1e-3, VARIANCE_FLOOR)
+                          for g in groups])
+    k = n_states
+    transition = np.full((k, k), (1.0 - self_loop) / (k - 1) if k > 1 else 0.0)
+    np.fill_diagonal(transition, self_loop if k > 1 else 1.0)
+    return GhmmModel(np.full(k, 1.0 / k), transition, means, variances)
+
+
+def parent_mstep(gamma, xi_sum, obs2d, means_old, global_var):
+    """The M-step with its per-(item, state) starvation loop."""
+    B, K = means_old.shape
+    mass = gamma.sum(axis=0)
+    starved = mass < STARVATION_MASS
+    safe_mass = np.where(starved, 1.0, mass)
+    initial = gamma[0].copy()
+    trans_mass = gamma[:-1].sum(axis=0) if gamma.shape[0] > 1 else np.ones((B, K))
+    denom = np.where(trans_mass < STARVATION_MASS, 1.0, trans_mass)
+    transition = xi_sum / denom[:, :, None]
+    row = transition.sum(axis=2, keepdims=True)
+    transition = np.where(row > 0, transition / np.maximum(row, 1e-300), 1.0 / K)
+    means = np.einsum("tbk,tb->bk", gamma, obs2d) / safe_mass
+    means = np.where(starved, means_old, means)
+    diff = obs2d[:, :, None] - means[None, :, :]
+    variances = np.einsum("tbk,tbk->bk", gamma, diff * diff) / safe_mass
+    variances = np.maximum(variances, VARIANCE_FLOOR)
+    if starved.any():
+        variances = np.where(starved, np.maximum(global_var[:, None], VARIANCE_FLOOR),
+                             variances)
+        for bidx, k in zip(*np.nonzero(starved)):
+            transition[bidx, k, :] = 1.0 / K
+    initial /= initial.sum(axis=1, keepdims=True)
+    transition /= transition.sum(axis=2, keepdims=True)
+    return initial, transition, means, variances, starved
+
+
+def parent_fit_window_batch(windows, inits, epochs):
+    """EM from a list of GhmmModel starts, one GhmmModel and flag list per fit."""
+    B = len(inits)
+    obs2d = np.ascontiguousarray(windows.T)
+    initial = np.stack([m.initial for m in inits])
+    transition = np.stack([m.transition for m in inits])
+    means = np.stack([m.means for m in inits])
+    variances = np.stack([m.variances for m in inits])
+    global_var = np.maximum(windows.var(axis=1), VARIANCE_FLOOR)
+    traces = np.empty((B, epochs + 1))
+    flags = [[] for _ in range(B)]
+    for epoch in range(epochs):
+        loglik, gamma, xi_sum = _forward_backward_batch(
+            initial, transition, means, variances, obs2d)[:3]
+        traces[:, epoch] = loglik
+        initial, transition, means, variances, starved = parent_mstep(
+            gamma, xi_sum, obs2d, means, global_var)
+        for bidx, k in zip(*np.nonzero(starved)):
+            flags[bidx].append((epoch, int(k)))
+    traces[:, epochs] = _forward_backward_batch(initial, transition, means, variances, obs2d)[0]
+    models = [GhmmModel(initial[i], transition[i], means[i], variances[i]) for i in range(B)]
+    return models, traces, flags
+
+
+def obs_window(gen, kind, T):
+    """One observation window; kinds 1 and 2 tend to starve a state."""
+    if kind == 0:
+        return gen.standard_t(3, T) * 0.01
+    window = np.zeros(T)
+    if kind == 1:                       # constant stretch with one outlier
+        window[: T // 2] = gen.normal(0.0, 0.01, T // 2)
+        window[gen.integers(T)] = 1.0
+    else:                               # constant window with one outlier
+        window[gen.integers(T)] = gen.normal()
+    return window
+
+
+def assert_matches_parent_path(windows, starts, epochs):
+    fitted, traces, starved = fit_window_batch(windows, starts, epochs)
+    models, parent_traces, parent_flags = parent_fit_window_batch(
+        windows, [starts.model(i) for i in range(len(starts))], epochs)
+    assert traces.tobytes() == parent_traces.tobytes()
+    for i, model in enumerate(models):
+        for name in ("initial", "transition", "means", "variances"):
+            assert getattr(fitted, name)[i].tobytes() == getattr(model, name).tobytes()
+        assert [(int(e), int(k)) for e, k in zip(*np.nonzero(starved[i]))] == parent_flags[i]
+    return starved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6),
+       st.integers(0, 12), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_fit_window_batch_equals_per_model_path(seed, K, B, epochs, kinds):
+    gen = np.random.default_rng(seed)
+    T = int(gen.integers(10 * K, 100))
+    windows = np.stack([obs_window(gen, kinds[i], T) for i in range(B)])
+    starts = random_inits(windows, K, [np.random.default_rng([seed, i]) for i in range(B)])
+    assert_matches_parent_path(windows, starts, epochs)
+
+
+def test_fit_window_batch_starvation_equals_per_model_path():
+    gen = np.random.default_rng(0)
+    windows = np.stack([obs_window(gen, 1 + i % 2, 60) for i in range(8)])
+    for K in (2, 3, 4, 5):
+        assert_matches_parent_path(windows, quantile_starts(windows, K), 10)
+        starts = random_inits(windows, K, [np.random.default_rng([K, i]) for i in range(8)])
+        starved = assert_matches_parent_path(windows, starts, 10)
+        assert 0 < starved.any(axis=(1, 2)).sum() < len(windows)
+
+
+def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):
+    gen = np.random.default_rng(4)
+    windows = gen.standard_normal((7, 40))
+    starts = random_inits(windows, 3, [np.random.default_rng([4, i]) for i in range(7)])
+    whole = fit_window_batch(windows, starts, 6)
+    monkeypatch.setattr(ghmm, "_MAX_ENGINE_COLUMNS", 3)
+    chunked = fit_window_batch(windows, starts, 6)
+    for name in ("initial", "transition", "means", "variances"):
+        assert getattr(chunked[0], name).tobytes() == getattr(whole[0], name).tobytes()
+    assert (chunked[2] == whole[2]).all()
+    # the last chunk holds one item, whose per-step log scales numpy sums
+    # pairwise instead of in sequence, so its traces may move in the last bit
+    assert np.allclose(chunked[1], whole[1], rtol=1e-14, atol=0.0)
+
+
+def test_fit_window_batch_needs_one_row_per_start():
+    starts = quantile_starts(np.zeros((2, 30)) + np.arange(30), 2)
+    with pytest.raises(ValueError, match="one window row per init"):
+        fit_window_batch(np.zeros((3, 30)), starts, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.integers(20, 130))
+def test_quantile_starts_equal_per_window_quantile_init(seed, K, B, T):
+    gen = np.random.default_rng(seed)
+    windows = np.stack([obs_window(gen, int(gen.integers(3)), T) for _ in range(B)])
+    stack = quantile_starts(windows, K)
+    for i in range(B):
+        for single in (quantile_init(windows[i], K), parent_quantile_init(windows[i], K)):
+            for name in ("initial", "transition", "means", "variances"):
+                assert getattr(stack, name)[i].tobytes() == getattr(single, name).tobytes()
+
+
+def valid_params(gen, B, K):
+    return [gen.dirichlet(np.ones(K), size=B), gen.dirichlet(np.ones(K), size=(B, K)),
+            gen.standard_normal((B, K)), gen.uniform(0.5, 2.0, (B, K))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 4), st.integers(0, 4))
+def test_stack_with_one_bad_start_raises_as_ghmm_model(seed, K, B, which, bad):
+    gen = np.random.default_rng(seed)
+    params = valid_params(gen, B, K)
+    GhmmStack(*params)
+    i = which % B
+    if bad == 0:
+        params[0][i, 0] = -0.1                      # negative initial entry
+    elif bad == 1:
+        params[0][i] *= 1.001                       # initial does not sum to 1
+    elif bad == 2:
+        params[1][i, K - 1] *= 1.001                # transition row sum off
+    elif bad == 3:
+        params[3][i, 0] = VARIANCE_FLOOR / 2        # variance under the floor
+    else:
+        params[2] = params[2][:, :-1]               # means lose a state
+    with pytest.raises(ValueError) as single:
+        GhmmModel(*(a[i] for a in params))
+    with pytest.raises(ValueError) as stacked:
+        GhmmStack(*params)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stack_is_frozen_and_sized():
+    stack = GhmmStack(*valid_params(np.random.default_rng(0), 4, 3))
+    assert len(stack) == 4 and stack.n_states == 3
+    with pytest.raises(ValueError):
+        stack.means[0, 0] = 1.0
+    assert isinstance(stack.model(2), GhmmModel)
+
+
+def parent_forward_backward(model, obs):
+    """forward_backward with its pairwise posteriors from a second forward
+    pass in a Python loop."""
+    loglik, gamma, _, scales, b, _, beta, floored = _forward_backward_batch(
+        model.initial[None, :], model.transition[None], model.means[None, :],
+        model.variances[None, :], obs[:, None])
+    T, K = obs.shape[0], model.n_states
+    pairwise = np.empty((max(T - 1, 0), K, K))
+    if T > 1:
+        ahat = model.initial * b[0, 0]
+        ahat = ahat / ahat.sum()
+        for t in range(T - 1):
+            w = b[t + 1, 0] * beta[t + 1, 0] / scales[t + 1, 0]
+            xi = ahat[:, None] * model.transition * w[None, :]
+            pairwise[t] = xi / xi.sum()
+            nxt = (ahat @ model.transition) * b[t + 1, 0]
+            ahat = nxt / nxt.sum()
+    return float(loglik[0]), gamma[:, 0, :], pairwise, scales[:, 0], bool(floored[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 120))
+def test_pairwise_posteriors_equal_the_forward_loop(seed, K, T):
+    gen = np.random.default_rng(seed)
+    model = GhmmStack(*valid_params(gen, 1, K)).model(0)
+    obs = gen.standard_normal(T) * 1.5
+    res = forward_backward(model, obs)
+    loglik, posteriors, pairwise, scales, floored = parent_forward_backward(model, obs)
+    assert res.log_likelihood == loglik
+    assert res.posteriors.tobytes() == posteriors.tobytes()
+    assert res.scales.tobytes() == scales.tobytes()
+    assert res.emission_floored == floored
+    assert res.pairwise.shape == (T - 1, K, K)
+    assert np.allclose(res.pairwise, pairwise, rtol=0.0, atol=1e-14)
+    assert np.abs(res.pairwise.sum(axis=(1, 2)) - 1.0).max(initial=0.0) < 1e-12

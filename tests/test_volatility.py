@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmcbounds.coupling import coupling_matrices, spectral_radii
 from nmcbounds.errors import AlignmentError
 from nmcbounds.signal import ReturnSeries, log_returns
 from nmcbounds.volatility import (
@@ -96,17 +97,20 @@ def test_tv_volatility_variance_break_elevates_indicator():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 20),
-       st.sampled_from([None, 0.0, 0.05]), st.integers(1, 3))
-def test_batched_transition_bounds_equal_per_fit_bounds(seed, K, B, eps_override, exponent):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 20))
+def test_batched_transition_bounds_equal_per_fit_bounds(seed, K, B):
     gen = np.random.default_rng(seed)
     stack = gen.dirichlet(np.full(K, 0.5), size=(B, K))
     stack[0] = 1.0 / K                       # kappa = 1 everywhere: bound 0
-    values = transition_tv_bounds(stack, K, eps_override, exponent)
-    singles = [transition_tv_bound(P, K, eps_override, exponent) for P in stack]
+    values = transition_tv_bounds(stack, K)
+    singles = [transition_tv_bound(P, K) for P in stack]
     assert values.tolist() == singles
-    assert values[0] == (0.0 if eps_override is None else
-                         2.0 * (1.0 - 1.0 / K) * eps_override ** exponent)
+    assert values[0] == 0.0
+    # the clipped product equals the former per-item Python-float form
+    est = spectral_radii(coupling_matrices(stack / stack.sum(axis=-1, keepdims=True)))
+    scale = 2.0 * (1.0 - 1.0 / K)
+    assert values.tolist() == [min(max(scale * (r + e) ** 1, 0.0), 2.0)
+                               for r, e in zip(est.r.tolist(), est.eps.tolist())]
 
 
 def test_tv_volatility_prefix_reproduces_first_dates():
