@@ -25,6 +25,7 @@ from .rng import as_generator
 VARIANCE_FLOOR = 1e-10
 EMISSION_FLOOR = 1e-300
 STARVATION_MASS = 1e-8
+SELF_LOOP = 0.8                 # diagonal of the quantile-start transitions
 
 _PARAMS = ("initial", "transition", "means", "variances")
 
@@ -44,13 +45,14 @@ def _check_params(initial, transition, means, variances) -> None:
         raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
 
 
-def _freeze_params(obj, stacked: bool) -> None:
-    arrays = [np.asarray(getattr(obj, name), dtype=np.float64) for name in _PARAMS]
-    _check_params(*(arrays if stacked else [a[None] for a in arrays]))
-    for name, arr in zip(_PARAMS, arrays):
-        a = arr.copy()
+def _freeze_params(obj) -> list:
+    """Store read-only C-ordered float64 copies of obj's parameter arrays
+    (the layout fixes the summation order downstream); return them."""
+    arrays = [np.asarray(getattr(obj, name), dtype=np.float64).copy() for name in _PARAMS]
+    for name, a in zip(_PARAMS, arrays):
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class GhmmModel:
     variances: np.ndarray
 
     def __post_init__(self):
-        _freeze_params(self, stacked=False)
+        _check_params(*(a[None] for a in _freeze_params(self)))
 
     @property
     def n_states(self) -> int:
@@ -99,7 +101,7 @@ class GhmmStack:
     variances: np.ndarray
 
     def __post_init__(self):
-        _freeze_params(self, stacked=True)
+        _check_params(*_freeze_params(self))
 
     def __len__(self) -> int:
         return self.initial.shape[0]
@@ -188,7 +190,7 @@ def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
                                  scales[:, 0], bool(floored[0]))
 
 
-def quantile_starts(windows, n_states: int, self_loop: float = 0.8) -> GhmmStack:
+def quantile_starts(windows, n_states: int) -> GhmmStack:
     """Deterministic starts for a (B, T) window array: contiguous quantile
     groups of each sorted row set that row's means/variances."""
     windows = np.asarray(windows, dtype=np.float64)
@@ -197,17 +199,16 @@ def quantile_starts(windows, n_states: int, self_loop: float = 0.8) -> GhmmStack
     global_var = np.maximum(windows.var(axis=1), VARIANCE_FLOOR)
     variances = np.maximum(np.maximum(np.stack([g.var(axis=1) for g in groups], axis=1),
                                       global_var[:, None] * 1e-3), VARIANCE_FLOOR)
-    k = n_states
-    transition = np.full((k, k), (1.0 - self_loop) / (k - 1) if k > 1 else 0.0)
-    np.fill_diagonal(transition, self_loop if k > 1 else 1.0)
-    B = windows.shape[0]
+    B, k = means.shape
+    transition = np.full((k, k), (1.0 - SELF_LOOP) / (k - 1) if k > 1 else 0.0)
+    np.fill_diagonal(transition, SELF_LOOP if k > 1 else 1.0)
     return GhmmStack(np.full((B, k), 1.0 / k), np.broadcast_to(transition, (B, k, k)),
                      means, variances)
 
 
-def quantile_init(obs, n_states: int, self_loop: float = 0.8) -> GhmmModel:
+def quantile_init(obs, n_states: int) -> GhmmModel:
     """Deterministic start of one sequence (see ``quantile_starts``)."""
-    return quantile_starts(np.asarray(obs, dtype=np.float64)[None], n_states, self_loop).model(0)
+    return quantile_starts(np.asarray(obs, dtype=np.float64)[None], n_states).model(0)
 
 
 def random_inits(windows, n_states: int, rngs) -> GhmmStack:
@@ -216,6 +217,7 @@ def random_inits(windows, n_states: int, rngs) -> GhmmStack:
     mixed with a Dirichlet draw.  ``rngs`` holds R generators per window,
     window-major; the R slots of a window share its quantile start."""
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    rngs = list(rngs)
     D = windows.shape[0]
     if not D or len(rngs) % D:
         raise ValueError("need the same number of generators for every window")

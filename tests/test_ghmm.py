@@ -279,6 +279,14 @@ def test_random_inits_needs_the_same_restarts_per_window():
         random_inits(windows, 2, [np.random.default_rng(0)] * 3)
 
 
+def test_random_inits_take_any_iterable_of_generators():
+    windows = np.random.default_rng(5).normal(size=(2, 40))
+    listed = random_inits(windows, 3, [np.random.default_rng(i) for i in range(4)])
+    streamed = random_inits(windows, 3, (np.random.default_rng(i) for i in range(4)))
+    for name in ("initial", "transition", "means", "variances"):
+        assert getattr(listed, name).tobytes() == getattr(streamed, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the batch-first EM core against the former per-model path
 
