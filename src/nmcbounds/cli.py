@@ -96,8 +96,7 @@ def cmd_coupling_check(args) -> int:
         print("warning: underpowered run (samples < 1000); thresholds not enforced",
               file=sys.stderr)
     report = lemma_check(P, mu0, nu0, args.steps, args.samples,
-                         np.random.default_rng(args.seed),
-                         allow_underpowered=True)
+                         np.random.default_rng(args.seed))
     table = ComparisonTable(
         ["t", "tv1", "tv2", "q_exact", "q_empirical"], list(report.rows()))
     export_report(table, args.out)

@@ -8,6 +8,12 @@ coincide forever.  The not-yet-met dynamics restricted to ordered distinct
 pairs form a sub-stochastic matrix whose spectral radius sets the
 geometric rate of convergence in total variation.
 
+The construction has one split and one sampler: ``split_densities`` alone
+forms the overlap and residual laws (``marginal_kernels`` splits two rows),
+and ``_draw_split`` makes every joint draw, one pair at a time for
+``sample_coupled_pair`` and ``simulate_coupled_chain``, a whole sample per
+step for ``lemma_check``.
+
 The coupling operator is batch-first: ``coupling_matrices`` builds the pair
 matrices of a (B, p, p) stack of transition matrices and ``spectral_radii``
 runs the Gelfand iteration on all of them at once; ``build_coupling_matrix``
@@ -25,6 +31,8 @@ from .errors import DimensionMismatchError
 from .rng import as_generator
 
 _ONE_TOL = 1e-12    # row overlaps / overlap masses this close to 1 are treated as 1
+TV_THRESHOLD = 0.02     # lemma_check: max marginal TV of the sampled pairs
+Q_THRESHOLD = 0.01      # lemma_check: max |empirical - exact| equality frequency
 
 
 def overlap_q(mu: Distribution, nu: Distribution) -> float:
@@ -102,44 +110,39 @@ class MarginalKernels:
 
 
 def marginal_kernels(P: StochasticMatrix, s: CouplingState) -> MarginalKernels:
-    """Transition laws of (eta1, eta2, xi, zeta) from state ``s``.
+    """Transition laws of (eta1, eta2, xi, zeta) from state ``s``: the split
+    of rows eta1 and eta2 (see ``split_densities``).
 
-    Covers the degenerate resets: kappa = 0 leaves no overlap to land in,
-    so xi just moves as the base chain; kappa = 1 means identical rows and
-    the residual laws collapse onto the base row.  zeta = 0 is absorbing
-    and makes xi carry the merged chain.
+    zeta = 0 is absorbing and makes xi carry the merged chain; kappa = 0
+    leaves no overlap to land in, so xi then also moves as the base chain.
     """
-    row1, row2 = P.entries[s.eta1], P.entries[s.eta2]
-    m = np.minimum(row1, row2)
-    k = float(m.sum())
-    if s.zeta == 0:
-        zeta_law = np.array([1.0, 0.0])
-        xi_law = _clean_probs(P.entries[s.xi])
-    else:
-        zeta_law = np.array([k, 1.0 - k])
-        if k <= 0.0:
-            xi_law = _clean_probs(P.entries[s.xi])
-        else:
-            xi_law = _clean_probs(m / k)
-    if k >= 1.0 - _ONE_TOL:
-        eta1_law = _clean_probs(row1)
-        eta2_law = _clean_probs(row1)
-    else:
-        eta1_law = _clean_probs((row1 - m) / (1.0 - k))
-        eta2_law = _clean_probs((row2 - m) / (1.0 - k))
-    return MarginalKernels(eta1_law, eta2_law, xi_law, zeta_law, k)
+    laws = split_densities(P.row(s.eta1), P.row(s.eta2))
+    zeta_law = np.array([1.0, 0.0] if s.zeta == 0 else [laws.q, 1.0 - laws.q])
+    xi_law = P.row(s.xi) if s.zeta == 0 or laws.q <= 0.0 else laws.xi
+    return MarginalKernels(laws.eta1, laws.eta2, xi_law, zeta_law, laws.q)
+
+
+def _draw_split(laws: SplitLaws, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` joint draws (x1, x2, met) through the split: met with
+    probability q, then a common draw from xi, else independent draws from
+    eta1 and eta2 (all met draws first, then eta1, then eta2)."""
+    p = laws.xi.p
+    met = rng.random(size) < laws.q
+    x1 = np.empty(size, dtype=np.intp)
+    x2 = np.empty(size, dtype=np.intp)
+    n_met = int(met.sum())
+    if n_met:
+        x1[met] = x2[met] = rng.choice(p, size=n_met, p=laws.xi.probs)
+    if size - n_met:
+        x1[~met] = rng.choice(p, size=size - n_met, p=laws.eta1.probs)
+        x2[~met] = rng.choice(p, size=size - n_met, p=laws.eta2.probs)
+    return x1, x2, met
 
 
 def sample_coupled_pair(mu: Distribution, nu: Distribution, rng) -> tuple[int, int, int]:
     """Draw (x1, x2, zeta) with marginals mu, nu and P(x1 = x2) >= overlap."""
-    rng = as_generator(rng)
-    laws = split_densities(mu, nu)
-    if rng.random() < laws.q:
-        x = int(rng.choice(mu.p, p=laws.xi.probs))
-        return x, x, 0
-    x1 = int(rng.choice(mu.p, p=laws.eta1.probs))
-    x2 = int(rng.choice(nu.p, p=laws.eta2.probs))
-    return x1, x2, 1
+    x1, x2, met = _draw_split(split_densities(mu, nu), 1, as_generator(rng))
+    return int(x1[0]), int(x2[0]), 0 if met[0] else 1
 
 
 @dataclass(frozen=True)
@@ -168,17 +171,9 @@ def simulate_coupled_chain(
     traj1[0], traj2[0], zeta[0] = x1, x2, z
     for t in range(n):
         if z == 0:
-            y = int(rng.choice(P.p, p=P.entries[x1]))
-            x1 = x2 = y
+            x1 = x2 = int(rng.choice(P.p, p=P.entries[x1]))
         else:
-            mk = marginal_kernels(P, CouplingState(x1, x2, x1, 1))
-            if rng.random() < mk.zeta_law[0]:
-                z = 0
-                y = int(rng.choice(P.p, p=mk.xi_law.probs))
-                x1 = x2 = y
-            else:
-                x1 = int(rng.choice(P.p, p=mk.eta1_law.probs))
-                x2 = int(rng.choice(P.p, p=mk.eta2_law.probs))
+            x1, x2, z = sample_coupled_pair(P.row(x1), P.row(x2), rng)
         traj1[t + 1], traj2[t + 1], zeta[t + 1] = x1, x2, z
     met = np.nonzero(zeta == 0)[0]
     return CoupledTrajectories(traj1, traj2, zeta, int(met[0]) if met.size else None)
@@ -375,11 +370,8 @@ def pairchain_meet_curve(P: StochasticMatrix, mu0: Distribution, nu0: Distributi
     """
     laws0 = split_densities(mu0, nu0)
     M = build_coupling_matrix(P)
-    w = np.zeros(M.dim)
-    if laws0.q < 1.0:
-        joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
-        for i, (a, b) in enumerate(M.pairs):
-            w[i] = joint[a, b]
+    joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
+    w = joint[~np.eye(M.p, dtype=bool)]             # row-major over x1 != x2, as M.pairs
     out = np.empty(n + 1)
     out[0] = 1.0 - w.sum()
     for t in range(n):
@@ -411,8 +403,6 @@ class LemmaCheckReport:
     samples: int
     passed: bool
     underpowered: bool
-    tv_threshold: float
-    q_threshold: float
 
     def rows(self):
         for i in range(self.steps.size):
@@ -427,9 +417,6 @@ def lemma_check(
     n: int,
     samples: int,
     rng,
-    tv_threshold: float = 0.02,
-    q_threshold: float = 0.01,
-    allow_underpowered: bool = False,
 ) -> LemmaCheckReport:
     """Sample the coupling of the exact laws at every step and verify it.
 
@@ -438,13 +425,11 @@ def lemma_check(
     probability q_t, independent residual draws otherwise.  The sampled
     marginals must reproduce the laws and the equality frequency must
     match q_t; both are binomial-accurate, so thresholds are plain
-    Monte-Carlo tolerances.
+    Monte-Carlo tolerances (TV_THRESHOLD, Q_THRESHOLD); fewer than 1000
+    samples marks the report underpowered.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    underpowered = samples < 1000
-    if underpowered and not allow_underpowered:
-        raise ValueError("samples must be >= 1000 (pass allow_underpowered to override)")
     rng = as_generator(rng)
     p = P.p
 
@@ -457,17 +442,7 @@ def lemma_check(
     q_emp = np.empty(n + 1)
     for t in range(n + 1):
         laws = split_densities(_clean_probs(law1[t]), _clean_probs(law2[t]))
-        met = rng.random(samples) < laws.q
-        x1 = np.empty(samples, dtype=np.intp)
-        x2 = np.empty(samples, dtype=np.intp)
-        n_met = int(met.sum())
-        if n_met:
-            common = rng.choice(p, size=n_met, p=laws.xi.probs)
-            x1[met] = common
-            x2[met] = common
-        if samples - n_met:
-            x1[~met] = rng.choice(p, size=samples - n_met, p=laws.eta1.probs)
-            x2[~met] = rng.choice(p, size=samples - n_met, p=laws.eta2.probs)
+        x1, x2, _ = _draw_split(laws, samples, rng)
         e1 = np.bincount(x1, minlength=p) / samples
         e2 = np.bincount(x2, minlength=p) / samples
         tv1[t] = np.abs(e1 - law1[t]).sum()
@@ -476,13 +451,12 @@ def lemma_check(
 
     meet_gap = q_exact - pairchain_meet_curve(P, mu0, nu0, n)
     passed = bool(
-        tv1.max() <= tv_threshold
-        and tv2.max() <= tv_threshold
-        and np.abs(q_emp - q_exact).max() <= q_threshold
+        tv1.max() <= TV_THRESHOLD
+        and tv2.max() <= TV_THRESHOLD
+        and np.abs(q_emp - q_exact).max() <= Q_THRESHOLD
     )
     return LemmaCheckReport(
         steps=np.arange(n + 1), tv1=tv1, tv2=tv2, q_exact=q_exact,
         q_empirical=q_emp, pairchain_meet_gap=meet_gap, samples=samples,
-        passed=passed, underpowered=underpowered,
-        tv_threshold=tv_threshold, q_threshold=q_threshold,
+        passed=passed, underpowered=samples < 1000,
     )

@@ -32,17 +32,25 @@ _PARAMS = ("initial", "transition", "means", "variances")
 
 def _check_params(initial, transition, means, variances) -> None:
     """The GhmmModel rules on a stack: (B, K) initial, means and variances
-    and (B, K, K) transitions; initial and transition rows are probability
-    vectors and every variance is at least VARIANCE_FLOOR."""
+    and (B, K, K) transitions, all finite; initial and transition rows are
+    probability vectors and every variance is at least VARIANCE_FLOOR."""
     if (initial.ndim != 2 or transition.shape != initial.shape + initial.shape[1:]
             or means.shape != initial.shape or variances.shape != initial.shape):
         raise ValueError("inconsistent state counts across model arrays")
+    if not all(np.isfinite(a).all() for a in (initial, transition, means, variances)):
+        raise ValueError("model parameters must be finite")
     if (np.abs(initial.sum(axis=1) - 1.0) > 1e-10).any() or (initial < 0).any():
         raise ValueError("initial distribution must be a probability vector")
     if (np.abs(transition.sum(axis=2) - 1.0) > 1e-10).any() or (transition < 0).any():
         raise ValueError("transition rows must be probability vectors")
     if (variances < VARIANCE_FLOOR).any():
         raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
+
+
+def _finite_obs(obs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(obs).all():
+        raise ValueError("observations must be finite")
+    return obs
 
 
 def _freeze_params(obj) -> list:
@@ -128,41 +136,42 @@ def _emissions(obs2d, means, variances):
 def _forward_backward_batch(initial, transition, means, variances, obs2d):
     """Scaled recursions for a batch of models, one observation column each.
 
-    Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (T,B),
-    emissions (T,B,K), alpha (T,B,K), beta (T,B,K), floored_flags (B,)).
+    Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (B,T),
+    emissions (T,B,K), alpha (T,B,K), beta (T,B,K)).  Each model's scales
+    form one contiguous row, so its log-likelihood is summed in the same
+    order whatever the batch size.
     """
     T = obs2d.shape[0]
     B, K = means.shape
     b = _emissions(obs2d, means, variances)
-    floored = (b.max(axis=2) <= EMISSION_FLOOR).any(axis=0)
 
     alpha = np.empty((T, B, K))
-    scales = np.empty((T, B))
+    scales = np.empty((B, T))
     a = initial * b[0]
     c = a.sum(axis=1)
-    scales[0] = c
+    scales[:, 0] = c
     alpha[0] = a / c[:, None]
     for t in range(1, T):
         a = np.einsum("bi,bij->bj", alpha[t - 1], transition) * b[t]
         c = a.sum(axis=1)
-        scales[t] = c
+        scales[:, t] = c
         alpha[t] = a / c[:, None]
 
     beta = np.empty((T, B, K))
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         w = b[t + 1] * beta[t + 1]
-        beta[t] = np.einsum("bij,bj->bi", transition, w) / scales[t + 1][:, None]
+        beta[t] = np.einsum("bij,bj->bi", transition, w) / scales[:, t + 1, None]
 
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)
     if T > 1:
-        w = b[1:] * beta[1:] / scales[1:][:, :, None]
+        w = b[1:] * beta[1:] / scales.T[1:, :, None]
         xi_sum = np.einsum("tbi,tbj->bij", alpha[:-1], w) * transition
     else:
         xi_sum = np.zeros((B, K, K))
-    loglik = np.log(scales).sum(axis=0)
-    return loglik, gamma, xi_sum, scales, b, alpha, beta, floored
+    loglik = np.log(scales).sum(axis=1)
+    return loglik, gamma, xi_sum, scales, b, alpha, beta
 
 
 @dataclass(frozen=True)
@@ -176,24 +185,25 @@ class ForwardBackwardResult:
 
 def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
     """Posteriors and log-likelihood by the scaled forward-backward pass."""
-    obs = np.asarray(obs, dtype=np.float64)
+    obs = _finite_obs(np.asarray(obs, dtype=np.float64))
     if obs.ndim != 1 or obs.shape[0] < 1:
         raise ValueError("obs must be a non-empty 1-d sequence")
-    loglik, gamma, _, scales, b, alpha, beta, floored = _forward_backward_batch(
+    loglik, gamma, _, scales, b, alpha, beta = _forward_backward_batch(
         *(getattr(model, name)[None] for name in _PARAMS), obs[:, None])
     # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
     # (Rabiner 1989, eq. 37, in the scaled variables)
-    w = b[1:, 0] * beta[1:, 0] / scales[1:, 0, None]
+    w = b[1:, 0] * beta[1:, 0] / scales[0, 1:, None]
     xi = alpha[:-1, 0, :, None] * model.transition * w[:, None, :]
     pairwise = xi / xi.sum(axis=(1, 2), keepdims=True)
+    floored = bool((b[:, 0].max(axis=1) <= EMISSION_FLOOR).any())
     return ForwardBackwardResult(float(loglik[0]), gamma[:, 0, :], pairwise,
-                                 scales[:, 0], bool(floored[0]))
+                                 scales[0], floored)
 
 
 def quantile_starts(windows, n_states: int) -> GhmmStack:
     """Deterministic starts for a (B, T) window array: contiguous quantile
     groups of each sorted row set that row's means/variances."""
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = _finite_obs(np.asarray(windows, dtype=np.float64))
     groups = np.array_split(np.sort(windows, axis=1), n_states, axis=1)
     means = np.stack([g.mean(axis=1) for g in groups], axis=1)
     global_var = np.maximum(windows.var(axis=1), VARIANCE_FLOOR)
@@ -294,7 +304,7 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
     log-likelihood traces (before each update, then final) and the
     (B, epochs, K) starvation mask of the states reset in each epoch.
     """
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = _finite_obs(np.asarray(windows, dtype=np.float64))
     B = len(inits)
     if windows.shape[0] != B:
         raise ValueError("one window row per init required")
@@ -357,7 +367,7 @@ def sample_ghmm(model: GhmmModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def viterbi(model: GhmmModel, obs) -> np.ndarray:
     """Most probable hidden path (log domain, ties toward lower index)."""
-    obs = np.asarray(obs, dtype=np.float64)
+    obs = _finite_obs(np.asarray(obs, dtype=np.float64))
     T = obs.shape[0]
     if T < 1:
         raise ValueError("obs must be non-empty")

@@ -75,7 +75,7 @@ class TvVolatilitySeries:
     tv_ci_lo: np.ndarray
     tv_ci_hi: np.ndarray
     n_fits: int
-    quality_flags: tuple            # per date: count of starved/floored fits
+    quality_flags: tuple            # per date: count of starved fits
     config: VolatilityConfig
 
 

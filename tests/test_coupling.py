@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmcbounds.chain import Distribution, StochasticMatrix
+from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs
 from nmcbounds.coupling import (
     CouplingMatrix,
     CouplingState,
     build_coupling_matrix,
     coupling_matrices,
+    exact_laws,
     kappa,
     lemma_check,
     marginal_kernels,
@@ -222,6 +223,182 @@ def test_coupled_chain_marginals(p1_matrix):
         assert np.abs(c2[t] / runs - law2).sum() < 0.05
         law1 = law1 @ p1_matrix.entries
         law2 = law2 @ p1_matrix.entries
+
+
+# ---------------------------------------------------------------------------
+# the one split and sampler against the code they replaced
+
+
+def parent_marginal_kernels(P, s):
+    """Laws of (eta1, eta2, xi, zeta) with their own copy of the split."""
+    row1, row2 = P.entries[s.eta1], P.entries[s.eta2]
+    m = np.minimum(row1, row2)
+    k = float(m.sum())
+    if s.zeta == 0:
+        zeta_law = np.array([1.0, 0.0])
+        xi_law = _clean_probs(P.entries[s.xi])
+    else:
+        zeta_law = np.array([k, 1.0 - k])
+        xi_law = _clean_probs(P.entries[s.xi] if k <= 0.0 else m / k)
+    if k >= 1.0 - 1e-12:
+        eta1_law = eta2_law = _clean_probs(row1)
+    else:
+        eta1_law = _clean_probs((row1 - m) / (1.0 - k))
+        eta2_law = _clean_probs((row2 - m) / (1.0 - k))
+    return eta1_law, eta2_law, xi_law, zeta_law, k
+
+
+def parent_sample_coupled_pair(mu, nu, rng):
+    """The scalar draw: one uniform, then one choice per coordinate."""
+    laws = split_densities(mu, nu)
+    if rng.random() < laws.q:
+        x = int(rng.choice(mu.p, p=laws.xi.probs))
+        return x, x, 0
+    return (int(rng.choice(mu.p, p=laws.eta1.probs)),
+            int(rng.choice(nu.p, p=laws.eta2.probs)), 1)
+
+
+def parent_simulate_coupled_chain(P, mu0, nu0, n, rng):
+    """The simulator stepping through marginal kernels of a coupling state."""
+    traj = np.empty((3, n + 1), dtype=np.intp)
+    x1, x2, z = parent_sample_coupled_pair(mu0, nu0, rng)
+    traj[:, 0] = x1, x2, z
+    for t in range(n):
+        if z == 0:
+            x1 = x2 = int(rng.choice(P.p, p=P.entries[x1]))
+        else:
+            eta1_law, eta2_law, xi_law, zeta_law, _ = parent_marginal_kernels(
+                P, CouplingState(x1, x2, x1, 1))
+            if rng.random() < zeta_law[0]:
+                z = 0
+                x1 = x2 = int(rng.choice(P.p, p=xi_law.probs))
+            else:
+                x1 = int(rng.choice(P.p, p=eta1_law.probs))
+                x2 = int(rng.choice(P.p, p=eta2_law.probs))
+        traj[:, t + 1] = x1, x2, z
+    return traj
+
+
+def parent_pairchain_meet_curve(P, mu0, nu0, n):
+    """Meet-by-t with the initial pair mass filled pair by pair."""
+    laws0 = split_densities(mu0, nu0)
+    M = build_coupling_matrix(P)
+    w = np.zeros(M.dim)
+    if laws0.q < 1.0:
+        joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
+        for i, (a, b) in enumerate(M.pairs):
+            w[i] = joint[a, b]
+    out = np.empty(n + 1)
+    out[0] = 1.0 - w.sum()
+    for t in range(n):
+        w = w @ M.entries
+        out[t + 1] = 1.0 - w.sum()
+    return out
+
+
+def parent_lemma_arrays(P, mu0, nu0, n, samples, rng):
+    """tv1, tv2 and q_empirical of lemma_check with the draw written inline."""
+    law1, law2 = exact_laws(P, mu0, n), exact_laws(P, nu0, n)
+    out = np.empty((3, n + 1))
+    for t in range(n + 1):
+        laws = split_densities(_clean_probs(law1[t]), _clean_probs(law2[t]))
+        met = rng.random(samples) < laws.q
+        x1 = np.empty(samples, dtype=np.intp)
+        x2 = np.empty(samples, dtype=np.intp)
+        n_met = int(met.sum())
+        if n_met:
+            common = rng.choice(P.p, size=n_met, p=laws.xi.probs)
+            x1[met] = common
+            x2[met] = common
+        if samples - n_met:
+            x1[~met] = rng.choice(P.p, size=samples - n_met, p=laws.eta1.probs)
+            x2[~met] = rng.choice(P.p, size=samples - n_met, p=laws.eta2.probs)
+        out[0, t] = np.abs(np.bincount(x1, minlength=P.p) / samples - law1[t]).sum()
+        out[1, t] = np.abs(np.bincount(x2, minlength=P.p) / samples - law2[t]).sum()
+        out[2, t] = float((x1 == x2).mean())
+    return out
+
+
+def chain_with_extreme_pairs(seed, p, identical, disjoint):
+    """Dirichlet(0.3) chain and two start laws; ``identical`` copies row 0
+    into row 1 (kappa = 1), ``disjoint`` gives the last two rows disjoint
+    supports (kappa = 0), and the start laws repeat either pattern."""
+    gen = np.random.default_rng(seed)
+    P = gen.dirichlet(np.full(p, 0.3), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    if identical:
+        P[1] = P[0]
+    if disjoint:
+        P[-2:] = 0.0
+        P[-2, : p // 2] = gen.dirichlet(np.ones(p // 2))
+        P[-1, p // 2:] = gen.dirichlet(np.ones(p - p // 2))
+    mu, nu = gen.dirichlet(np.ones(p), size=2)
+    if identical and disjoint:
+        nu = mu
+    elif disjoint:
+        mu, nu = P[-2], P[-1]
+    return StochasticMatrix(P), Distribution(mu), Distribution(nu)
+
+
+EPS = np.finfo(np.float64).eps
+extreme_chains = st.builds(chain_with_extreme_pairs, st.integers(0, 2**32 - 1),
+                           st.integers(2, 6), st.booleans(), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_chains, st.integers(0, 2**32 - 1))
+def test_sampler_equals_parent_scalar_draws(chain, seed):
+    P, mu, nu = chain
+    rng, parent_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for x in range(P.p):
+        for y in (mu, nu, P.row(0)):
+            for _ in range(20):
+                assert (sample_coupled_pair(P.row(x), y, rng)
+                        == parent_sample_coupled_pair(P.row(x), y, parent_rng))
+    assert rng.random() == parent_rng.random()
+    out = simulate_coupled_chain(P, mu, nu, 25, rng)
+    parent = parent_simulate_coupled_chain(P, mu, nu, 25, parent_rng)
+    assert np.stack([out.traj1, out.traj2, out.zeta]).tobytes() == parent.tobytes()
+    met = np.flatnonzero(parent[2] == 0)
+    assert out.meet_step == (int(met[0]) if met.size else None)
+    assert rng.random() == parent_rng.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(extreme_chains, st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 3000))
+def test_lemma_check_and_meet_curve_equal_parent(chain, seed, n, samples):
+    P, mu, nu = chain
+    curve = pairchain_meet_curve(P, mu, nu, n)
+    assert curve.tobytes() == parent_pairchain_meet_curve(P, mu, nu, n).tobytes()
+    report = lemma_check(P, mu, nu, n, samples, np.random.default_rng(seed))
+    parent = parent_lemma_arrays(P, mu, nu, n, samples, np.random.default_rng(seed))
+    assert np.stack([report.tv1, report.tv2, report.q_empirical]).tobytes() == parent.tobytes()
+    assert report.pairchain_meet_gap.tobytes() == (report.q_exact - curve).tobytes()
+    assert report.underpowered == (samples < 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_chains)
+def test_marginal_kernels_equal_parent_up_to_the_last_bit(chain):
+    P = chain[0]
+    for a in range(P.p):
+        for b in range(P.p):
+            for z in (0, 1):
+                state = CouplingState(a, b, (a + b) % P.p, z)
+                mk = marginal_kernels(P, state)
+                *laws, zeta_law, k = parent_marginal_kernels(P, state)
+                if z == 1 and k >= 1.0 - 1e-12:
+                    # the split's q = 1 convention: merge surely, xi = eta1 row
+                    assert mk.kappa == 1.0 and mk.zeta_law.tolist() == [1.0, 0.0]
+                    laws[2] = laws[0]
+                else:
+                    assert mk.kappa == pytest.approx(k, rel=0.0, abs=1e-15)
+                    assert np.allclose(mk.zeta_law, zeta_law, rtol=0.0, atol=1e-15)
+                # the residual and overlap laws divide by 1 - kappa and kappa,
+                # which scales a last-bit difference in the rows by as much
+                tol = 4 * EPS / min(k, 1.0 - k) if 0.0 < k < 1.0 - 1e-12 else 4 * EPS
+                for new, old in zip((mk.eta1_law, mk.eta2_law, mk.xi_law), laws):
+                    assert np.allclose(new.probs, old.probs, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +649,7 @@ def test_lemma_check_identity_disjoint():
 
 def test_lemma_check_underpowered_gate(p1_matrix):
     mu = Distribution([0.25] * 4)
-    with pytest.raises(ValueError):
-        lemma_check(p1_matrix, mu, mu, 2, 10, rng=0)
-    report = lemma_check(p1_matrix, mu, mu, 2, 10, rng=0, allow_underpowered=True)
+    report = lemma_check(p1_matrix, mu, mu, 2, 10, rng=0)
     assert report.underpowered
 
 

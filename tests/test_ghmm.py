@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nmcbounds.chain import StochasticMatrix
 from nmcbounds import ghmm
 from nmcbounds.ghmm import (
+    EMISSION_FLOOR,
     STARVATION_MASS,
     VARIANCE_FLOOR,
     GhmmModel,
@@ -233,6 +234,32 @@ def test_emission_floor_flagged_for_absurd_observation():
     assert np.isfinite(res.log_likelihood)
 
 
+def test_non_finite_parameters_are_rejected():
+    with pytest.raises(ValueError, match="model parameters must be finite"):
+        GhmmModel([np.nan, np.nan], np.full((2, 2), np.nan), [0.0, 1.0], [1.0, 1.0])
+    params = valid_params(np.random.default_rng(0), 3, 2)
+    for i, bad in ((2, np.inf), (3, np.inf), (2, np.nan)):
+        broken = [a.copy() for a in params]
+        broken[i][1, 0] = bad
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            GhmmStack(*broken)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observations_are_rejected(bad):
+    obs = np.random.default_rng(2).standard_normal(40)
+    obs[5] = bad
+    model = three_state_model()
+    starts = quantile_starts(np.arange(40.0)[None], 2)
+    for call in (lambda: fit_baum_welch(obs, n_states=2),
+                 lambda: fit_baum_welch(obs, n_states=2, init_policy="random", rng=0),
+                 lambda: forward_backward(model, obs),
+                 lambda: viterbi(model, obs),
+                 lambda: fit_window_batch(obs[None], starts, 2)):
+        with pytest.raises(ValueError, match="observations must be finite"):
+            call()
+
+
 def per_rng_random_init(obs, n_states, rng):
     """The quantile start perturbed for one generator, recomputing the
     start itself (the per-restart form that random_inits shares)."""
@@ -413,9 +440,19 @@ def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):
     for name in ("initial", "transition", "means", "variances"):
         assert getattr(chunked[0], name).tobytes() == getattr(whole[0], name).tobytes()
     assert (chunked[2] == whole[2]).all()
-    # the last chunk holds one item, whose per-step log scales numpy sums
-    # pairwise instead of in sequence, so its traces may move in the last bit
-    assert np.allclose(chunked[1], whole[1], rtol=1e-14, atol=0.0)
+    assert chunked[1].tobytes() == whole[1].tobytes()
+
+
+def test_trace_does_not_depend_on_the_batch(monkeypatch):
+    # one window fitted alone, inside a batch, and as the one-item last chunk
+    gen = np.random.default_rng(9)
+    windows = gen.standard_normal((5, 150))
+    starts = random_inits(windows, 3, [np.random.default_rng([9, i]) for i in range(5)])
+    batched = fit_window_batch(windows, starts, 8)[1]
+    alone = fit_baum_welch(windows[4], 3, 8, "random", np.random.default_rng([9, 4]))
+    monkeypatch.setattr(ghmm, "_MAX_ENGINE_COLUMNS", 2)
+    chunked = fit_window_batch(windows, starts, 8)[1]
+    assert alone.loglik_trace.tobytes() == batched[4].tobytes() == chunked[4].tobytes()
 
 
 def test_fit_window_batch_needs_one_row_per_start():
@@ -477,9 +514,11 @@ def test_stack_is_frozen_and_sized():
 def parent_forward_backward(model, obs):
     """forward_backward with its pairwise posteriors from a second forward
     pass in a Python loop."""
-    loglik, gamma, _, scales, b, _, beta, floored = _forward_backward_batch(
+    loglik, gamma, _, scales, b, _, beta = _forward_backward_batch(
         model.initial[None, :], model.transition[None], model.means[None, :],
         model.variances[None, :], obs[:, None])
+    scales = scales.T
+    floored = (b.max(axis=2) <= EMISSION_FLOOR).any(axis=0)
     T, K = obs.shape[0], model.n_states
     pairwise = np.empty((max(T - 1, 0), K, K))
     if T > 1:
