@@ -118,6 +118,16 @@ def test_coupling_check_underpowered_exit0(tmp_path, capsys):
     assert "underpowered" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_coupling_check_rejects_samples_below_one(tmp_path, capsys, samples):
+    out = tmp_path / "cc_none.csv"
+    code, _, err = run_cli(["coupling-check", "--example", "1", "--samples", samples,
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert "error: samples must be >= 1" in err and "underpowered" not in err
+    assert not out.exists()
+
+
 def test_stats_synthetic_walk(tmp_path, capsys):
     prices = make_price_csv(tmp_path / "prices.csv", n=300, seed=5)
     out = tmp_path / "stats.csv"

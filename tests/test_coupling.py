@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmcbounds import coupling
 from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs
 from nmcbounds.coupling import (
     CouplingMatrix,
@@ -502,8 +503,14 @@ def test_degenerate_chains_take_the_early_exits():
     assert est.r[2] > 0.0
 
 
+# every p whose pair matrix (d = p(p - 1)) takes the Gelfand path, and the
+# smallest that takes the bracket
+GELFAND_P_MAX = max(p for p in range(2, 100) if p * (p - 1) < coupling._BRACKET_MIN_DIM)
+BRACKET_P_MIN = GELFAND_P_MAX + 1
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 12),
+@given(st.integers(0, 2**32 - 1), st.integers(2, GELFAND_P_MAX), st.integers(1, 12),
        st.sets(st.integers(0, 11), max_size=4), st.sampled_from([1, 2, 5, 2**20]))
 def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at, K_max):
     gen = np.random.default_rng(seed)
@@ -521,6 +528,135 @@ def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at, K_max):
         assert est.estimates[i].tolist() == estimates
         single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)), K_max)
         assert (single.r, single.eps, single.squarings) == (r, eps, squarings)
+
+
+def oracle_bracket(M, rtol=1e-12, max_iter=20000):
+    """Power iteration on M + I from the uniform start with the
+    Collatz-Wielandt ratios over every entry, as the benchmark's oracle:
+    no trimmed lower end and no rounding allowance."""
+    x = np.full(M.shape[0], 1.0 / M.shape[0])
+    lo, hi = 0.0, np.inf
+    for _ in range(max_iter):
+        y = M @ x + x
+        ratio = y / x
+        lo, hi = max(lo, ratio.min() - 1.0), min(hi, ratio.max() - 1.0)
+        if hi - lo <= rtol * max(hi, 1e-300):
+            break
+        x = y / y.sum()
+        if not x.min() > 0.0:               # underflow on a reducible M
+            break
+    return lo, hi
+
+
+def assert_spectral_path(CM, r, eps, squarings, estimates):
+    """A bracket item (squarings 0) holds max|eig(M)| in [r - eps, r] within
+    1e-9 relative and agrees with the oracle iteration; a fallback item is
+    the Gelfand loop bit for bit.  Both stay below the max row sum."""
+    M = CM.entries
+    if squarings:
+        assert (r, eps, squarings, estimates.tolist()) == loop_spectral_radius(M)
+    else:
+        assert estimates.tolist() == [r] and 0.0 <= eps <= 2e-12 * r
+        eig = float(np.abs(np.linalg.eigvals(M)).max())
+        assert r - eps <= eig * (1.0 + 1e-9) and eig <= r * (1.0 + 1e-9)
+        lo, hi = oracle_bracket(M)
+        if hi - lo <= 1e-12 * hi:          # the plain oracle closes unless M is reducible
+            assert hi <= r * (1.0 + 1e-9) and r <= lo * (1.0 + 1e-4)
+    assert r <= max_row_sum_norm(CM) + 1e-12
+
+
+def fixed_chain(kind, p):
+    """Chains that stress the bracket: two equal rows (a kappa = 1 pair, so
+    a zero row of M), block-diagonal (closed classes of pairs), all rows
+    equal (M = 0), and a near-permutation (row x puts 1 - e_x on pi(x) and
+    spreads e_x in [1e-4, 1e-2]), whose pair eigenvalues crowd the circle
+    of radius rho, so its bracket does not close and it falls back."""
+    gen = np.random.default_rng(p)
+    if kind == "near-permutation":
+        e = gen.uniform(1e-4, 1e-2, p)
+        P = np.repeat((e / (p - 1))[:, None], p, axis=1)
+        P[np.arange(p), gen.permutation(p)] = 1.0 - e
+        return P
+    if kind == "all rows equal":
+        return np.tile(gen.dirichlet(np.full(p, 0.3)), (p, 1))
+    P = dirichlet_chain(gen, p)
+    if kind == "two equal rows":
+        P[1] = P[0]
+    else:
+        h = p // 2
+        P[:h, h:] = P[h:, :h] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 24),
+       st.sampled_from([0.05, 0.3, 1.0]))
+def test_bracket_holds_the_spectral_radius(seed, p, a):
+    M = build_coupling_matrix(StochasticMatrix(dirichlet_chain(np.random.default_rng(seed), p, a)))
+    est = spectral_radii(M.entries[None])
+    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0], est.estimates[0])
+    single = spectral_radius(M)
+    assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
+
+
+@pytest.mark.parametrize("p", [BRACKET_P_MIN, 20])
+@pytest.mark.parametrize("kind, squarings", [
+    ("two equal rows", 0), ("block-diagonal", 0), ("all rows equal", 0),
+    ("near-permutation", 20),
+])
+def test_bracket_on_fixed_chains(kind, squarings, p):
+    M = build_coupling_matrix(StochasticMatrix(fixed_chain(kind, p)))
+    est = spectral_radii(M.entries[None])
+    assert est.squarings[0] == squarings
+    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0], est.estimates[0])
+    if kind == "all rows equal":
+        assert (est.r[0], est.eps[0]) == (0.0, 0.0)
+
+
+def test_bracket_holds_a_closed_form_radius():
+    # rho(A kron J/n) = rho(A) for the averaging matrix J/n; for a positive
+    # 2 x 2 A it is (a + d)/2 + sqrt(((a - d)/2)^2 + bc), exact to a few ulps.
+    # The bracket's lower end lies below it by up to the 1e-12 closing gap,
+    # so [r - eps, r] must contain it and r may not stop at the lower end.
+    n = -(-coupling._BRACKET_MIN_DIM // 2)
+    for a, b, c, dd in ([0.5, 0.2, 0.1, 0.3], [0.05, 0.6, 0.3, 0.2], [0.7, 0.01, 0.25, 0.4]):
+        M = np.kron(np.array([[a, b], [c, dd]]), np.full((n, n), 1.0 / n))
+        rho = (a + dd) / 2 + np.sqrt(((a - dd) / 2) ** 2 + b * c)
+        est = spectral_radii(M[None])
+        assert est.squarings[0] == 0
+        assert est.r[0] - est.eps[0] <= rho * (1 + 4 * EPS) and rho * (1 - 4 * EPS) <= est.r[0]
+
+
+def test_mixed_stack_equals_its_items():
+    # bracket, fallback and M = 0 items in one stack, each as if alone
+    p = BRACKET_P_MIN
+    gen = np.random.default_rng(5)
+    chains = [dirichlet_chain(gen, p), fixed_chain("near-permutation", p),
+              fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)]
+    Ms = coupling_matrices(np.stack(chains))
+    est = spectral_radii(Ms)
+    assert est.squarings.tolist() == [0, 20, 0, 0]
+    for i, M in enumerate(Ms):
+        alone = spectral_radii(M[None])
+        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r[0], alone.eps[0],
+                                                            alone.squarings[0])
+        assert est.estimates[i].tolist() == alone.estimates[0].tolist()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3),
+       st.sampled_from([1, 2**20]))
+def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B, K_max):
+    gen = np.random.default_rng(seed)
+    Ms = coupling_matrices(np.stack([dirichlet_chain(gen, p) for _ in range(B)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
+        est = spectral_radii(Ms, K_max)
+    for i, M in enumerate(Ms):
+        r, eps, squarings, estimates = loop_spectral_radius(M, K_max)
+        assert (est.r[i], est.eps[i], est.squarings[i]) == (r, eps, squarings)
+        assert est.estimates[i].tolist() == estimates
 
 
 @settings(max_examples=15, deadline=None)
@@ -651,6 +787,16 @@ def test_lemma_check_underpowered_gate(p1_matrix):
     mu = Distribution([0.25] * 4)
     report = lemma_check(p1_matrix, mu, mu, 2, 10, rng=0)
     assert report.underpowered
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_lemma_check_rejects_samples_below_one(p1_matrix, samples):
+    mu = Distribution([0.25] * 4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        lemma_check(p1_matrix, mu, mu, 2, samples, rng)
+    assert rng.bit_generator.state == state     # raised before any draw
 
 
 def test_overlap_curve_monotone(p1_matrix):

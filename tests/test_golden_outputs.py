@@ -1,0 +1,85 @@
+"""CLI outputs against golden files in ``tests/golden/``.
+
+Each case runs one CLI command and compares every file it writes with the
+recorded one: CSV headers, JSON keys, row counts and text fields exactly,
+numbers within 1e-12 relative.  A different BLAS moves a number in its last
+bits and passes; a change in an algorithm moves it further and fails.  The
+files were written by the commands below (the output path aside) and are
+regenerated only together with a CHANGES.md entry saying which output moved
+and why.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from nmcbounds.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+REL = 1e-12
+
+# case name -> (argv with {out} for the output prefix, files written as suffixes)
+CASES = {
+    "bounds_ex1": (["bounds", "--example", "1", "--kappa", "0.1", "--out-prefix", "{out}"],
+                   ["_bounds.csv", "_coefficients.json"]),
+    "bounds_ex2": (["bounds", "--example", "2", "--kappa", "0.2", "--out-prefix", "{out}"],
+                   ["_bounds.csv", "_coefficients.json"]),
+    "coupling_check_ex1": (["coupling-check", "--example", "1", "--seed", "0",
+                            "--out", "{out}.csv"], [".csv"]),
+    "volatility_self_check": (["volatility", "--self-check", "--date-stride", "10",
+                               "--out-prefix", "{out}"], ["_comparison.csv", "_garch.csv"]),
+}
+
+
+def same_value(new, old, where):
+    if isinstance(old, bool) or old is None or isinstance(old, str):
+        assert new == old, where
+    elif isinstance(old, (int, float)):
+        assert not isinstance(new, bool) and isinstance(new, (int, float)), where
+        assert math.isclose(new, old, rel_tol=REL, abs_tol=0.0), f"{where}: {new!r} vs {old!r}"
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old), where
+        for i, (a, b) in enumerate(zip(new, old)):
+            same_value(a, b, f"{where}[{i}]")
+    else:
+        assert isinstance(new, dict) and sorted(new) == sorted(old), where
+        for key in old:
+            same_value(new[key], old[key], f"{where}.{key}")
+
+
+def csv_cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def same_csv(new_path, old_path):
+    with open(new_path, newline="", encoding="utf-8") as fh:
+        new = list(csv.reader(fh))
+    with open(old_path, newline="", encoding="utf-8") as fh:
+        old = list(csv.reader(fh))
+    assert new[0] == old[0], "header"
+    assert len(new) == len(old), "row count"
+    for i, (a, b) in enumerate(zip(new[1:], old[1:]), start=1):
+        assert len(a) == len(b), f"row {i}"
+        for column, x, y in zip(old[0], a, b):
+            same_value(csv_cell(x), csv_cell(y), f"row {i} {column}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path, capsys):
+    argv, suffixes = CASES[case]
+    out = str(tmp_path / case)
+    assert main([a.format(out=out) for a in argv]) == 0
+    capsys.readouterr()
+    for suffix in suffixes:
+        golden = GOLDEN / (case + suffix)
+        if suffix.endswith(".json"):
+            new = json.loads(Path(out + suffix).read_text(encoding="utf-8"))
+            same_value(new, json.loads(golden.read_text(encoding="utf-8")), golden.name)
+        else:
+            same_csv(out + suffix, golden)
