@@ -10,6 +10,33 @@ The EM core is batch-first: starts (``quantile_starts``, ``random_inits``)
 and fits (``fit_window_batch``) of a whole (B, T) window array are
 ``GhmmStack`` parameter stacks.  ``GhmmModel`` and ``BaumWelchFit`` are
 built only by the single-model API.
+
+Inside the core a batch is stored state-major, with the batch axis last
+and contiguous: initial, means and variances are (K, B), transitions
+(K, K, B), and emissions, alpha, beta and gamma (T, K, B).  A recursion
+step is then K-term arithmetic on length-B rows, not an einsum or a
+reduction over a short state axis.  The K-term sums keep the orders that
+numpy 2.4.6 uses for the item-major (B, K) einsums and sums the core was
+first written with, so the fits stay bit-identical to that form:
+
+- forward contraction sum_i alpha_i a_ij (einsum ``bi,bij->bj``): a chain,
+  ((p0 + p1) + p2) + ...;
+- a sum over the state axis (``.sum`` along a contiguous K axis): numpy's
+  pairwise order, which is the same chain below 8 terms (``_state_sum``);
+- backward contraction sum_j a_ij w_j (einsum ``bij,bj->bi``, contiguous
+  j): two lanes, even j and odd j, each a chain, then even + odd; at K = 3
+  that is (p0 + p2) + p1, at K = 4 (p0 + p2) + (p1 + p3), at K = 5
+  ((p0 + p2) + p4) + (p1 + p3) (``_dot_sum``, which also follows the
+  unrolled blocks of eight from 8 states on);
+- the log-likelihood sums log(scales) along a contiguous (B, T) row, since
+  numpy sums it pairwise and a strided row changes the last bits;
+- the time-axis contractions of xi_sum and the M-step stay einsums, on
+  state-major operands (``tib,tjb->ijb``, ``tkb,tb->kb``, ``tkb,tkb->kb``),
+  which add over t in the same sequential order as before.
+
+These are numpy's orders on x86-64 (baseline SIMD with two float64 lanes,
+no fused multiply-add); ``tests/test_ghmm.py`` pins them against a frozen
+copy of the item-major core.
 """
 
 from __future__ import annotations
@@ -122,56 +149,106 @@ class GhmmStack:
         return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
 
 
-def _emissions(obs2d, means, variances):
-    """Gaussian densities, shape (T, B, K); floored to avoid hard zeros.
+def _chain_sum(rows):
+    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
+    that a single row is returned as it is."""
+    if len(rows) == 1:
+        return rows[0]
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total += row
+    return total
 
-    obs2d has one column per batch model (columns may be broadcast views
-    of a shared sequence)."""
-    diff = obs2d[:, :, None] - means[None, :, :]
-    b = np.exp(-0.5 * diff * diff / variances[None, :, :])
-    b /= np.sqrt(2.0 * math.pi * variances)[None, :, :]
-    return np.maximum(b, EMISSION_FLOOR)
+
+def _state_sum(rows):
+    """Sum over the leading (state) axis in the order of numpy's pairwise
+    ``sum`` along a contiguous axis of up to 128 terms: a chain below 8
+    terms, else eight strided chains added as a tree, then the rest."""
+    n = len(rows)
+    if n < 8:
+        return _chain_sum(rows)
+    full = n - n % 8
+    acc = [_chain_sum(rows[j:full:8]) for j in range(8)]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[full:]:
+        total += row
+    return total
 
 
-def _forward_backward_batch(initial, transition, means, variances, obs2d):
-    """Scaled recursions for a batch of models, one observation column each.
+def _dot_sum(rows):
+    """Sum over the leading axis in the order of einsum's contiguous dot
+    product: two lanes, even and odd terms, each a chain that takes whole
+    blocks of eight from the top down (6, 4, 2, 0 and 7, 5, 3, 1) and the
+    remainder upward; then even lane + odd lane."""
+    n = len(rows)
+    full = n - n % 8
+    even = [rows[i + j] for i in range(0, full, 8) for j in (6, 4, 2, 0)]
+    odd = [rows[i + j] for i in range(0, full, 8) for j in (7, 5, 3, 1)]
+    total = _chain_sum(even + [rows[j] for j in range(full, n, 2)])
+    if n > 1:
+        total += _chain_sum(odd + [rows[j] for j in range(full + 1, n, 2)])
+    return total
 
-    Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (B,T),
-    emissions (T,B,K), alpha (T,B,K), beta (T,B,K)).  Each model's scales
-    form one contiguous row, so its log-likelihood is summed in the same
-    order whatever the batch size.
+
+def _emissions(obs2d, means, variances, out=None):
+    """Gaussian densities, shape (T, K, B); floored to avoid hard zeros.
+
+    obs2d is (T, B), one column per batch model (columns may be broadcast
+    views of a shared sequence); means and variances are (K, B)."""
+    diff = obs2d[:, None, :] - means
+    b = np.multiply(diff, -0.5, out=out)
+    b *= diff
+    b /= variances
+    np.exp(b, out=b)
+    b /= np.sqrt(2.0 * math.pi * variances)
+    return np.maximum(b, EMISSION_FLOOR, out=b)
+
+
+def _forward(initial, transition, means, variances, obs2d, out=None):
+    """Scaled forward pass for a batch of state-major models.
+
+    Returns (loglik (B,), alpha (T, K, B), scales (T, B), emissions
+    (T, K, B)); ``out`` optionally holds the (emissions, alpha) buffers to
+    fill.  Each model's log-likelihood sums its scales as one contiguous
+    row, in the same order whatever the batch size.
     """
     T = obs2d.shape[0]
-    B, K = means.shape
-    b = _emissions(obs2d, means, variances)
-
-    alpha = np.empty((T, B, K))
-    scales = np.empty((B, T))
+    emissions, alpha = np.empty((2, T) + means.shape) if out is None else out
+    b = _emissions(obs2d, means, variances, out=emissions)
+    scales = np.empty(obs2d.shape)
     a = initial * b[0]
-    c = a.sum(axis=1)
-    scales[:, 0] = c
-    alpha[0] = a / c[:, None]
-    for t in range(1, T):
-        a = np.einsum("bi,bij->bj", alpha[t - 1], transition) * b[t]
-        c = a.sum(axis=1)
-        scales[:, t] = c
-        alpha[t] = a / c[:, None]
+    for t in range(T):
+        if t:
+            a = _chain_sum(alpha[t - 1][:, None] * transition)   # sum_i alpha_i a_ij
+            a *= b[t]
+        scales[t] = _state_sum(a)
+        np.divide(a, scales[t], out=alpha[t])
+    loglik = np.log(np.ascontiguousarray(scales.T)).sum(axis=1)
+    return loglik, alpha, scales, b
 
-    beta = np.empty((T, B, K))
+
+def _posterior(transition, alpha, scales, emissions, beta):
+    """Scaled backward pass into the (T, K, B) buffer ``beta``; returns the
+    state posteriors gamma (T, K, B) and the expected transition counts
+    xi_sum (K, K, B)."""
+    T = alpha.shape[0]
+    b = emissions
+    by_target = np.ascontiguousarray(transition.transpose(1, 0, 2))   # [j, i] = a_ij
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         w = b[t + 1] * beta[t + 1]
-        beta[t] = np.einsum("bij,bj->bi", transition, w) / scales[:, t + 1, None]
-
+        np.divide(_dot_sum(by_target * w[:, None]), scales[t + 1], out=beta[t])
     gamma = alpha * beta
-    gamma /= gamma.sum(axis=2, keepdims=True)
+    gamma /= _state_sum(gamma.swapaxes(0, 1))[:, None]
     if T > 1:
-        w = b[1:] * beta[1:] / scales.T[1:, :, None]
-        xi_sum = np.einsum("tbi,tbj->bij", alpha[:-1], w) * transition
+        # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
+        # (Rabiner 1989, eq. 37, in the scaled variables)
+        w = b[1:] * beta[1:]
+        w /= scales[1:, None]
+        xi_sum = np.einsum("tib,tjb->ijb", alpha[:-1], w) * transition
     else:
-        xi_sum = np.zeros((B, K, K))
-    loglik = np.log(scales).sum(axis=1)
-    return loglik, gamma, xi_sum, scales, b, alpha, beta
+        xi_sum = np.zeros(transition.shape)
+    return gamma, xi_sum
 
 
 @dataclass(frozen=True)
@@ -188,16 +265,16 @@ def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
     obs = _finite_obs(np.asarray(obs, dtype=np.float64))
     if obs.ndim != 1 or obs.shape[0] < 1:
         raise ValueError("obs must be a non-empty 1-d sequence")
-    loglik, gamma, _, scales, b, alpha, beta = _forward_backward_batch(
-        *(getattr(model, name)[None] for name in _PARAMS), obs[:, None])
-    # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
-    # (Rabiner 1989, eq. 37, in the scaled variables)
-    w = b[1:, 0] * beta[1:, 0] / scales[0, 1:, None]
-    xi = alpha[:-1, 0, :, None] * model.transition * w[:, None, :]
+    params = [getattr(model, name)[..., None] for name in _PARAMS]   # one model, B = 1
+    loglik, alpha, scales, b = _forward(*params, obs[:, None])
+    beta = np.empty_like(alpha)
+    gamma, _ = _posterior(params[1], alpha, scales, b, beta)
+    w = b[1:, :, 0] * beta[1:, :, 0] / scales[1:]
+    xi = alpha[:-1, :, 0, None] * model.transition * w[:, None, :]
     pairwise = xi / xi.sum(axis=(1, 2), keepdims=True)
-    floored = bool((b[:, 0].max(axis=1) <= EMISSION_FLOOR).any())
-    return ForwardBackwardResult(float(loglik[0]), gamma[:, 0, :], pairwise,
-                                 scales[0], floored)
+    floored = bool((b.max(axis=1) <= EMISSION_FLOOR).any())
+    return ForwardBackwardResult(float(loglik[0]), gamma[:, :, 0], pairwise,
+                                 scales[:, 0], floored)
 
 
 def quantile_starts(windows, n_states: int) -> GhmmStack:
@@ -262,33 +339,35 @@ class BaumWelchFit:
 
 
 def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
-    """One batched M-step; returns updated arrays plus starvation mask.
+    """One batched M-step on state-major arrays; returns the updated
+    (K, B) initial, (K, K, B) transition, (K, B) means and variances, and
+    the (K, B) starvation mask.
 
     global_var carries each batch item's own observation variance for the
     starvation reset."""
-    B, K = means_old.shape
-    mass = gamma.sum(axis=0)                          # (B, K)
+    K = means_old.shape[0]
+    mass = gamma.sum(axis=0)                          # (K, B)
     starved = mass < STARVATION_MASS
     safe_mass = np.where(starved, 1.0, mass)
 
     initial = gamma[0].copy()
-    trans_mass = gamma[:-1].sum(axis=0) if gamma.shape[0] > 1 else np.ones((B, K))
+    trans_mass = gamma[:-1].sum(axis=0) if gamma.shape[0] > 1 else np.ones(mass.shape)
     denom = np.where(trans_mass < STARVATION_MASS, 1.0, trans_mass)
-    transition = xi_sum / denom[:, :, None]
-    row = transition.sum(axis=2, keepdims=True)
+    transition = xi_sum / denom[:, None]
+    row = _state_sum(transition.swapaxes(0, 1))[:, None]
     transition = np.where(row > 0, transition / np.maximum(row, 1e-300), 1.0 / K)
 
-    means = np.einsum("tbk,tb->bk", gamma, obs2d) / safe_mass
+    means = np.einsum("tkb,tb->kb", gamma, obs2d) / safe_mass
     means = np.where(starved, means_old, means)
-    diff = obs2d[:, :, None] - means[None, :, :]
-    variances = np.einsum("tbk,tbk->bk", gamma, diff * diff) / safe_mass
+    diff = obs2d[:, None, :] - means
+    variances = np.einsum("tkb,tkb->kb", gamma, diff * diff) / safe_mass
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
     # starved states: variance back to that item's global variance, row uniform
-    variances = np.where(starved, np.maximum(global_var[:, None], VARIANCE_FLOOR), variances)
-    transition[starved] = 1.0 / K
-    initial /= initial.sum(axis=1, keepdims=True)
-    transition /= transition.sum(axis=2, keepdims=True)
+    variances = np.where(starved, np.maximum(global_var, VARIANCE_FLOOR), variances)
+    np.copyto(transition, 1.0 / K, where=starved[:, None])
+    initial /= _state_sum(initial)
+    transition /= _state_sum(transition.swapaxes(0, 1))[:, None]
     return initial, transition, means, variances, starved
 
 
@@ -315,16 +394,23 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
         part = slice(lo, lo + _MAX_ENGINE_COLUMNS)
         obs2d = np.ascontiguousarray(windows[part].T)         # (T, chunk)
         global_var = np.maximum(windows[part].var(axis=1), VARIANCE_FLOOR)
-        initial, transition, means, variances = (getattr(inits, name)[part] for name in _PARAMS)
+        # state-major: batch axis last and contiguous
+        initial, transition, means, variances = (
+            np.ascontiguousarray(np.moveaxis(getattr(inits, name)[part], 0, -1))
+            for name in _PARAMS)
+        work = np.empty((3,) + obs2d.shape[:1] + means.shape)  # emissions, alpha, beta
         for epoch in range(epochs):
-            traces[part, epoch], gamma, xi_sum = _forward_backward_batch(
-                initial, transition, means, variances, obs2d)[:3]
-            initial, transition, means, variances, starved[part, epoch] = _mstep(
+            traces[part, epoch], alpha, scales, b = _forward(
+                initial, transition, means, variances, obs2d, out=work[:2])
+            gamma, xi_sum = _posterior(transition, alpha, scales, b, work[2])
+            initial, transition, means, variances, mask = _mstep(
                 gamma, xi_sum, obs2d, means, global_var)
-        traces[part, epochs] = _forward_backward_batch(
-            initial, transition, means, variances, obs2d)[0]
+            starved[part, epoch] = mask.T
+        # the last pass feeds only the trace, so it runs forward only
+        traces[part, epochs] = _forward(initial, transition, means, variances, obs2d,
+                                        out=work[:2])[0]
         for dst, arr in zip(fitted, (initial, transition, means, variances)):
-            dst[part] = arr
+            dst[part] = np.moveaxis(arr, -1, 0)
     return GhmmStack(*fitted), traces, starved
 
 
@@ -372,8 +458,8 @@ def viterbi(model: GhmmModel, obs) -> np.ndarray:
     if T < 1:
         raise ValueError("obs must be non-empty")
     K = model.n_states
-    log_b = np.log(_emissions(obs[:, None], model.means[None, :],
-                              model.variances[None, :])[:, 0, :])
+    log_b = np.log(_emissions(obs[:, None], model.means[:, None],
+                              model.variances[:, None])[:, :, 0])
     log_t = np.log(np.maximum(model.transition, EMISSION_FLOOR))
     delta = np.log(np.maximum(model.initial, EMISSION_FLOOR)) + log_b[0]
     back = np.empty((T, K), dtype=np.intp)

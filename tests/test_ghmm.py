@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.chain import StochasticMatrix
-from nmcbounds import ghmm
+from nmcbounds import ghmm, volatility
 from nmcbounds.ghmm import (
     EMISSION_FLOOR,
     STARVATION_MASS,
     VARIANCE_FLOOR,
     GhmmModel,
     GhmmStack,
-    _forward_backward_batch,
     fit_baum_welch,
     fit_window_batch,
     forward_backward,
@@ -25,6 +24,7 @@ from nmcbounds.ghmm import (
     sample_ghmm,
     viterbi,
 )
+from nmcbounds.signal import log_returns
 
 
 def three_state_model():
@@ -318,6 +318,58 @@ def test_random_inits_take_any_iterable_of_generators():
 # the batch-first EM core against the former per-model path
 
 
+def oracle_emissions(obs2d, means, variances):
+    """Gaussian densities, shape (T, B, K); floored to avoid hard zeros.
+
+    The EM arithmetic as first written, frozen here as the reference: an
+    item-major (B, K) layout with einsum contractions."""
+    diff = obs2d[:, :, None] - means[None, :, :]
+    b = np.exp(-0.5 * diff * diff / variances[None, :, :])
+    b /= np.sqrt(2.0 * math.pi * variances)[None, :, :]
+    return np.maximum(b, EMISSION_FLOOR)
+
+
+def oracle_forward_backward_batch(initial, transition, means, variances, obs2d):
+    """Scaled recursions for a batch of models, one observation column each.
+
+    Returns (loglik (B,), gamma (T,B,K), xi_sum (B,K,K), scales (B,T),
+    emissions (T,B,K), alpha (T,B,K), beta (T,B,K)).  Each model's scales
+    form one contiguous row, so its log-likelihood is summed in the same
+    order whatever the batch size.
+    """
+    T = obs2d.shape[0]
+    B, K = means.shape
+    b = oracle_emissions(obs2d, means, variances)
+
+    alpha = np.empty((T, B, K))
+    scales = np.empty((B, T))
+    a = initial * b[0]
+    c = a.sum(axis=1)
+    scales[:, 0] = c
+    alpha[0] = a / c[:, None]
+    for t in range(1, T):
+        a = np.einsum("bi,bij->bj", alpha[t - 1], transition) * b[t]
+        c = a.sum(axis=1)
+        scales[:, t] = c
+        alpha[t] = a / c[:, None]
+
+    beta = np.empty((T, B, K))
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        w = b[t + 1] * beta[t + 1]
+        beta[t] = np.einsum("bij,bj->bi", transition, w) / scales[:, t + 1, None]
+
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=2, keepdims=True)
+    if T > 1:
+        w = b[1:] * beta[1:] / scales.T[1:, :, None]
+        xi_sum = np.einsum("tbi,tbj->bij", alpha[:-1], w) * transition
+    else:
+        xi_sum = np.zeros((B, K, K))
+    loglik = np.log(scales).sum(axis=1)
+    return loglik, gamma, xi_sum, scales, b, alpha, beta
+
+
 def parent_quantile_init(obs, n_states, self_loop=0.8):
     """The per-sequence quantile start: one sort and one mean/var per
     np.array_split group of the 1-d sequence."""
@@ -372,16 +424,31 @@ def parent_fit_window_batch(windows, inits, epochs):
     traces = np.empty((B, epochs + 1))
     flags = [[] for _ in range(B)]
     for epoch in range(epochs):
-        loglik, gamma, xi_sum = _forward_backward_batch(
+        loglik, gamma, xi_sum = oracle_forward_backward_batch(
             initial, transition, means, variances, obs2d)[:3]
         traces[:, epoch] = loglik
         initial, transition, means, variances, starved = parent_mstep(
             gamma, xi_sum, obs2d, means, global_var)
         for bidx, k in zip(*np.nonzero(starved)):
             flags[bidx].append((epoch, int(k)))
-    traces[:, epochs] = _forward_backward_batch(initial, transition, means, variances, obs2d)[0]
+    traces[:, epochs] = oracle_forward_backward_batch(
+        initial, transition, means, variances, obs2d)[0]
     models = [GhmmModel(initial[i], transition[i], means[i], variances[i]) for i in range(B)]
     return models, traces, flags
+
+
+def oracle_fit_window_batch(windows, inits, epochs):
+    """parent_fit_window_batch with the signature and results of
+    fit_window_batch."""
+    models, traces, flags = parent_fit_window_batch(
+        windows, [inits.model(i) for i in range(len(inits))], epochs)
+    stack = GhmmStack(*(np.stack([getattr(m, name) for m in models])
+                        for name in ("initial", "transition", "means", "variances")))
+    starved = np.zeros((len(models), epochs, inits.n_states), dtype=bool)
+    for i, item in enumerate(flags):
+        for epoch, k in item:
+            starved[i, epoch, k] = True
+    return stack, traces, starved
 
 
 def obs_window(gen, kind, T):
@@ -430,6 +497,31 @@ def test_fit_window_batch_starvation_equals_per_model_path():
         assert 0 < starved.any(axis=(1, 2)).sum() < len(windows)
 
 
+@pytest.mark.parametrize("T", [1, 2])
+def test_one_and_two_step_windows_equal_per_model_path(T):
+    # T = 1 takes the xi_sum = 0 and trans_mass = 1 branches
+    gen = np.random.default_rng(T)
+    for K in (2, 3, 4, 5):
+        windows = gen.standard_normal((4, T))
+        assert_matches_parent_path(windows, GhmmStack(*valid_params(gen, 4, K)), 4)
+
+
+def test_batch_across_the_engine_column_cap_equals_per_model_path():
+    gen = np.random.default_rng(21)
+    B = ghmm._MAX_ENGINE_COLUMNS + 5
+    windows = gen.standard_normal((B, 12))
+    assert_matches_parent_path(windows, GhmmStack(*valid_params(gen, B, 2)), 2)
+
+
+@pytest.mark.parametrize("K", [7, 8, 9, 17])
+def test_fits_beyond_eight_states_equal_per_model_path(K):
+    # numpy changes its summation order at 8 terms (pairwise sums, unrolled
+    # einsum dots), so the state-axis sums must follow it there too
+    gen = np.random.default_rng(K)
+    windows = gen.standard_normal((4, 40))
+    assert_matches_parent_path(windows, GhmmStack(*valid_params(gen, 4, K)), 3)
+
+
 def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):
     gen = np.random.default_rng(4)
     windows = gen.standard_normal((7, 40))
@@ -441,6 +533,17 @@ def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):
         assert getattr(chunked[0], name).tobytes() == getattr(whole[0], name).tobytes()
     assert (chunked[2] == whole[2]).all()
     assert chunked[1].tobytes() == whole[1].tobytes()
+
+
+def test_tv_volatility_equals_the_frozen_em_oracle(monkeypatch):
+    rets = log_returns(volatility.two_regime_prices(seed=3, n_low=60, n_high=60))
+    cfg = volatility.VolatilityConfig(window_lengths=(40, 50), reps=3, seed=4, date_stride=7)
+    live = volatility.tv_volatility(rets, cfg)
+    monkeypatch.setattr(volatility, "fit_window_batch", oracle_fit_window_batch)
+    frozen = volatility.tv_volatility(rets, cfg)
+    assert live.tv_mean.tobytes() == frozen.tv_mean.tobytes()
+    assert live.tv_std.tobytes() == frozen.tv_std.tobytes()
+    assert live.quality_flags == frozen.quality_flags
 
 
 def test_trace_does_not_depend_on_the_batch(monkeypatch):
@@ -514,7 +617,7 @@ def test_stack_is_frozen_and_sized():
 def parent_forward_backward(model, obs):
     """forward_backward with its pairwise posteriors from a second forward
     pass in a Python loop."""
-    loglik, gamma, _, scales, b, _, beta = _forward_backward_batch(
+    loglik, gamma, _, scales, b, _, beta = oracle_forward_backward_batch(
         model.initial[None, :], model.transition[None], model.means[None, :],
         model.variances[None, :], obs[:, None])
     scales = scales.T
