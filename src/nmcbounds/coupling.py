@@ -29,6 +29,7 @@ d = 110.  On both paths r + eps bounds rho from above; on the bracket path
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,7 @@ from .errors import DimensionMismatchError
 from .rng import as_generator
 
 _ONE_TOL = 1e-12    # row overlaps / overlap masses this close to 1 are treated as 1
-TV_THRESHOLD = 0.02     # lemma_check: max marginal TV of the sampled pairs
-Q_THRESHOLD = 0.01      # lemma_check: max |empirical - exact| equality frequency
+LEMMA_DELTA = 1e-6      # lemma_check: false-alarm probability of each tolerance check
 _BRACKET_MIN_DIM = 100  # spectral_radii: smallest d that takes the bracket path (measured cutover)
 _BRACKET_RTOL = 1e-12   # the bracket closes when hi - lo <= _BRACKET_RTOL * hi
 _BRACKET_BUDGET = 10    # bracket steps per row of M: about the 40 d^3 flops of 20 squarings
@@ -498,6 +498,22 @@ class LemmaCheckReport:
                    float(self.q_exact[i]), float(self.q_empirical[i]))
 
 
+def lemma_tolerances(p: int, samples: int) -> tuple[float, float]:
+    """Monte-Carlo tolerances of ``lemma_check`` at false-alarm level
+    ``LEMMA_DELTA`` per check, for ``samples`` draws on p states.
+
+    TV: the L1 deviation of an empirical law of n draws on p states
+    exceeds eps with probability at most (2^p - 2) exp(-n eps^2 / 2)
+    (Weissman et al. 2003), so eps = sqrt(2 (p ln 2 + ln(1/delta)) / n).
+    q: the equality frequency is a mean of n Bernoulli(q_t) draws, so by
+    Hoeffding eps = sqrt(ln(2/delta) / (2 n)).  Both shrink as 1/sqrt(n):
+    0.018 and 0.0085 at p = 4, n = 100000.
+    """
+    tv_tol = math.sqrt(2.0 * (p * math.log(2.0) + math.log(1.0 / LEMMA_DELTA)) / samples)
+    q_tol = math.sqrt(math.log(2.0 / LEMMA_DELTA) / (2.0 * samples))
+    return tv_tol, q_tol
+
+
 def lemma_check(
     P: StochasticMatrix,
     mu0: Distribution,
@@ -512,9 +528,10 @@ def lemma_check(
     exact laws (mu_t, nu_t): common draw from the overlap law with
     probability q_t, independent residual draws otherwise.  The sampled
     marginals must reproduce the laws and the equality frequency must
-    match q_t; both are binomial-accurate, so thresholds are plain
-    Monte-Carlo tolerances (TV_THRESHOLD, Q_THRESHOLD); fewer than 1000
-    samples marks the report underpowered.
+    match q_t; both are binomial-accurate, so the thresholds are
+    Monte-Carlo tolerances that shrink with the sample count
+    (``lemma_tolerances``); fewer than 1000 samples marks the report
+    underpowered.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -540,10 +557,11 @@ def lemma_check(
         q_emp[t] = float((x1 == x2).mean())
 
     meet_gap = q_exact - pairchain_meet_curve(P, mu0, nu0, n)
+    tv_tol, q_tol = lemma_tolerances(p, samples)
     passed = bool(
-        tv1.max() <= TV_THRESHOLD
-        and tv2.max() <= TV_THRESHOLD
-        and np.abs(q_emp - q_exact).max() <= Q_THRESHOLD
+        tv1.max() <= tv_tol
+        and tv2.max() <= tv_tol
+        and np.abs(q_emp - q_exact).max() <= q_tol
     )
     return LemmaCheckReport(
         steps=np.arange(n + 1), tv1=tv1, tv2=tv2, q_exact=q_exact,

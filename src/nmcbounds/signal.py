@@ -9,6 +9,9 @@ moments) embedded as constants.  Two boundary modes are supported:
 * ``symmetric``: half-sample symmetric extension with a slightly
   redundant coefficient set.  Reconstruction is exact; energy is not
   preserved (the frame is overcomplete).
+
+scipy is imported at its call sites, ``scipy.special`` inside ``ks_test``
+and ``ljung_box``, so importing this module (and the CLI) loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from datetime import date as _date
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import PriceDataError
 
@@ -369,13 +371,15 @@ def ks_test(x) -> KsResult:
     std = v.std(ddof=1)
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
+    from scipy import special
+
     z = np.sort((v - mean) / std)
-    cdf = _special.ndtr(z)
+    cdf = special.ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()
     d_minus = (cdf - (i - 1) / n).max()
     stat = float(max(d_plus, d_minus))
-    p = float(_special.kolmogorov(math.sqrt(n) * stat))
+    p = float(special.kolmogorov(math.sqrt(n) * stat))
     return KsResult(stat, p, significance_stars(p))
 
 
@@ -402,5 +406,7 @@ def ljung_box(x, max_lag: int = 12) -> LjungBoxResult:
         rho = float((c[k:] * c[:-k]).sum()) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
-    p = float(_special.gammaincc(max_lag / 2.0, q / 2.0))   # chi-square survival
+    from scipy import special
+
+    p = float(special.gammaincc(max_lag / 2.0, q / 2.0))   # chi-square survival
     return LjungBoxResult(q, p, significance_stars(p), max_lag)

@@ -13,6 +13,11 @@ slot from one quantile sort of the date windows, one ``fit_window_batch``
 call fits them all, and one pass of the batched coupling operator bounds
 the fitted transition stack; the starvation mask becomes the per-date
 quality flags.  No per-slot model object is built.
+
+scipy is imported at its call sites: ``scipy.optimize`` inside
+``fit_garch11`` and ``scipy.signal`` inside ``_variance_path``, so importing
+this module (and the CLI) loads no scipy; a process pays for it at its first
+GARCH fit or variance path.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from datetime import date as _date
 from datetime import timedelta
 
 import numpy as np
-from scipy import optimize as _optimize
-from scipy import signal as _scipy_signal
 
 from .coupling import coupling_matrices, spectral_radii
 from .errors import AlignmentError
@@ -181,8 +184,10 @@ def _variance_path(mu, omega, alpha1, beta1, r):
     h0 = float(r.var())
     if r.shape[0] == 1:
         return np.array([h0]), e2
+    from scipy.signal import lfilter
+
     x = omega + alpha1 * e2[:-1]
-    tail = _scipy_signal.lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * h0])[0]
+    tail = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * h0])[0]
     return np.concatenate(([h0], tail)), e2
 
 
@@ -231,6 +236,8 @@ def fit_garch11(returns) -> GarchFit:
     if var == 0.0:
         raise ValueError("degenerate returns: zero variance")
 
+    from scipy import optimize
+
     def logit(x):
         return math.log(x / (1.0 - x))
 
@@ -240,13 +247,13 @@ def fit_garch11(returns) -> GarchFit:
             float(r.mean()), math.log(var * (1.0 - rho0)), logit(rho0), logit(frac0)]))
     best = None
     for x0 in starts:
-        res = _optimize.minimize(
+        res = optimize.minimize(
             _garch_nll, x0, args=(r,), method="Nelder-Mead",
             options={"maxiter": 6000, "xatol": 1e-8, "fatol": 1e-10})
         if best is None or res.fun < best.fun:
             best = res
     # polish from the winner
-    res = _optimize.minimize(
+    res = optimize.minimize(
         _garch_nll, best.x, args=(r,), method="Nelder-Mead",
         options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12})
     if res.fun > best.fun:

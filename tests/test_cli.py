@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmcbounds
 from nmcbounds.cli import main
 from nmcbounds.experiments import parse_report
 
@@ -241,3 +244,72 @@ def test_bounds_rejects_kernel_invalid_kappa(tmp_path, capsys):
     assert code == 2
     assert "validation" in err
     assert not (tmp_path / "bad_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("example, kappa, seed", [("1", "0.1", "1"), ("1", "0.1", "2"),
+                                                  ("1", "0.1", "3"), ("2", "0.2", "0")])
+def test_coupling_check_passes_correct_coupling_at_5000_samples(tmp_path, capsys,
+                                                                example, kappa, seed):
+    code, stdout, _ = run_cli(["coupling-check", "--example", example, "--kappa", kappa,
+                               "--samples", "5000", "--seed", seed,
+                               "--out", str(tmp_path / "cc.csv")], capsys)
+    assert code == 0
+    assert stdout.startswith("coupling check: pass")
+
+
+# Cold start: the pytest process already holds scipy (test_ghmm imports
+# scipy.stats), so what a fresh interpreter loads is checked in a subprocess.
+
+COLD_RUN = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import nmcbounds, nmcbounds.cli
+seen = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    code = nmcbounds.cli.main(argv)
+    seen[argv[0]] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def run_cold(args, cwd):
+    src = str(Path(nmcbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=300)
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    commands = [
+        ["bounds", "--example", "1", "--steps", "3", "--out-prefix", str(tmp_path / "b")],
+        ["simulate", "--example", "2", "--trials", "20", "--steps", "3",
+         "--out", str(tmp_path / "s.csv")],
+        ["coupling-check", "--example", "1", "--samples", "2000", "--steps", "2",
+         "--out", str(tmp_path / "cc.csv")],
+    ]
+    proc = run_cold(["-c", COLD_RUN, json.dumps(commands)], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "bounds": [0, []], "simulate": [0, []],
+                    "coupling-check": [0, []]}
+
+
+@pytest.mark.parametrize("command", ["stats", "volatility"])
+def test_cold_scipy_commands_match_in_process(tmp_path, capsys, command):
+    if command == "stats":
+        prices = make_price_csv(tmp_path / "prices.csv", n=300, seed=5)
+        outputs = ["{}.csv"]
+        argv = ["stats", "--prices", str(prices), "--out", "{}.csv"]
+    else:
+        outputs = ["{}_comparison.csv", "{}_garch.csv"]
+        argv = ["volatility", "--self-check", "--reps", "1", "--window-min", "60",
+                "--window-max", "60", "--date-stride", "30", "--out-prefix", "{}"]
+    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+    proc = run_cold(["-m", "nmcbounds.cli"] + [a.format(cold) for a in argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, _, _ = run_cli([a.format(warm) for a in argv], capsys)
+    assert code == 0
+    for name in outputs:
+        assert Path(name.format(cold)).read_bytes() == Path(name.format(warm)).read_bytes()

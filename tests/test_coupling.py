@@ -8,11 +8,13 @@ from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs
 from nmcbounds.coupling import (
     CouplingMatrix,
     CouplingState,
+    SplitLaws,
     build_coupling_matrix,
     coupling_matrices,
     exact_laws,
     kappa,
     lemma_check,
+    lemma_tolerances,
     marginal_kernels,
     max_row_sum_norm,
     overlap_curve,
@@ -773,6 +775,47 @@ def test_lemma_check_example1(p1_matrix):
     # the stepwise pair chain systematically lags the overlap
     assert report.pairchain_meet_gap.min() >= -1e-12
     assert report.pairchain_meet_gap[1] > 0.01
+
+
+def test_lemma_tolerances_shrink_with_samples():
+    tv, q = lemma_tolerances(4, 100_000)
+    assert tv == pytest.approx(0.0182, abs=1e-4) and q == pytest.approx(0.0085, abs=1e-4)
+    tv, q = lemma_tolerances(4, 5000)
+    assert tv == pytest.approx(0.0815, abs=1e-4) and q == pytest.approx(0.0381, abs=1e-4)
+    # a quarter of the samples doubles both tolerances
+    assert lemma_tolerances(4, 1250) == pytest.approx((2 * tv, 2 * q), rel=1e-12)
+    assert lemma_tolerances(8, 5000)[0] > lemma_tolerances(4, 5000)[0]
+    assert lemma_tolerances(8, 5000)[1] == lemma_tolerances(4, 5000)[1]
+
+
+_draw_split = coupling._draw_split     # the real sampler, kept before a test patches it
+
+
+def _residual_draws(laws, size, rng):
+    """Broken coupling: never draws from the overlap law, so x1 != x2 always."""
+    return _draw_split(SplitLaws(laws.eta1, laws.eta2, laws.xi, 0.0), size, rng)
+
+
+def _independent_draws(laws, size, rng):
+    """Broken coupling: exact marginals, drawn independently of each other."""
+    mu = Distribution(laws.q * laws.xi.probs + (1.0 - laws.q) * laws.eta1.probs)
+    nu = Distribution(laws.q * laws.xi.probs + (1.0 - laws.q) * laws.eta2.probs)
+    return _draw_split(SplitLaws(mu, nu, mu, 0.0), size, rng)
+
+
+@pytest.mark.parametrize("draws", [_residual_draws, _independent_draws],
+                         ids=["residual", "independent"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma_check_fails_a_broken_coupling(p1_matrix, monkeypatch, draws, seed):
+    monkeypatch.setattr(coupling, "_draw_split", draws)
+    report = lemma_check(p1_matrix, Distribution([1, 0, 0, 0]),
+                         Distribution([0.25] * 4), 5, 5000, rng=seed)
+    assert not report.underpowered and not report.passed
+    assert report.q_exact[1:].min() > 0.8
+    assert report.q_empirical.max() < (0.01 if draws is _residual_draws else 0.3)
+    if draws is _independent_draws:
+        # the marginals pass, so the equality-frequency check alone fails it
+        assert max(report.tv1.max(), report.tv2.max()) <= lemma_tolerances(4, 5000)[0]
 
 
 def test_lemma_check_identity_disjoint():
