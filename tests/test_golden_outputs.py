@@ -6,7 +6,8 @@ numbers within 1e-12 relative.  A different BLAS moves a number in its last
 bits and passes; a change in an algorithm moves it further and fails.  The
 files were written by the commands below (the output path aside) and are
 regenerated only together with a CHANGES.md entry saying which output moved
-and why.
+and why.  ``two_regime_prices.csv`` is the input of the price cases:
+``volatility.two_regime_prices(5, 300, 300)`` written with ``repr`` floats.
 """
 
 import csv
@@ -20,6 +21,7 @@ from nmcbounds.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 REL = 1e-12
+PRICES = str(GOLDEN / "two_regime_prices.csv")
 
 # case name -> (argv with {out} for the output prefix, files written as suffixes)
 CASES = {
@@ -29,6 +31,10 @@ CASES = {
                    ["_bounds.csv", "_coefficients.json"]),
     "coupling_check_ex1": (["coupling-check", "--example", "1", "--seed", "0",
                             "--out", "{out}.csv"], [".csv"]),
+    "stats_prices": (["stats", "--prices", PRICES, "--out", "{out}.csv"], [".csv"]),
+    "volatility_prices": (["volatility", "--prices", PRICES, "--date-stride", "10",
+                           "--reps", "3", "--out-prefix", "{out}"],
+                          ["_comparison.csv", "_garch.csv"]),
     "volatility_self_check": (["volatility", "--self-check", "--date-stride", "10",
                                "--out-prefix", "{out}"], ["_comparison.csv", "_garch.csv"]),
 }
