@@ -2,14 +2,14 @@
 descriptive-statistics table for raw returns, denoised returns and the
 removed noise."""
 
-from nmcbounds import WaveletSpec, denoise, descriptive_stats, ks_test, ljung_box, log_returns
+from nmcbounds import denoise, descriptive_stats, ks_test, ljung_box, log_returns
 from nmcbounds.volatility import two_regime_prices
 
 prices = two_regime_prices(seed=1, n_low=377, n_high=377)  # 754 prices
 print(f"{len(prices)} synthetic daily prices, first {prices.close[0]:.2f}, "
       f"last {prices.close[-1]:.2f}")
 
-result = denoise(prices, WaveletSpec())
+result = denoise(prices)
 print(f"universal threshold {result.threshold:.4f} (sigma {result.sigma:.4f})")
 
 rows = {

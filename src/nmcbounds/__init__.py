@@ -20,14 +20,11 @@ from .chain import (
 )
 from .coupling import (
     CouplingMatrix,
-    CouplingState,
     build_coupling_matrix,
     coupling_matrices,
     kappa,
     lemma_check,
-    marginal_kernels,
     max_row_sum_norm,
-    overlap_q,
     sample_coupled_pair,
     simulate_coupled_chain,
     spectral_radii,
@@ -59,7 +56,6 @@ from .experiments import (
 from .signal import (
     PriceSeries,
     ReturnSeries,
-    WaveletSpec,
     denoise,
     descriptive_stats,
     dwt,
@@ -74,7 +70,6 @@ from .ghmm import (
     fit_baum_welch,
     forward_backward,
     sample_ghmm,
-    viterbi,
 )
 from .volatility import (
     GarchModel,

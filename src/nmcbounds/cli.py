@@ -121,8 +121,7 @@ def _stats_rows(label: str, series) -> list:
 
 def cmd_stats(args) -> int:
     prices = signal_mod.load_prices(args.prices, args.date_col, args.price_col)
-    spec = signal_mod.WaveletSpec()
-    den = signal_mod.denoise(prices, spec)
+    den = signal_mod.denoise(prices)
     raw_returns = signal_mod.log_returns(prices)
     den_returns = signal_mod.log_returns(den.denoised)
     columns = ["type", "mean", "std", "skewness", "kurtosis",
@@ -142,6 +141,11 @@ def cmd_stats(args) -> int:
 
 
 def _volatility_config(args) -> vol_mod.VolatilityConfig:
+    if args.window_step < 1:
+        raise ValueError(f"--window-step must be >= 1, got {args.window_step}")
+    if args.window_min > args.window_max:
+        raise ValueError(f"--window-min ({args.window_min}) must be <= "
+                         f"--window-max ({args.window_max})")
     lengths = tuple(range(args.window_min, args.window_max + 1, args.window_step))
     return vol_mod.VolatilityConfig(
         window_lengths=lengths, reps=args.reps, n_states=args.states,
@@ -159,10 +163,11 @@ def cmd_volatility(args) -> int:
         returns = signal_mod.log_returns(prices)
     else:
         prices = signal_mod.load_prices(args.prices, args.date_col, args.price_col)
-        boundary = None
-        den = signal_mod.denoise(prices, signal_mod.WaveletSpec())
+        den = signal_mod.denoise(prices)
         returns = signal_mod.log_returns(den.denoised)
     tv = vol_mod.tv_volatility(returns, cfg)
+    # checked before any file is written, so a failing check leaves no CSV
+    check = vol_mod.variance_break_check(tv, returns, boundary - 1) if args.self_check else None
     garch = vol_mod.fit_garch11(returns)
     sigma = vol_mod.garch_conditional_vol(garch.model, returns)
     table = vol_mod.comparison_table(returns, tv, sigma)
@@ -179,8 +184,7 @@ def cmd_volatility(args) -> int:
         print(f"  {name:>7}: coef {coef: .4e}  std err {se: .4e}  t {t: .2f}")
     if garch.boundary_flag:
         print("  note: persistence near the unit boundary", file=sys.stderr)
-    if args.self_check:
-        check = vol_mod.variance_break_check(tv, returns, boundary - 1)
+    if check is not None:
         print(f"self-check: baseline {check.mean_low:.4f} break plateau "
               f"{check.mean_plateau:.4f} (half medians {check.median_plateau_early:.4f} "
               f"{check.median_plateau_late:.4f}) tail {check.mean_tail:.4f} "

@@ -9,10 +9,9 @@ pairs form a sub-stochastic matrix whose spectral radius sets the
 geometric rate of convergence in total variation.
 
 The construction has one split and one sampler: ``split_densities`` alone
-forms the overlap and residual laws (``marginal_kernels`` splits two rows),
-and ``_draw_split`` makes every joint draw, one pair at a time for
-``sample_coupled_pair`` and ``simulate_coupled_chain``, a whole sample per
-step for ``lemma_check``.
+forms the overlap and residual laws, and ``_draw_split`` makes every joint
+draw, one pair at a time for ``sample_coupled_pair`` and
+``simulate_coupled_chain``, a whole sample per step for ``lemma_check``.
 
 The coupling operator is batch-first: ``coupling_matrices`` builds the pair
 matrices of a (B, p, p) stack of transition matrices and ``spectral_radii``
@@ -44,13 +43,6 @@ _BRACKET_MIN_DIM = 100  # spectral_radii: smallest d that takes the bracket path
 _BRACKET_RTOL = 1e-12   # the bracket closes when hi - lo <= _BRACKET_RTOL * hi
 _BRACKET_BUDGET = 10    # bracket steps per row of M: about the 40 d^3 flops of 20 squarings
 _NEGLIGIBLE = 1e-8      # iterate entries below this share of the largest leave the lower end
-
-
-def overlap_q(mu: Distribution, nu: Distribution) -> float:
-    """Overlap mass sum_x min(mu(x), nu(x)) = 1 - TV/2, in [0, 1]."""
-    if mu.p != nu.p:
-        raise DimensionMismatchError(f"dimension mismatch: {mu.p} vs {nu.p}")
-    return float(np.minimum(mu.probs, nu.probs).sum())
 
 
 @dataclass(frozen=True)
@@ -90,47 +82,6 @@ def split_densities(mu: Distribution, nu: Distribution) -> SplitLaws:
 def kappa(P: StochasticMatrix, x1: int, x2: int) -> float:
     """Row overlap sum_y min(P(x1,y), P(x2,y))."""
     return float(np.minimum(P.entries[x1], P.entries[x2]).sum())
-
-
-@dataclass(frozen=True)
-class CouplingState:
-    """Current quadruple of the coupled construction (0-based states)."""
-
-    eta1: int
-    eta2: int
-    xi: int
-    zeta: int
-
-    def __post_init__(self):
-        if self.zeta not in (0, 1):
-            raise ValueError("zeta must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class MarginalKernels:
-    """One-step laws of the four coordinates given the current quadruple.
-
-    ``zeta_law`` is over {0, 1} as [P(next=0), P(next=1)].
-    """
-
-    eta1_law: Distribution
-    eta2_law: Distribution
-    xi_law: Distribution
-    zeta_law: np.ndarray
-    kappa: float
-
-
-def marginal_kernels(P: StochasticMatrix, s: CouplingState) -> MarginalKernels:
-    """Transition laws of (eta1, eta2, xi, zeta) from state ``s``: the split
-    of rows eta1 and eta2 (see ``split_densities``).
-
-    zeta = 0 is absorbing and makes xi carry the merged chain; kappa = 0
-    leaves no overlap to land in, so xi then also moves as the base chain.
-    """
-    laws = split_densities(P.row(s.eta1), P.row(s.eta2))
-    zeta_law = np.array([1.0, 0.0] if s.zeta == 0 else [laws.q, 1.0 - laws.q])
-    xi_law = P.row(s.xi) if s.zeta == 0 or laws.q <= 0.0 else laws.xi
-    return MarginalKernels(laws.eta1, laws.eta2, xi_law, zeta_law, laws.q)
 
 
 def _draw_split(laws: SplitLaws, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

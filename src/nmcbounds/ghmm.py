@@ -1,5 +1,5 @@
-"""Gaussian hidden Markov models: scaled forward-backward, Baum-Welch,
-sampling and Viterbi decoding.
+"""Gaussian hidden Markov models: scaled forward-backward, Baum-Welch and
+sampling.
 
 Emissions are univariate Gaussians, one (mean, variance) pair per hidden
 state.  Training runs a fixed number of EM epochs with no early stopping;
@@ -41,7 +41,6 @@ copy of the item-major core.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -103,25 +102,6 @@ class GhmmModel:
     @property
     def n_states(self) -> int:
         return self.initial.shape[0]
-
-    def to_json(self, path) -> None:
-        doc = {
-            "n_states": self.n_states,
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "GhmmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(np.asarray(doc["initial"]), np.asarray(doc["transition"]),
-                   np.asarray(doc["means"]), np.asarray(doc["variances"]))
 
 
 @dataclass(frozen=True)
@@ -449,26 +429,3 @@ def sample_ghmm(model: GhmmModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         states[t] = rng.choice(K, p=model.transition[states[t - 1]])
     obs = rng.normal(model.means[states], np.sqrt(model.variances[states]))
     return states, obs
-
-
-def viterbi(model: GhmmModel, obs) -> np.ndarray:
-    """Most probable hidden path (log domain, ties toward lower index)."""
-    obs = _finite_obs(np.asarray(obs, dtype=np.float64))
-    T = obs.shape[0]
-    if T < 1:
-        raise ValueError("obs must be non-empty")
-    K = model.n_states
-    log_b = np.log(_emissions(obs[:, None], model.means[:, None],
-                              model.variances[:, None])[:, :, 0])
-    log_t = np.log(np.maximum(model.transition, EMISSION_FLOOR))
-    delta = np.log(np.maximum(model.initial, EMISSION_FLOOR)) + log_b[0]
-    back = np.empty((T, K), dtype=np.intp)
-    for t in range(1, T):
-        cand = delta[:, None] + log_t
-        back[t] = cand.argmax(axis=0)
-        delta = cand[back[t], np.arange(K)] + log_b[t]
-    path = np.empty(T, dtype=np.intp)
-    path[T - 1] = int(delta.argmax())
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return path

@@ -1,14 +1,9 @@
 """Price ingestion, db8 wavelet denoising, log returns and return statistics.
 
 The wavelet transform ships its own 16-tap Daubechies filter (8 vanishing
-moments) embedded as constants.  Two boundary modes are supported:
-
-* ``periodization`` (default): circular transform, odd-length levels are
-  zero-padded.  The map is orthonormal, so reconstruction is exact and
-  coefficient energy equals signal energy.
-* ``symmetric``: half-sample symmetric extension with a slightly
-  redundant coefficient set.  Reconstruction is exact; energy is not
-  preserved (the frame is overcomplete).
+moments) embedded as constants.  It is periodized: a circular transform
+whose odd-length levels are zero-padded.  The map is orthonormal, so
+reconstruction is exact and coefficient energy equals signal energy.
 
 scipy is imported at its call sites, ``scipy.special`` inside ``ks_test``
 and ``ljung_box``, so importing this module (and the CLI) loads no scipy.
@@ -18,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import date as _date
 
@@ -49,14 +43,9 @@ DB8_DEC_LO = np.array([
     0.05441584224310400995500941,
 ])
 DB8_DEC_LO.flags.writeable = False
-
-_FAMILIES = {"db8": DB8_DEC_LO, "db8-16tap": DB8_DEC_LO}
-
-
-def quadrature_mirror(h: np.ndarray) -> np.ndarray:
-    """High-pass filter g[n] = (-1)^n h[L-1-n]."""
-    L = len(h)
-    return np.array([(-1.0) ** n * h[L - 1 - n] for n in range(L)])
+# the quadrature mirror high-pass filter g[n] = (-1)^n h[L-1-n]
+DB8_DEC_HI = (-1.0) ** np.arange(DB8_DEC_LO.shape[0]) * DB8_DEC_LO[::-1]
+DB8_DEC_HI.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -137,38 +126,12 @@ def load_prices(path, date_col: str = "date", price_col: str = "adj_close") -> P
     if len(rows) < 2:
         raise PriceDataError("need at least 2 price rows")
     seen = {}
-    for i, (day, _) in enumerate(rows):
+    for i, (day, _) in enumerate(rows, start=2):
         if day in seen:
             raise PriceDataError(f"duplicate date {day} (rows {seen[day]} and {i})")
         seen[day] = i
     rows.sort(key=lambda r: r[0])
     return PriceSeries(tuple(r[0] for r in rows), np.array([r[1] for r in rows]))
-
-
-@dataclass(frozen=True)
-class WaveletSpec:
-    family: str = "db8"
-    levels: int | None = None            # None: min(4, floor(log2(N/15)))
-    threshold: str = "soft"              # "soft" or "none"
-    boundary: str = "periodization"      # "periodization" or "symmetric"
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown wavelet family {self.family!r}")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.threshold not in ("soft", "none"):
-            raise ValueError("threshold must be 'soft' or 'none'")
-        if self.boundary not in ("periodization", "symmetric"):
-            raise ValueError("boundary must be 'periodization' or 'symmetric'")
-
-    @property
-    def dec_lo(self) -> np.ndarray:
-        return _FAMILIES[self.family]
-
-    @property
-    def dec_hi(self) -> np.ndarray:
-        return quadrature_mirror(self.dec_lo)
 
 
 @dataclass
@@ -178,8 +141,6 @@ class WaveletPyramid:
     approx: np.ndarray
     details: list
     level_lengths: list      # input length at each level (for inversion)
-    spec: WaveletSpec
-    length: int
 
     def coefficient_energy(self) -> float:
         return float((self.approx ** 2).sum() + sum((d ** 2).sum() for d in self.details))
@@ -189,84 +150,48 @@ def _auto_levels(n: int) -> int:
     return max(1, min(4, int(math.floor(math.log2(n / 15.0)))))
 
 
-def _dwt_level_per(x, h, g):
+def _dwt_level(x):
     n = x.shape[0]
     if n % 2:
         x = np.append(x, 0.0)
     n2 = x.shape[0]
-    idx = (2 * np.arange(n2 // 2)[:, None] + np.arange(h.shape[0])[None, :]) % n2
+    idx = (2 * np.arange(n2 // 2)[:, None] + np.arange(DB8_DEC_LO.shape[0])[None, :]) % n2
     seg = x[idx]
-    return seg @ h, seg @ g
+    return seg @ DB8_DEC_LO, seg @ DB8_DEC_HI
 
 
-def _idwt_level_per(a, d, h, g, n_orig):
+def _idwt_level(a, d, n_orig):
     n2 = 2 * a.shape[0]
-    idx = (2 * np.arange(a.shape[0])[:, None] + np.arange(h.shape[0])[None, :]) % n2
+    idx = (2 * np.arange(a.shape[0])[:, None] + np.arange(DB8_DEC_LO.shape[0])[None, :]) % n2
     x = np.zeros(n2)
-    np.add.at(x, idx, a[:, None] * h[None, :] + d[:, None] * g[None, :])
+    np.add.at(x, idx, a[:, None] * DB8_DEC_LO[None, :] + d[:, None] * DB8_DEC_HI[None, :])
     return x[:n_orig]
 
 
-def _dwt_level_sym(x, h, g):
-    L = h.shape[0]
-    n = x.shape[0]
-    na = (n + L) // 2
-    ext = np.pad(x, (L - 1, L - 1), mode="symmetric")
-    a = np.convolve(ext, h[::-1], "valid")[::2][:na]
-    d = np.convolve(ext, g[::-1], "valid")[::2][:na]
-    return a, d
-
-
-def _idwt_level_sym(a, d, h, g, n_orig):
-    L = h.shape[0]
-    ua = np.zeros(2 * a.shape[0])
-    ua[::2] = a
-    ud = np.zeros(2 * d.shape[0])
-    ud[::2] = d
-    y = np.convolve(ua, h) + np.convolve(ud, g)
-    return y[L - 1:L - 1 + n_orig]
-
-
-def dwt(x, spec: WaveletSpec | None = None) -> WaveletPyramid:
-    """Multi-level analysis; levels shrink until the filter no longer fits.
-
-    A requested depth that outruns the data is reduced with a warning
-    rather than rejected.
-    """
-    spec = spec or WaveletSpec()
+def dwt(x) -> WaveletPyramid:
+    """Multi-level periodized analysis, min(4, floor(log2(N / 15))) levels
+    (at least one); every level's input holds at least 16 samples."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("dwt expects a 1-d sequence")
-    L = spec.dec_lo.shape[0]
+    L = DB8_DEC_LO.shape[0]
     if x.shape[0] < L:
         raise ValueError(f"series of length {x.shape[0]} is shorter than the filter ({L})")
-    levels = spec.levels if spec.levels is not None else _auto_levels(x.shape[0])
-    h, g = spec.dec_lo, spec.dec_hi
-    step = _dwt_level_per if spec.boundary == "periodization" else _dwt_level_sym
     approx = x
     details = []
     lengths = []
-    done = 0
-    for _ in range(levels):
-        if approx.shape[0] < L:
-            warnings.warn(
-                f"level reduced to {done}: next level would need >= {L} samples")
-            break
+    for _ in range(_auto_levels(x.shape[0])):
         lengths.append(approx.shape[0])
-        approx, d = step(approx, h, g)
+        approx, d = _dwt_level(approx)
         details.append(d)
-        done += 1
-    return WaveletPyramid(approx, details, lengths, spec, x.shape[0])
+    return WaveletPyramid(approx, details, lengths)
 
 
 def idwt(pyramid: WaveletPyramid) -> np.ndarray:
-    """Exact inverse of dwt for both boundary modes."""
-    spec = pyramid.spec
-    h, g = spec.dec_lo, spec.dec_hi
-    step = _idwt_level_per if spec.boundary == "periodization" else _idwt_level_sym
+    """Exact inverse of dwt."""
     x = pyramid.approx
     for d, n_orig in zip(reversed(pyramid.details), reversed(pyramid.level_lengths)):
-        x = step(x, d, h, g, n_orig)
+        x = _idwt_level(x, d, n_orig)
     return x
 
 
@@ -282,22 +207,17 @@ class DenoiseResult:
     sigma: float
 
 
-def denoise(prices: PriceSeries, spec: WaveletSpec | None = None) -> DenoiseResult:
+def denoise(prices: PriceSeries) -> DenoiseResult:
     """Universal soft-threshold wavelet shrinkage of the price path.
 
     sigma is the MAD of the finest detail band over 0.6745; the threshold
-    is sigma * sqrt(2 ln N).  threshold="none" reproduces the input (up to
-    transform roundtrip error).
+    is sigma * sqrt(2 ln N).
     """
-    spec = spec or WaveletSpec()
     x = prices.close
-    pyr = dwt(x, spec)
-    t = 0.0
-    sigma = 0.0
-    if spec.threshold == "soft":
-        sigma = float(np.median(np.abs(pyr.details[0])) / 0.6745)
-        t = sigma * math.sqrt(2.0 * math.log(x.shape[0]))
-        pyr.details = [soft_threshold(d, t) for d in pyr.details]
+    pyr = dwt(x)
+    sigma = float(np.median(np.abs(pyr.details[0])) / 0.6745)
+    t = sigma * math.sqrt(2.0 * math.log(x.shape[0]))
+    pyr.details = [soft_threshold(d, t) for d in pyr.details]
     y = idwt(pyr)
     if y.min() <= 0.0:
         raise PriceDataError("denoised prices are not positive; lower the threshold")

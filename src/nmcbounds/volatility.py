@@ -62,6 +62,8 @@ class VolatilityConfig:
             raise ValueError(f"reps must be < {_SEED_L_SHIFT}")
         if self.n_states < 2:
             raise ValueError("n_states must be >= 2")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.date_stride < 1:
             raise ValueError("date_stride must be >= 1")
         object.__setattr__(self, "window_lengths", tuple(sorted(self.window_lengths)))

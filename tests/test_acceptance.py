@@ -17,7 +17,7 @@ from nmcbounds.chain import Distribution, StochasticMatrix, flow_batch, stationa
 from nmcbounds.coupling import build_coupling_matrix, lemma_check, spectral_radius
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 from nmcbounds.ghmm import GhmmModel, fit_baum_welch, sample_ghmm
-from nmcbounds.signal import WaveletSpec, dwt, idwt, ljung_box, log_returns
+from nmcbounds.signal import dwt, idwt, ljung_box, log_returns
 from nmcbounds.volatility import (
     VolatilityConfig,
     fit_garch11,
@@ -145,7 +145,7 @@ def test_criterion_09_wavelet_roundtrip_energy():
     worst_en = 0.0
     for n in lengths:
         x = gen.standard_normal(int(n))
-        pyr = dwt(x, WaveletSpec())
+        pyr = dwt(x)
         rt = np.abs(idwt(pyr) - x).max() / np.abs(x).max()
         en = abs(pyr.coefficient_energy() - (x ** 2).sum()) / (x ** 2).sum()
         worst_rt = max(worst_rt, rt)

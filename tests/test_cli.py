@@ -198,6 +198,29 @@ def test_volatility_seed_collision_range_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "x_comparison.csv").exists()
 
 
+def test_volatility_self_check_without_break_dates_writes_nothing(tmp_path, capsys):
+    args = ["volatility", "--self-check", "--reps", "1", "--window-min", "60",
+            "--window-max", "60", "--date-stride", "50", "--out-prefix", str(tmp_path / "x")]
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 2
+    assert "not enough evaluated dates around the variance break" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "-1"], "epochs must be >= 0"),
+    (["--window-step", "0"], "--window-step must be >= 1"),
+    (["--window-min", "80", "--window-max", "60"], "--window-min (80) must be <= --window-max (60)"),
+], ids=["epochs", "window-step", "window-min-max"])
+def test_volatility_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, flags, message):
+    args = ["volatility", "--self-check", "--out-prefix", str(tmp_path / "x")] + flags
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_volatility_window_defaults_echoed(tmp_path, capsys):
     prefix = tmp_path / "echo"
     args = ["volatility", "--self-check", "--reps", "1", "--date-stride", "30",

@@ -7,7 +7,6 @@ from nmcbounds import coupling
 from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs
 from nmcbounds.coupling import (
     CouplingMatrix,
-    CouplingState,
     SplitLaws,
     build_coupling_matrix,
     coupling_matrices,
@@ -15,10 +14,8 @@ from nmcbounds.coupling import (
     kappa,
     lemma_check,
     lemma_tolerances,
-    marginal_kernels,
     max_row_sum_norm,
     overlap_curve,
-    overlap_q,
     pairchain_meet_curve,
     sample_coupled_pair,
     simulate_coupled_chain,
@@ -34,19 +31,16 @@ from conftest import random_distributions
 # overlap / split
 
 
-def test_overlap_basics():
-    mu = Distribution([0.5, 0.5])
-    assert overlap_q(mu, mu) == 1.0
-    assert overlap_q(Distribution([1, 0]), Distribution([0, 1])) == 0.0
-    assert overlap_q(mu, Distribution([0.75, 0.25])) == pytest.approx(0.75, abs=1e-15)
-
-
-def test_split_densities_worked_example():
+def test_split_densities_worked_example(p1_matrix):
     laws = split_densities(Distribution([0.5, 0.5]), Distribution([0.75, 0.25]))
     assert laws.q == pytest.approx(0.75, abs=1e-15)
     assert laws.xi.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
     assert laws.eta1.probs == pytest.approx([0.0, 1.0], abs=1e-15)
     assert laws.eta2.probs == pytest.approx([1.0, 0.0], abs=1e-15)
+    # rows 2 and 4 of the published matrix (0-based 1 and 3)
+    laws = split_densities(p1_matrix.row(1), p1_matrix.row(3))
+    assert laws.q == pytest.approx(0.6, abs=1e-15)
+    assert laws.eta1.probs == pytest.approx([0.25, 0.75, 0.0, 0.0], abs=1e-14)
 
 
 def test_split_densities_degenerate_branches():
@@ -70,7 +64,7 @@ def test_split_densities_reconstruction_identity():
 
 
 # ---------------------------------------------------------------------------
-# kappa and the marginal kernels
+# kappa
 
 
 def test_kappa_values(p1_matrix):
@@ -78,45 +72,6 @@ def test_kappa_values(p1_matrix):
     assert kappa(p1_matrix, 1, 3) == pytest.approx(0.6, abs=1e-15)
     eye = StochasticMatrix(np.eye(3))
     assert kappa(eye, 0, 2) == 0.0
-
-
-def test_marginal_kernels_worked_example(p1_matrix):
-    # rows 2 and 4 of the published matrix (0-based 1 and 3)
-    mk = marginal_kernels(p1_matrix, CouplingState(1, 3, 0, 1))
-    assert mk.kappa == pytest.approx(0.6, abs=1e-15)
-    assert mk.eta1_law.probs == pytest.approx([0.25, 0.75, 0.0, 0.0], abs=1e-14)
-    assert mk.zeta_law == pytest.approx([0.6, 0.4], abs=1e-15)
-
-
-def test_marginal_kernels_absorbed_state(p1_matrix):
-    mk = marginal_kernels(p1_matrix, CouplingState(1, 3, 2, 0))
-    assert mk.zeta_law == pytest.approx([1.0, 0.0])
-    assert mk.xi_law.probs == pytest.approx(p1_matrix.entries[2], abs=1e-15)
-
-
-def test_marginal_kernels_identical_rows_reset(p1_matrix):
-    mk = marginal_kernels(p1_matrix, CouplingState(2, 2, 0, 1))
-    assert mk.eta1_law.probs == pytest.approx(p1_matrix.entries[2], abs=1e-15)
-    assert mk.eta2_law.probs == pytest.approx(p1_matrix.entries[2], abs=1e-15)
-
-
-def test_marginal_kernels_zero_kappa_reset():
-    eye = StochasticMatrix(np.eye(3))
-    mk = marginal_kernels(eye, CouplingState(0, 2, 1, 1))
-    assert mk.kappa == 0.0
-    assert mk.xi_law.probs == pytest.approx(eye.entries[1], abs=1e-15)
-    assert mk.zeta_law == pytest.approx([0.0, 1.0])
-
-
-def test_marginal_kernels_laws_are_distributions(p1_matrix, p2_matrix):
-    for P in (p1_matrix, p2_matrix):
-        for a in range(P.p):
-            for b in range(P.p):
-                for z in (0, 1):
-                    mk = marginal_kernels(P, CouplingState(a, b, 0, z))
-                    for law in (mk.eta1_law, mk.eta2_law, mk.xi_law):
-                        assert abs(law.probs.sum() - 1.0) < 1e-12
-                        assert law.probs.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +188,18 @@ def test_coupled_chain_marginals(p1_matrix):
 
 
 def parent_marginal_kernels(P, s):
-    """Laws of (eta1, eta2, xi, zeta) with their own copy of the split."""
-    row1, row2 = P.entries[s.eta1], P.entries[s.eta2]
+    """Laws of (eta1, eta2, xi, zeta) from the quadruple s = (eta1, eta2,
+    xi, zeta) of states, with their own copy of the split."""
+    eta1, eta2, xi, zeta = s
+    row1, row2 = P.entries[eta1], P.entries[eta2]
     m = np.minimum(row1, row2)
     k = float(m.sum())
-    if s.zeta == 0:
+    if zeta == 0:
         zeta_law = np.array([1.0, 0.0])
-        xi_law = _clean_probs(P.entries[s.xi])
+        xi_law = _clean_probs(P.entries[xi])
     else:
         zeta_law = np.array([k, 1.0 - k])
-        xi_law = _clean_probs(P.entries[s.xi] if k <= 0.0 else m / k)
+        xi_law = _clean_probs(P.entries[xi] if k <= 0.0 else m / k)
     if k >= 1.0 - 1e-12:
         eta1_law = eta2_law = _clean_probs(row1)
     else:
@@ -271,7 +228,7 @@ def parent_simulate_coupled_chain(P, mu0, nu0, n, rng):
             x1 = x2 = int(rng.choice(P.p, p=P.entries[x1]))
         else:
             eta1_law, eta2_law, xi_law, zeta_law, _ = parent_marginal_kernels(
-                P, CouplingState(x1, x2, x1, 1))
+                P, (x1, x2, x1, 1))
             if rng.random() < zeta_law[0]:
                 z = 0
                 x1 = x2 = int(rng.choice(P.p, p=xi_law.probs))
@@ -378,30 +335,6 @@ def test_lemma_check_and_meet_curve_equal_parent(chain, seed, n, samples):
     assert np.stack([report.tv1, report.tv2, report.q_empirical]).tobytes() == parent.tobytes()
     assert report.pairchain_meet_gap.tobytes() == (report.q_exact - curve).tobytes()
     assert report.underpowered == (samples < 1000)
-
-
-@settings(max_examples=40, deadline=None)
-@given(extreme_chains)
-def test_marginal_kernels_equal_parent_up_to_the_last_bit(chain):
-    P = chain[0]
-    for a in range(P.p):
-        for b in range(P.p):
-            for z in (0, 1):
-                state = CouplingState(a, b, (a + b) % P.p, z)
-                mk = marginal_kernels(P, state)
-                *laws, zeta_law, k = parent_marginal_kernels(P, state)
-                if z == 1 and k >= 1.0 - 1e-12:
-                    # the split's q = 1 convention: merge surely, xi = eta1 row
-                    assert mk.kappa == 1.0 and mk.zeta_law.tolist() == [1.0, 0.0]
-                    laws[2] = laws[0]
-                else:
-                    assert mk.kappa == pytest.approx(k, rel=0.0, abs=1e-15)
-                    assert np.allclose(mk.zeta_law, zeta_law, rtol=0.0, atol=1e-15)
-                # the residual and overlap laws divide by 1 - kappa and kappa,
-                # which scales a last-bit difference in the rows by as much
-                tol = 4 * EPS / min(k, 1.0 - k) if 0.0 < k < 1.0 - 1e-12 else 4 * EPS
-                for new, old in zip((mk.eta1_law, mk.eta2_law, mk.xi_law), laws):
-                    assert np.allclose(new.probs, old.probs, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from nmcbounds.ghmm import (
     random_init,
     random_inits,
     sample_ghmm,
-    viterbi,
 )
 from nmcbounds.signal import log_returns
 
@@ -189,43 +188,6 @@ def test_sample_deterministic():
     assert (s1 == s2).all() and (o1 == o2).all()
 
 
-# ---------------------------------------------------------------------------
-# viterbi
-
-
-def test_viterbi_single_state():
-    model = GhmmModel(np.array([1.0]), np.array([[1.0]]),
-                      np.array([0.0]), np.array([1.0]))
-    assert (viterbi(model, np.zeros(10)) == 0).all()
-
-
-def test_viterbi_matches_nearest_mean_for_uniform_transitions():
-    model = GhmmModel(np.array([0.5, 0.5]), np.full((2, 2), 0.5),
-                      np.array([-5.0, 5.0]), np.array([1.0, 1.0]))
-    obs = np.array([-4.9, 5.2, 4.8, -5.3, -0.1])
-    path = viterbi(model, obs)
-    assert (path == (obs > 0).astype(int)).all()
-
-
-def test_viterbi_recovers_deterministic_cycle():
-    eps = 1e-9
-    trans = np.array([[eps, 1 - eps], [1 - eps, eps]])
-    trans /= trans.sum(axis=1, keepdims=True)
-    model = GhmmModel(np.array([1.0 - 1e-12, 1e-12]), trans,
-                      np.array([0.0, 1.0]), np.array([0.04, 0.04]))
-    obs = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-    assert (viterbi(model, obs) == np.array([0, 1, 0, 1, 0, 1])).all()
-
-
-def test_model_json_roundtrip(tmp_path):
-    model = three_state_model()
-    path = tmp_path / "model.json"
-    model.to_json(path)
-    back = GhmmModel.from_json(path)
-    assert np.allclose(back.transition, model.transition)
-    assert np.allclose(back.means, model.means)
-
-
 def test_emission_floor_flagged_for_absurd_observation():
     model = GhmmModel(np.array([1.0]), np.array([[1.0]]),
                       np.array([0.0]), np.array([1e-10]))
@@ -254,7 +216,6 @@ def test_non_finite_observations_are_rejected(bad):
     for call in (lambda: fit_baum_welch(obs, n_states=2),
                  lambda: fit_baum_welch(obs, n_states=2, init_policy="random", rng=0),
                  lambda: forward_backward(model, obs),
-                 lambda: viterbi(model, obs),
                  lambda: fit_window_batch(obs[None], starts, 2)):
         with pytest.raises(ValueError, match="observations must be finite"):
             call()

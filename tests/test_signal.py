@@ -6,9 +6,9 @@ import pytest
 
 from nmcbounds.errors import PriceDataError
 from nmcbounds.signal import (
+    DB8_DEC_HI,
     DB8_DEC_LO,
     PriceSeries,
-    WaveletSpec,
     denoise,
     descriptive_stats,
     dwt,
@@ -17,7 +17,6 @@ from nmcbounds.signal import (
     ljung_box,
     load_prices,
     log_returns,
-    quadrature_mirror,
     significance_stars,
 )
 
@@ -44,7 +43,7 @@ def test_db8_orthonormal_shifts():
 
 
 def test_db8_vanishing_moments():
-    g = quadrature_mirror(DB8_DEC_LO)
+    g = DB8_DEC_HI
     n = np.arange(16.0)
     for m in range(8):
         assert abs((g * n ** m).sum()) < 1e-7 * 16.0 ** m + 1e-10
@@ -59,41 +58,24 @@ def test_roundtrip_and_energy_periodization(length):
     gen = np.random.default_rng(length)
     for _ in range(10):
         x = gen.standard_normal(length)
-        pyr = dwt(x, WaveletSpec())
+        pyr = dwt(x)
         xr = idwt(pyr)
         scale = np.abs(x).max()
         assert np.abs(xr - x).max() / scale < 1e-8
         assert abs(pyr.coefficient_energy() - (x ** 2).sum()) / (x ** 2).sum() < 1e-8
 
 
-@pytest.mark.parametrize("length", [64, 257, 754, 31])
-def test_roundtrip_symmetric(length):
-    gen = np.random.default_rng(length + 1)
-    x = gen.standard_normal(length)
-    spec = WaveletSpec(boundary="symmetric")
-    xr = idwt(dwt(x, spec))
-    assert np.abs(xr - x).max() / np.abs(x).max() < 1e-8
-
-
 def test_constant_sequence_details_vanish():
     x = np.full(128, 7.5)
-    pyr = dwt(x, WaveletSpec())
+    pyr = dwt(x)
     for d in pyr.details:
         assert np.abs(d).max() < 1e-10
     assert idwt(pyr) == pytest.approx(x, abs=1e-10)
 
 
-def test_level_auto_reduction_warns():
-    x = np.random.default_rng(0).standard_normal(40)
-    with pytest.warns(UserWarning):
-        pyr = dwt(x, WaveletSpec(levels=4))
-    assert len(pyr.details) < 4
-    assert np.abs(idwt(pyr) - x).max() < 1e-8
-
-
 def test_too_short_rejected():
     with pytest.raises(ValueError):
-        dwt(np.zeros(10), WaveletSpec())
+        dwt(np.zeros(10))
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +98,6 @@ def test_denoise_improves_noisy_sine():
     mse_before = ((noisy - clean) ** 2).mean()
     mse_after = ((out.denoised.close - clean) ** 2).mean()
     assert mse_after < mse_before
-
-
-def test_denoise_none_threshold_is_roundtrip():
-    gen = np.random.default_rng(1)
-    prices = make_prices(100 + np.abs(gen.normal(0, 5, 200)) + 1.0)
-    out = denoise(prices, WaveletSpec(threshold="none"))
-    assert np.abs(out.denoised.close - prices.close).max() / 100 < 1e-8
 
 
 def test_denoise_shrinkage_is_monotone():
@@ -162,8 +137,9 @@ def test_load_prices_rejects_bad_rows(tmp_path):
     path.write_text("date,close\n2021-01-04,1\n", encoding="utf-8")
     with pytest.raises(PriceDataError, match="missing"):
         load_prices(path)
-    path.write_text("date,adj_close\n2021-01-04,1\n2021-01-04,2\n", encoding="utf-8")
-    with pytest.raises(PriceDataError, match="duplicate"):
+    path.write_text("date,adj_close\n2021-01-04,1\n2021-01-05,2\n2021-01-05,3\n",
+                    encoding="utf-8")
+    with pytest.raises(PriceDataError, match=r"duplicate date 2021-01-05 \(rows 3 and 4\)"):
         load_prices(path)
 
 
