@@ -31,13 +31,18 @@ from conftest import random_distributions
 # overlap / split
 
 
-def test_split_densities_worked_example(p1_matrix):
+def test_split_densities_worked_example():
     laws = split_densities(Distribution([0.5, 0.5]), Distribution([0.75, 0.25]))
     assert laws.q == pytest.approx(0.75, abs=1e-15)
     assert laws.xi.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
     assert laws.eta1.probs == pytest.approx([0.0, 1.0], abs=1e-15)
     assert laws.eta2.probs == pytest.approx([1.0, 0.0], abs=1e-15)
-    # rows 2 and 4 of the published matrix (0-based 1 and 3)
+
+
+def test_marginal_kernels_worked_example(p1_matrix):
+    # the one-step kernels of the published matrix from the pair of
+    # rows 2 and 4 (0-based 1 and 3): meet with probability kappa = 0.6,
+    # else move X by eta1
     laws = split_densities(p1_matrix.row(1), p1_matrix.row(3))
     assert laws.q == pytest.approx(0.6, abs=1e-15)
     assert laws.eta1.probs == pytest.approx([0.25, 0.75, 0.0, 0.0], abs=1e-14)
