@@ -8,6 +8,11 @@ distribution through powers of the row coordinate's own mass:
 ``C1`` is the linear part (an ordinary stochastic matrix); the higher
 coefficient matrices encode the perturbation.  All state indices are
 0-based.
+
+Row x of P_mu depends on mu only through the scalar mu[x] in [0, 1], so
+validity on the whole simplex is a univariate check per row
+(`validate_kernel`), and a kernel certified valid steps its flows without
+forming P_mu (`flow_batch`, `stationary`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +163,26 @@ class PolynomialKernel:
         entries = matrix.entries if isinstance(matrix, StochasticMatrix) else matrix
         return cls((np.asarray(entries, dtype=np.float64),))
 
+    @cached_property
+    def _extremes(self) -> tuple[float, float, np.ndarray | None]:
+        """(worst entry, worst row-sum deviation, witness) over the whole
+        simplex, computed once per kernel (see `validate_kernel`)."""
+        return _kernel_extremes(self)
+
+    @cached_property
+    def certified(self) -> bool:
+        """True when P_mu is stochastic at every mu up to rounding: no entry
+        goes below 0 on [0, 1], the linear rows sum to 1 and every higher
+        coefficient row sums to 0, each within p * eps * max(1, the row's
+        absolute sum).  The flows of a certified kernel skip forming P_mu
+        (`flow_batch`, `stationary`); the checked path would only clip and
+        renormalize at rounding level there."""
+        coeff = np.stack(self.coeff)
+        drift = coeff.sum(axis=2)
+        drift[0] -= 1.0
+        rounding = self.p * np.finfo(np.float64).eps * np.maximum(np.abs(coeff).sum(axis=2), 1.0)
+        return self._extremes[0] >= 0.0 and bool((np.abs(drift) <= rounding).all())
+
 
 def tv_distance(a: Distribution, b: Distribution) -> float:
     """Total variation distance sum_x |a(x) - b(x)|, in [0, 2]."""
@@ -228,39 +254,104 @@ class KernelValidationReport:
     ok: bool
     worst_negative_entry: float
     worst_row_sum_dev: float
-    points_checked: int
     witness: np.ndarray | None    # a mu violating validity, if any
 
 
-def validate_kernel(K: PolynomialKernel, grid: int = 1000, seed: int = 0) -> KernelValidationReport:
-    """Probe the kernel at simplex vertices, the barycenter and random points.
+def _critical_points(K: PolynomialKernel) -> np.ndarray:
+    """Every t = mu[x] at which an entry of row x or its row sum can take
+    its extremes on [0, 1], as an (N, p) array: t = 0, t = 1 and the real
+    parts, clipped to [0, 1], of all roots of each derivative.  Keeping the
+    real part of complex roots too covers a near-double real root that the
+    eigenvalues split into a complex pair; an extra candidate is still a
+    point of [0, 1], so it cannot spoil a minimum.  Polynomials of lower
+    degree pad their roots with t = 0."""
+    p, d = K.p, K.degree
+    coeff = np.stack(K.coeff)
+    polys = np.concatenate([coeff, coeff.sum(axis=2, keepdims=True)], axis=2)
+    deriv = (polys[1:] * np.arange(1.0, d)[:, None, None]).reshape(d - 1, p * (p + 1)).T
+    # polynomial x(p + 1) + y is entry (x, y) for y < p and row x's sum for y = p
+    roots = np.zeros((p * (p + 1), max(d - 2, 0)))
+    for m in range(1, d - 1):              # derivatives of exact degree m
+        sel = (deriv[:, m] != 0.0) & ~(deriv[:, m + 1:] != 0.0).any(axis=1)
+        c = deriv[sel, :m + 1]                            # ascending powers
+        companion = np.zeros((c.shape[0], m, m))
+        companion[:, 0, :] = -c[:, m - 1::-1] / c[:, m:]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        roots[sel, :m] = np.clip(np.linalg.eigvals(companion).real, 0.0, 1.0)
+    return np.vstack([np.zeros(p), np.ones(p), roots.reshape(p, -1).T])
 
-    Entries are polynomials in single coordinates of mu, so vertices plus a
-    dense sample bound violations well for low degrees.
+
+def _kernel_extremes(K: PolynomialKernel) -> tuple[float, float, np.ndarray | None]:
+    T = _critical_points(K)
+    m = _polynomial(K, T)          # m[n, x] is row x of P_mu at mu[x] = T[n, x]
+    sums, worst_neg, worst_dev, i = _violations(m)
+    if i is None:
+        return worst_neg, worst_dev, None
+    # the row of matrix i furthest past its tolerance (both are EVAL_TOL)
+    x = int(np.argmax(np.maximum(-m[i].min(axis=1), np.abs(sums[i, :, 0] - 1.0))))
+    witness = np.full(K.p, (1.0 - T[i, x]) / (K.p - 1))
+    witness[x] = T[i, x]
+    return worst_neg, worst_dev, witness
+
+
+def validate_kernel(K: PolynomialKernel) -> KernelValidationReport:
+    """Exact validity check of P_mu over the whole simplex.
+
+    Row x of P_mu depends on mu only through t = mu[x] in [0, 1], so every
+    entry is a polynomial f_xy(t) and the check is univariate per row: the
+    minimum of each f_xy and the maximum of |sum_y f_xy(t) - 1| on [0, 1]
+    are attained at t = 0, t = 1 or a real root of the derivative, and the
+    roots come from companion-matrix eigenvalues.  ``ok`` applies the rule
+    of `evaluate_batch` (no entry below -EVAL_TOL, no row sum off 1 by more
+    than EVAL_TOL); when it fails, ``witness`` is a mu with mu[x] = t* at a
+    violation, where `evaluate_batch` raises.  The result is computed
+    once per kernel and shared with `PolynomialKernel.certified`.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    p = K.p
-    rng = as_generator(seed)
-    draws = rng.standard_exponential((grid, p))
-    points = np.concatenate([np.full((1, p), 1.0 / p), np.eye(p),
-                             draws / draws.sum(axis=1, keepdims=True)])
-    _, worst_neg, worst_dev, i = _violations(_polynomial(K, points))
-    witness = None if i is None else points[i].copy()
-    return KernelValidationReport(i is None, worst_neg, worst_dev, points.shape[0], witness)
+    worst_neg, worst_dev, witness = K._extremes
+    return KernelValidationReport(witness is None, worst_neg, worst_dev,
+                                  None if witness is None else witness.copy())
 
 
 def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
     """Step the exact flows from the rows of ``mus`` (B x p) n times.
 
     Yields (P_{mu_t}, mu_{t+1}) for t = 0..n-1, with the kernel evaluated
-    at the cleaned mu_t and mu_{t+1} = mu_t^T P_{mu_t}.  Every flow and
-    k-step product in the package advances through this loop.
+    and checked at the cleaned mu_t and mu_{t+1} = mu_t^T P_{mu_t}.  The
+    k-step products, trajectories and the flows of uncertified kernels
+    advance through this loop.
     """
     for _ in range(n):
         P = evaluate_batch(K, _clean_rows(mus))
         mus = np.matmul(mus[:, None, :], P)[:, 0, :]
         yield P, mus
+
+
+def _free_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
+    """mu_1..mu_n of a certified kernel without forming P_mu.
+
+    Row x of P_mu is sum_j C_j(x, .) w[x]^j with w the cleaned mu, so
+    mu_{t+1} = sum_j (mu_t * w^j) C_j.  One einsum per coefficient keeps
+    the reduction independent of the batch size (a matmul does not).
+    """
+    if mus.shape[-1] != K.p:
+        raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={mus.shape[-1]}")
+    for _ in range(n):
+        w = _clean_rows(mus)
+        term = mus
+        nxt = np.einsum("bx,xy->by", term, K.coeff[0])
+        for c in K.coeff[1:]:
+            term = term * w
+            nxt += np.einsum("bx,xy->by", term, c)
+        mus = nxt
+        yield mus
+
+
+def _flows(K: PolynomialKernel, mus: np.ndarray, n: int):
+    """mu_1..mu_n from the rows of ``mus``: matrix-free when the kernel is
+    certified, through the checked `_flow_steps` otherwise."""
+    if K.certified:
+        return _free_steps(K, mus, n)
+    return (nxt for _, nxt in _flow_steps(K, mus, n))
 
 
 def flow_batch(K: PolynomialKernel, mu0s, n: int) -> np.ndarray:
@@ -270,7 +361,7 @@ def flow_batch(K: PolynomialKernel, mu0s, n: int) -> np.ndarray:
     mu0s = np.asarray(mu0s, dtype=np.float64)
     out = np.empty((n + 1,) + mu0s.shape)
     out[0] = mu0s
-    for t, (_, mus) in enumerate(_flow_steps(K, mu0s, n)):
+    for t, mus in enumerate(_flows(K, mu0s, n)):
         out[t + 1] = mus
     return out
 
@@ -296,7 +387,7 @@ def stationary(K: PolynomialKernel, tol: float = 1e-10, max_iter: int = 10**6) -
         raise ValueError("tol must be positive")
     mu = np.full((1, K.p), 1.0 / K.p)
     residual = np.inf
-    for it, (_, nxt) in enumerate(_flow_steps(K, mu, max_iter), start=1):
+    for it, nxt in enumerate(_flows(K, mu, max_iter), start=1):
         residual = float(np.abs(nxt - mu).sum())
         if residual <= tol:
             return StationaryResult(_clean_probs(mu[0]), it, residual)

@@ -47,7 +47,7 @@ def _resolve_kernel(args) -> PolynomialKernel:
         kernel = load_model(args.model)
     else:
         kernel = builtin_example(args.example, args.kappa)
-    check = validate_kernel(kernel, grid=200)
+    check = validate_kernel(kernel)
     if not check.ok:
         raise KernelInvalidError(
             f"model fails validation: worst entry {check.worst_negative_entry:.3e}, "
@@ -143,6 +143,10 @@ def cmd_stats(args) -> int:
 def _volatility_config(args) -> vol_mod.VolatilityConfig:
     if args.window_step < 1:
         raise ValueError(f"--window-step must be >= 1, got {args.window_step}")
+    if args.states < 2:
+        raise ValueError(f"--states must be >= 2, got {args.states}")
+    if args.date_stride < 1:
+        raise ValueError(f"--date-stride must be >= 1, got {args.date_stride}")
     if args.window_min > args.window_max:
         raise ValueError(f"--window-min ({args.window_min}) must be <= "
                          f"--window-max ({args.window_max})")

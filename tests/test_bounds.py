@@ -332,19 +332,22 @@ def test_domination_small_scale():
 
 
 # recorded before the per-sample loops were replaced by the batched engine;
-# the engine keeps the evaluation and flow arithmetic, so they hold with ==
+# the engine keeps the evaluation and flow arithmetic, so they hold with ==.
+# delta comes from the matrix-free fixed-point search of certified kernels,
+# which moved it in the last bits (0.017993031436055767 and
+# 0.03778032396366732 on the checked path)
 PINNED_MC200_SEED0 = {
     (1, 0.1): dict(
         alpha_nonlinear=[0.6, 0.84993286587033, 0.9450000000000002, 0.9800000000000002],
         lam=[0.10000000000000006, 0.023759752210066612, 0.004739635672825445,
              0.0010874498657612594],
-        gamma=0.33333333333333326, delta=0.017993031436055767),
+        gamma=0.33333333333333326, delta=0.017993031436055712),
     (2, 0.2): dict(
         alpha_nonlinear=[0.30000000000000004, 0.6480000000000001, 0.8429184000000002,
                          0.9268558553544963],
         lam=[0.20000000000000015, 0.14600000000000002, 0.07166960000000004,
              0.033920925200512014],
-        gamma=math.inf, delta=0.03778032396366732),
+        gamma=math.inf, delta=0.037780323963667234),
 }
 
 

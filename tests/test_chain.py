@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.chain import (
+    EVAL_TOL,
     Distribution,
     PolynomialKernel,
     StochasticMatrix,
@@ -17,6 +19,7 @@ from nmcbounds.chain import (
     random_distribution,
     sample_trajectory,
     stationary,
+    _flow_steps,
     tv_distance,
     validate_kernel,
 )
@@ -168,14 +171,70 @@ def test_validate_example1_passes():
 def test_validate_negative_coefficient_fails_at_vertex():
     C2 = np.zeros((4, 4))
     C2[0, 0] = -1.0
-    report = validate_kernel(PolynomialKernel((EXAMPLE1_P, C2)), grid=10)
+    report = validate_kernel(PolynomialKernel((EXAMPLE1_P, C2)))
     assert not report.ok
     assert report.worst_negative_entry == pytest.approx(-0.6, abs=1e-12)
     assert report.witness is not None
 
 
 def test_validate_plain_matrix_kernel():
-    assert validate_kernel(PolynomialKernel.linear(EXAMPLE1_P), grid=5).ok
+    assert validate_kernel(PolynomialKernel.linear(EXAMPLE1_P)).ok
+
+
+def test_validate_kernel_takes_only_the_kernel():
+    assert list(inspect.signature(validate_kernel).parameters) == ["K"]
+
+
+def test_validate_finds_an_interior_dip():
+    # row 0 entry 0 is (t - 0.5)^2 - 1e-8: negative only for |t - 0.5| < 1e-4
+    C0 = np.array([[0.25 - 1e-8, 0.5 + 1e-8, 0.25], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]])
+    C1, C2 = np.zeros((3, 3)), np.zeros((3, 3))
+    C1[0, :2], C2[0, :2] = [-1.0, 1.0], [1.0, -1.0]
+    K = PolynomialKernel((C0, C1, C2))
+    report = validate_kernel(K)
+    assert not report.ok and not K.certified
+    assert report.worst_negative_entry == pytest.approx(-1e-8, abs=1e-15)
+    assert report.witness[0] == 0.5
+    assert report.witness.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(KernelInvalidError):
+        evaluate_batch(K, report.witness[None])
+
+
+def random_kernel(seed, p, degree, scale, zero_sum):
+    """Dirichlet linear rows plus normal higher coefficients of size
+    ``scale``, their rows centred when ``zero_sum``."""
+    gen = np.random.default_rng(seed)
+    highs = []
+    for _ in range(degree - 1):
+        c = gen.normal(size=(p, p)) * scale
+        highs.append(c - c.mean(axis=1, keepdims=True) if zero_sum else c)
+    return PolynomialKernel((gen.dirichlet(np.ones(p), size=p), *highs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 4),
+       scale=st.floats(0.01, 1.0), zero_sum=st.booleans())
+def test_validate_kernel_is_exact_against_a_dense_grid(seed, p, degree, scale, zero_sum):
+    K = random_kernel(seed, p, degree, scale, zero_sum)
+    report = validate_kernel(K)
+    t = np.linspace(0.0, 1.0, 4001)
+    powers = t[:, None] ** np.arange(degree)                     # (N, degree)
+    vals = np.einsum("nj,jxy->nxy", powers, np.stack(K.coeff))
+    grid_min = vals.min()
+    grid_dev = np.abs(vals.sum(axis=2) - 1.0).max()
+    # a grid point lies within h/2 of the optimum; slopes bound the gap
+    half_step = 0.5 / 4000
+    slope = sum(j * np.abs(c) for j, c in enumerate(K.coeff)).max()
+    sum_slope = np.abs(sum(j * c.sum(axis=1) for j, c in enumerate(K.coeff))).max()
+    assert report.worst_negative_entry <= grid_min + 1e-12
+    assert grid_min - report.worst_negative_entry <= slope * half_step + 1e-12
+    assert report.worst_row_sum_dev >= grid_dev - 1e-12
+    assert report.worst_row_sum_dev - grid_dev <= sum_slope * half_step + 1e-12
+    assert report.ok == (report.worst_negative_entry >= -EVAL_TOL
+                         and report.worst_row_sum_dev <= EVAL_TOL)
+    if not report.ok:
+        with pytest.raises(KernelInvalidError):
+            evaluate_batch(K, report.witness[None])
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +302,65 @@ def test_flow_batch_rows_match_single_start_flows():
     assert np.abs(np.array([d.probs for d in seq]) - flows[:, 3]).max() < 1e-15
 
 
+def test_flow_batch_rows_match_single_start_flows_degree_3():
+    C2, C3 = np.zeros((4, 4)), np.zeros((4, 4))
+    C2[0, 0], C2[0, 2] = -0.2, 0.2
+    C3[1, 1], C3[1, 3] = -0.3, 0.3
+    K = PolynomialKernel((EXAMPLE1_P, C2, C3))
+    assert K.certified
+    starts = np.array([d.probs for d in random_distributions(4, 30, seed=8)])
+    flows = flow_batch(K, starts, 12)
+    for b in (0, 11, 29):
+        assert (flow_batch(K, starts[b:b + 1], 12)[:, 0] == flows[:, b]).all()
+
+
+def checked_flow(K, starts, n):
+    """The flows through `_flow_steps`, which forms and checks every P_mu."""
+    return np.stack([starts] + [mus for _, mus in _flow_steps(K, starts, n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 4),
+       room=st.floats(0.0, 0.95))
+def test_matrix_free_flow_matches_the_checked_flow(seed, p, degree, room):
+    # higher coefficients use at most ``room`` of each linear entry, so no
+    # entry goes below 0; centring after the shrink keeps their row sums at
+    # rounding level of the entries, so the kernel is certified
+    K = random_kernel(seed, p, degree, 1.0, True)
+    spread = sum(np.abs(c) for c in K.coeff[1:])
+    shrink = room * (K.coeff[0] / np.where(spread > 0.0, spread, 1.0)).min()
+    highs = [c * shrink for c in K.coeff[1:]]
+    K = PolynomialKernel((K.coeff[0], *(c - c.mean(axis=1, keepdims=True) for c in highs)))
+    assert K.certified
+    draws = np.random.default_rng(seed).standard_exponential((8, p))
+    starts = np.concatenate([np.eye(p), draws / draws.sum(axis=1, keepdims=True)])
+    assert np.abs(flow_batch(K, starts, 15) - checked_flow(K, starts, 15)).max() <= 1e-14
+
+
 def test_flow_batch_rejects_row_sum_drift():
     # every entry stays positive, so a check on signs alone lets it through
     starts = np.array([[0.5, 0.5], [0.3, 0.7]])
     with pytest.raises(KernelInvalidError):
         flow_batch(row_sum_drift_kernel(), starts, 3)
     assert (flow_batch(row_sum_drift_kernel(), starts[:1], 3) == 0.5).all()
+
+
+def test_uncertified_flows_take_the_checked_path():
+    K = row_sum_drift_kernel()
+    assert validate_kernel(K).ok is False and not K.certified
+    with pytest.raises(KernelInvalidError) as info:
+        flow_batch(K, np.array([[0.5, 0.5], [0.3, 0.7]]), 3)
+    assert (info.value.mu == [0.3, 0.7]).all()
+    assert info.value.worst_row_sum_dev == pytest.approx(0.1 * 0.7 * 0.4, abs=1e-15)
+    # entry (0, 0) is 0.4 - kappa mu[0], 1e-11 below 0 at mu[0] = 1: valid
+    # within EVAL_TOL, not certified, so every step is clipped and renormalized
+    C2 = np.zeros((4, 4))
+    C2[0, 0], C2[0, 2] = -(0.4 + 1e-11), 0.4 + 1e-11
+    K = PolynomialKernel((EXAMPLE1_P, C2))
+    assert validate_kernel(K).ok and not K.certified
+    assert evaluate_batch(K, np.eye(4)[:1])[0, 0, 0] == 0.0
+    starts = np.concatenate([np.eye(4), [d.probs for d in random_distributions(4, 5, seed=2)]])
+    assert flow_batch(K, starts, 10).tobytes() == checked_flow(K, starts, 10).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,9 @@ def test_volatility_self_check_without_break_dates_writes_nothing(tmp_path, caps
     (["--epochs", "-1"], "epochs must be >= 0"),
     (["--window-step", "0"], "--window-step must be >= 1"),
     (["--window-min", "80", "--window-max", "60"], "--window-min (80) must be <= --window-max (60)"),
-], ids=["epochs", "window-step", "window-min-max"])
+    (["--states", "1"], "--states must be >= 2, got 1"),
+    (["--date-stride", "0"], "--date-stride must be >= 1, got 0"),
+], ids=["epochs", "window-step", "window-min-max", "states", "date-stride"])
 def test_volatility_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, flags, message):
     args = ["volatility", "--self-check", "--out-prefix", str(tmp_path / "x")] + flags
     code, _, err = run_cli(args, capsys)
@@ -267,6 +269,23 @@ def test_bounds_rejects_kernel_invalid_kappa(tmp_path, capsys):
     assert code == 2
     assert "validation" in err
     assert not (tmp_path / "bad_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_model_failing_between_sample_points_exits_2_up_front(tmp_path, capsys, command):
+    # row 0 entry 0 is (t - 0.5)^2 - 1e-8 with t = mu[0]: negative only on a
+    # window of width 2e-4, found by the exact validator before any flow runs
+    c0 = [0.25 - 1e-8, 0.5 + 1e-8, 0.25, 0.25, 0.25, 0.5, 0.5, 0.25, 0.25]
+    c1 = [-1.0, 1.0, 0.0] + [0.0] * 6
+    c2 = [1.0, -1.0, 0.0] + [0.0] * 6
+    model = tmp_path / "dip.json"
+    model.write_text(json.dumps({"p": 3, "degree": 3, "coeff": [c0, c1, c2]}), encoding="utf-8")
+    out = (["--out-prefix", str(tmp_path / "dip")] if command == "bounds"
+           else ["--out", str(tmp_path / "dip.csv")])
+    code, _, err = run_cli([command, "--model", str(model)] + out, capsys)
+    assert code == 2
+    assert "error: model fails validation: worst entry -1.000e-08" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dip.json"]
 
 
 @pytest.mark.parametrize("example, kappa, seed", [("1", "0.1", "1"), ("1", "0.1", "2"),

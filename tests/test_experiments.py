@@ -30,7 +30,7 @@ def test_builtin_example1_kappa_zero_is_linear():
 
 
 def test_builtin_example2_validates_at_02():
-    report = validate_kernel(builtin_example(2, 0.2), grid=500)
+    report = validate_kernel(builtin_example(2, 0.2))
     assert report.ok
 
 
