@@ -9,7 +9,9 @@ volatility indicator feeds in.
 The EM core is batch-first: starts (``quantile_starts``, ``random_inits``)
 and fits (``fit_window_batch``) of a whole (B, T) window array are
 ``GhmmStack`` parameter stacks.  ``GhmmModel`` and ``BaumWelchFit`` are
-built only by the single-model API.
+built only by the single-model API.  Random starts are keyed: each slot's
+perturbation is a pure function of its 64-bit key, drawn from that key's
+counter-based stream (``rng.stream_uniforms``) for all slots in one pass.
 
 Inside the core a batch is stored state-major, with the batch axis last
 and contiguous: initial, means and variances are (K, B), transitions
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import as_generator, stream_uniforms
 
 VARIANCE_FLOOR = 1e-10
 EMISSION_FLOOR = 1e-300
@@ -278,37 +280,55 @@ def quantile_init(obs, n_states: int) -> GhmmModel:
     return quantile_starts(np.asarray(obs, dtype=np.float64)[None], n_states).model(0)
 
 
-def random_inits(windows, n_states: int, rngs) -> GhmmStack:
+def _start_draws(keys, n_states: int):
+    """The draws of each keyed slot, from the first uniforms of its
+    counter-based stream (``rng.stream_uniforms``): K standard normals by
+    Box-Muller from ceil(K / 2) uniform pairs, K uniforms on (-1, 1], and
+    K Dirichlet(1, ..., 1) rows as normalised -log U.  Returns arrays of
+    shape (N, K), (N, K) and (N, K, K) for N keys."""
+    K = n_states
+    pairs = (K + 1) // 2
+    u = stream_uniforms(keys, 2 * pairs + K + K * K)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0:2 * pairs:2]))
+    angle = 2.0 * math.pi * u[:, 1:2 * pairs:2]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2)
+    scales = 2.0 * u[:, 2 * pairs:2 * pairs + K] - 1.0
+    mix = -np.log(u[:, 2 * pairs + K:]).reshape(-1, K, K)
+    mix /= mix.sum(axis=2, keepdims=True)
+    return normals.reshape(-1, 2 * pairs)[:, :K], scales, mix
+
+
+def random_inits(windows, n_states: int, keys) -> GhmmStack:
     """Seeded perturbations of the quantile starts of a (D, T) window array
     (or one sequence): means jittered, variances rescaled, transition rows
-    mixed with a Dirichlet draw.  ``rngs`` holds R generators per window,
-    window-major; the R slots of a window share its quantile start."""
+    mixed with a Dirichlet draw.  ``keys`` holds R 64-bit stream keys per
+    window, window-major; the R slots of a window share its quantile start,
+    and a slot's draws depend on its key alone (``_start_draws``)."""
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    rngs = list(rngs)
+    keys = np.asarray(keys, dtype=np.uint64)
     D = windows.shape[0]
-    if not D or len(rngs) % D:
-        raise ValueError("need the same number of generators for every window")
-    reps = len(rngs) // D
+    if keys.ndim != 1 or not D or keys.size % D:
+        raise ValueError("need the same number of keys for every window")
     base = quantile_starts(windows, n_states)
     spread = np.maximum(windows.std(axis=1), math.sqrt(VARIANCE_FLOOR))
-    jitter = np.empty((len(rngs), n_states))
-    log_scale = np.empty((len(rngs), n_states))
-    mix = np.empty((len(rngs), n_states, n_states))
-    for i, rng in enumerate(rngs):
-        rng = as_generator(rng)
-        jitter[i] = rng.normal(0.0, 0.5 * spread[i // reps], n_states)
-        log_scale[i] = rng.uniform(-1.0, 1.0, n_states)
-        mix[i] = rng.dirichlet(np.ones(n_states), size=n_states)
-    slot = np.repeat(np.arange(D), reps)
+    normals, log_scale, mix = _start_draws(keys, n_states)
+    slot = np.repeat(np.arange(D), keys.size // D)
     variances = np.maximum(base.variances[slot] * np.exp(log_scale), VARIANCE_FLOOR)
     transition = 0.6 * base.transition[slot] + 0.4 * mix
     transition /= transition.sum(axis=2, keepdims=True)
-    return GhmmStack(base.initial[slot], transition, base.means[slot] + jitter, variances)
+    return GhmmStack(base.initial[slot], transition,
+                     base.means[slot] + normals * (0.5 * spread[slot, None]), variances)
+
+
+def _one_key(rng) -> np.ndarray:
+    """One 64-bit stream key drawn from a seed or generator."""
+    return as_generator(rng).integers(2**64, size=1, dtype=np.uint64)
 
 
 def random_init(obs, n_states: int, rng) -> GhmmModel:
-    """Seeded perturbation of the quantile start (see ``random_inits``)."""
-    return random_inits(obs, n_states, [rng]).model(0)
+    """Seeded perturbation of the quantile start (see ``random_inits``),
+    keyed by one draw from ``rng``."""
+    return random_inits(obs, n_states, _one_key(rng)).model(0)
 
 
 @dataclass
@@ -398,8 +418,9 @@ def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15,
                    init_policy: str = "quantile", rng=None) -> BaumWelchFit:
     """Fixed-budget Baum-Welch fit (no early stopping).
 
-    init_policy "quantile" is deterministic; "random" perturbs it with the
-    given seed/stream so repeated fits land in different local optima.
+    init_policy "quantile" is deterministic; "random" perturbs it from one
+    stream key drawn from ``rng`` (a seed or generator), so repeated fits
+    land in different local optima.
     """
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape[0] < 10 * n_states:
@@ -409,7 +430,7 @@ def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15,
     if init_policy == "quantile":
         start = quantile_starts(obs[None], n_states)
     elif init_policy == "random":
-        start = random_inits(obs, n_states, [rng])
+        start = random_inits(obs, n_states, _one_key(rng))
     else:
         raise ValueError("init_policy must be 'quantile' or 'random'")
     fitted, traces, starved = fit_window_batch(obs[None], start, epochs)

@@ -7,12 +7,14 @@ mean/spread over (window length x random restart) pairs is the indicator.
 A calm market fits nearly interchangeable states (row overlaps near 1, r
 near 0); regime stress separates the states and pushes r up.
 
-The grid runs batch-first on stacked parameter arrays: per window length,
-one ``random_inits`` call builds the start stack of every (date, restart)
-slot from one quantile sort of the date windows, one ``fit_window_batch``
-call fits them all, and one pass of the batched coupling operator bounds
-the fitted transition stack; the starvation mask becomes the per-date
-quality flags.  No per-slot model object is built.
+The grid runs batch-first on stacked parameter arrays.  Per window length,
+one array expression derives the 64-bit key of every (date, restart) slot,
+one ``random_inits`` call draws all their starts from those keys'
+counter-based streams around one quantile sort of the date windows, one
+``fit_window_batch`` call fits them all, and one pass of the batched
+coupling operator bounds the fitted transition stack; the starvation mask
+becomes the per-date quality flags.  No per-slot generator or model object
+is built.
 
 scipy is imported at its call sites: ``scipy.optimize`` inside
 ``fit_garch11`` and ``scipy.signal`` inside ``_variance_path``, so importing
@@ -33,7 +35,7 @@ from .coupling import coupling_matrices, spectral_radii
 from .errors import AlignmentError
 from .experiments import ComparisonTable
 from .ghmm import fit_window_batch, random_inits
-from .rng import child_generator
+from .rng import derive_seed
 from .signal import PriceSeries, ReturnSeries
 
 _SEED_T_SHIFT = 2**20
@@ -84,9 +86,17 @@ class TvVolatilitySeries:
     config: VolatilityConfig
 
 
-def _fit_seed(t: int, length: int, rep: int) -> int:
-    # one derived stream per (date, window length, restart) grid slot
+def _fit_seed(t, length, rep):
+    # one derived stream per (date, window length, restart) grid slot; ints
+    # or uint64 arrays, which wrap modulo 2**64 like derive_seed's mask
     return t * _SEED_T_SHIFT + length * _SEED_L_SHIFT + rep
+
+
+def _slot_keys(seed: int, dates, length: int, reps: int) -> np.ndarray:
+    """``derive_seed(seed, _fit_seed(t, length, rep))`` of every (date, rep)
+    slot, date-major, in one uint64 array expression."""
+    t = np.asarray(dates, dtype=np.uint64)[:, None]
+    return derive_seed(seed, _fit_seed(t, length, np.arange(reps, dtype=np.uint64)).ravel())
 
 
 def transition_tv_bounds(transitions, n_states: int) -> np.ndarray:
@@ -106,8 +116,9 @@ def transition_tv_bound(transition: np.ndarray, n_states: int) -> float:
 def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None) -> TvVolatilitySeries:
     """Indicator series over all dates with a full longest window behind them.
 
-    Every (date, length, rep) slot fits from its own derived seed, so the
-    grid can be evaluated in any order (or in parallel) with identical
+    Every (date, length, rep) slot starts from its own key,
+    ``derive_seed(seed, _fit_seed(t, L, rep))``, so the grid can be
+    evaluated in any order, batch or subset (or in parallel) with identical
     results.  GHMM starvation resets degrade into per-date quality flags,
     never failures.
     """
@@ -123,9 +134,7 @@ def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None)
     bad = np.zeros(D, dtype=int)
     for j, L in enumerate(cfg.window_lengths):
         windows = np.stack([returns.values[t - L + 1:t + 1] for t in eval_idx])
-        starts = random_inits(windows, cfg.n_states,
-                              [child_generator(cfg.seed, _fit_seed(t, L, rep))
-                               for t in eval_idx for rep in range(cfg.reps)])
+        starts = random_inits(windows, cfg.n_states, _slot_keys(cfg.seed, eval_idx, L, cfg.reps))
         fitted, _, starved = fit_window_batch(np.repeat(windows, cfg.reps, axis=0),
                                               starts, cfg.epochs)
         bounds = transition_tv_bounds(fitted.transition, cfg.n_states)
@@ -180,10 +189,10 @@ class GarchFit:
         return out
 
 
-def _variance_path(mu, omega, alpha1, beta1, r):
-    """h_t = omega + alpha1 e_{t-1}^2 + beta1 h_{t-1}, h_0 = sample variance."""
+def _variance_path(mu, omega, alpha1, beta1, r, h0):
+    """h_t = omega + alpha1 e_{t-1}^2 + beta1 h_{t-1}, from h_0 = h0 (the
+    sample variance of r, computed once per fit by the caller)."""
     e2 = (r - mu) ** 2
-    h0 = float(r.var())
     if r.shape[0] == 1:
         return np.array([h0]), e2
     from scipy.signal import lfilter
@@ -203,14 +212,14 @@ def _sigmoid(x):
     return z / (1.0 + z)
 
 
-def _garch_nll(theta, r):
+def _garch_nll(theta, r, h0):
     mu, log_omega, s_rho, s_frac = theta
     rho = min(_sigmoid(s_rho), _RHO_CAP)
     frac = _sigmoid(s_frac)
     omega = math.exp(log_omega)
     alpha1 = rho * frac
     beta1 = rho * (1.0 - frac)
-    h, e2 = _variance_path(mu, omega, alpha1, beta1, r)
+    h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
     if h.min() <= 0 or not np.all(np.isfinite(h)):
         return 1e12
     return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
@@ -250,13 +259,13 @@ def fit_garch11(returns) -> GarchFit:
     best = None
     for x0 in starts:
         res = optimize.minimize(
-            _garch_nll, x0, args=(r,), method="Nelder-Mead",
+            _garch_nll, x0, args=(r, var), method="Nelder-Mead",
             options={"maxiter": 6000, "xatol": 1e-8, "fatol": 1e-10})
         if best is None or res.fun < best.fun:
             best = res
     # polish from the winner
     res = optimize.minimize(
-        _garch_nll, best.x, args=(r,), method="Nelder-Mead",
+        _garch_nll, best.x, args=(r, var), method="Nelder-Mead",
         options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12})
     if res.fun > best.fun:
         res = best
@@ -267,18 +276,18 @@ def fit_garch11(returns) -> GarchFit:
     boundary = alpha1 + beta1 > 0.999
     model = GarchModel(mu, omega, alpha1, beta1)
 
-    se, tstat = _opg_errors(model, r)
+    se, tstat = _opg_errors(model, r, var)
     return GarchFit(model, se, tstat, -float(res.fun), r.shape[0], boundary,
                     bool(res.success or res.fun < 1e11))
 
 
-def _per_obs_loglik(params, r):
+def _per_obs_loglik(params, r, h0):
     mu, omega, alpha1, beta1 = params
-    h, e2 = _variance_path(mu, omega, alpha1, beta1, r)
+    h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
     return -0.5 * (np.log(2.0 * math.pi * h) + e2 / h)
 
 
-def _opg_errors(model: GarchModel, r):
+def _opg_errors(model: GarchModel, r, h0):
     params = np.array([model.mu, model.omega, model.alpha1, model.beta1])
     steps = np.maximum(np.abs(params) * 1e-5, 1e-9)
     grads = np.empty((r.shape[0], 4))
@@ -288,7 +297,7 @@ def _opg_errors(model: GarchModel, r):
         hi[j] += steps[j]
         lo[j] -= steps[j]
         lo[j] = max(lo[j], 1e-12) if j == 1 else max(lo[j], 0.0) if j in (2, 3) else lo[j]
-        grads[:, j] = (_per_obs_loglik(hi, r) - _per_obs_loglik(lo, r)) / (hi[j] - lo[j])
+        grads[:, j] = (_per_obs_loglik(hi, r, h0) - _per_obs_loglik(lo, r, h0)) / (hi[j] - lo[j])
     opg = grads.T @ grads
     try:
         cov = np.linalg.inv(opg)
@@ -305,7 +314,8 @@ def _opg_errors(model: GarchModel, r):
 def garch_conditional_vol(model: GarchModel, returns) -> np.ndarray:
     """sigma_t = sqrt(h_t), one value per return date."""
     r = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, dtype=np.float64)
-    h, _ = _variance_path(model.mu, model.omega, model.alpha1, model.beta1, r)
+    h, _ = _variance_path(model.mu, model.omega, model.alpha1, model.beta1, r,
+                          float(r.var()))
     return np.sqrt(h)
 
 

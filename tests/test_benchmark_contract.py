@@ -45,7 +45,7 @@ def test_tracer_installs_on_every_layer_function_and_uninstalls():
 def test_fit_window_batch_counter_counts_slot_epochs():
     spans = load_spans()
     windows = np.random.default_rng(0).standard_normal((2, 40))
-    starts = random_inits(windows, 3, [np.random.default_rng(i) for i in range(6)])
+    starts = random_inits(windows, 3, np.arange(6, dtype=np.uint64))
     counter = spans.LAYER_FUNCTIONS["ghmm.fit_window_batch"]
     assert counter((np.repeat(windows, 3, axis=0), starts, 7), {}, None) == {"model_epochs": 42}
 

@@ -23,6 +23,7 @@ from nmcbounds.ghmm import (
     random_inits,
     sample_ghmm,
 )
+from nmcbounds.rng import derive_seed, splitmix64, stream_uniforms
 from nmcbounds.signal import log_returns
 
 
@@ -221,14 +222,35 @@ def test_non_finite_observations_are_rejected(bad):
             call()
 
 
+def key_of(seed):
+    """The one stream key random_init and fit_baum_welch draw from a seed
+    or generator."""
+    return np.random.default_rng(seed).integers(2**64, size=1, dtype=np.uint64)[0]
+
+
 def per_rng_random_init(obs, n_states, rng):
-    """The quantile start perturbed for one generator, recomputing the
-    start itself (the per-restart form that random_inits shares)."""
+    """The quantile start perturbed from one key drawn from ``rng``, with
+    the key's stream drawn one splitmix64 step at a time in Python ints and
+    the start recomputed per restart (the per-restart form that
+    random_inits shares)."""
+    key = int(key_of(rng))
+    K = n_states
+    pairs = (K + 1) // 2
+    draws = [splitmix64((key + i * 0x9E3779B97F4A7C15) & (2**64 - 1))
+             for i in range(2 * pairs + K + K * K)]
+    u = np.array([((x >> 11) + 1) / 2**53 for x in draws])
+    normals = []
+    for p in range(pairs):
+        radius = np.sqrt(-2.0 * np.log(u[2 * p:2 * p + 1]))
+        angle = 2.0 * math.pi * u[2 * p + 1:2 * p + 2]
+        normals += [radius * np.cos(angle), radius * np.sin(angle)]
+    mix = -np.log(u[2 * pairs + K:]).reshape(K, K)
+    mix /= mix.sum(axis=1, keepdims=True)
     base = quantile_init(obs, n_states)
     spread = max(float(np.std(obs)), math.sqrt(1e-10))
-    means = base.means + rng.normal(0.0, 0.5 * spread, n_states)
-    variances = np.maximum(base.variances * np.exp(rng.uniform(-1.0, 1.0, n_states)), 1e-10)
-    transition = 0.6 * base.transition + 0.4 * rng.dirichlet(np.ones(n_states), size=n_states)
+    means = base.means + np.concatenate(normals)[:K] * (0.5 * spread)
+    variances = np.maximum(base.variances * np.exp(2.0 * u[2 * pairs:2 * pairs + K] - 1.0), 1e-10)
+    transition = 0.6 * base.transition + 0.4 * mix
     transition /= transition.sum(axis=1, keepdims=True)
     return GhmmModel(base.initial, transition, means, variances)
 
@@ -237,7 +259,7 @@ def per_rng_random_init(obs, n_states, rng):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6))
 def test_shared_base_random_inits_equal_per_rng_random_init(seed, n_states, reps):
     obs = np.random.default_rng(seed).standard_t(3, 70) * 0.01
-    shared = random_inits(obs, n_states, [np.random.default_rng([seed, rep]) for rep in range(reps)])
+    shared = random_inits(obs, n_states, [key_of([seed, rep]) for rep in range(reps)])
     assert len(shared) == reps
     for rep in range(reps):
         for single in (random_init(obs, n_states, np.random.default_rng([seed, rep])),
@@ -249,30 +271,81 @@ def test_shared_base_random_inits_equal_per_rng_random_init(seed, n_states, reps
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 5), st.integers(1, 4))
 def test_random_inits_of_many_windows_equal_per_window_starts(seed, n_states, D, reps):
+    # a slot's start depends on its window and key only, never on the batch:
+    # each window alone, and each single slot alone, gives the same rows
     windows = np.random.default_rng(seed).standard_t(3, (D, 60)) * 0.01
-    rngs = [[np.random.default_rng([seed, d, rep]) for rep in range(reps)] for d in range(D)]
-    stack = random_inits(windows, n_states, [np.random.default_rng([seed, d, rep])
-                                             for d in range(D) for rep in range(reps)])
+    keys = derive_seed(seed, np.arange(D * reps, dtype=np.uint64))
+    stack = random_inits(windows, n_states, keys)
     assert len(stack) == D * reps
     for d in range(D):
-        single = random_inits(windows[d], n_states, rngs[d])
+        single = random_inits(windows[d], n_states, keys[d * reps:(d + 1) * reps])
         for name in ("initial", "transition", "means", "variances"):
             rows = getattr(stack, name)[d * reps:(d + 1) * reps]
             assert rows.tobytes() == getattr(single, name).tobytes()
+        for rep in range(reps):
+            i = d * reps + rep
+            alone = random_inits(windows[d], n_states, keys[i:i + 1])
+            for name in ("initial", "transition", "means", "variances"):
+                assert getattr(stack, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
 
 
 def test_random_inits_needs_the_same_restarts_per_window():
     windows = np.zeros((2, 40))
-    with pytest.raises(ValueError, match="same number of generators"):
-        random_inits(windows, 2, [np.random.default_rng(0)] * 3)
+    with pytest.raises(ValueError, match="same number of keys"):
+        random_inits(windows, 2, [0] * 3)
+    with pytest.raises(ValueError, match="same number of keys"):
+        random_inits(windows, 2, np.zeros((2, 1), dtype=np.uint64))
 
 
-def test_random_inits_take_any_iterable_of_generators():
+def test_random_inits_take_keys_as_any_integer_sequence():
     windows = np.random.default_rng(5).normal(size=(2, 40))
-    listed = random_inits(windows, 3, [np.random.default_rng(i) for i in range(4)])
-    streamed = random_inits(windows, 3, (np.random.default_rng(i) for i in range(4)))
-    for name in ("initial", "transition", "means", "variances"):
-        assert getattr(listed, name).tobytes() == getattr(streamed, name).tobytes()
+    keys = [0, 1, 2**63, 2**64 - 1]
+    arrayed = random_inits(windows, 3, np.array(keys, dtype=np.uint64))
+    for same in (random_inits(windows, 3, keys), random_inits(windows, 3, tuple(keys))):
+        for name in ("initial", "transition", "means", "variances"):
+            assert getattr(arrayed, name).tobytes() == getattr(same, name).tobytes()
+
+
+def ks_statistic(sample, cdf):
+    """Kolmogorov-Smirnov distance between a sample and a continuous cdf."""
+    x = np.sort(sample)
+    F = cdf(x)
+    i = np.arange(1, x.size + 1)
+    return max((i / x.size - F).max(), (F - (i - 1) / x.size).max())
+
+
+def normal_cdf(x):
+    return 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(x / math.sqrt(2.0)).astype(float))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_start_draws_follow_their_distributions(K):
+    # fixed keys, so deterministic: 10**5 normals against N(0, 1) by KS at
+    # the 0.1% critical value 1.95 / sqrt(n) and by their first two moments
+    # (4 standard errors); uniforms in (0, 1]; Dirichlet rows positive,
+    # summing to 1 and with Beta(1, K - 1) marginals
+    keys = derive_seed(K, np.arange(-(-10**5 // K), dtype=np.uint64))
+    normals, scales, mix = ghmm._start_draws(keys, K)
+    z = normals.ravel()
+    n = z.size
+    assert ks_statistic(z, normal_cdf) < 1.95 / math.sqrt(n)
+    assert abs(z.mean()) < 4.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    u = stream_uniforms(keys, 2 * ((K + 1) // 2) + K + K * K)
+    assert (u > 0.0).all() and (u <= 1.0).all()
+    assert (scales > -1.0).all() and (scales <= 1.0).all()
+    assert (mix > 0.0).all()
+    assert np.abs(mix.sum(axis=2) - 1.0).max() <= 1e-15
+    first = mix[:, :, 0].ravel()
+    assert ks_statistic(first, lambda x: 1.0 - (1.0 - x) ** (K - 1)) < 1.95 / math.sqrt(first.size)
+
+
+def test_one_slot_stream_is_a_pure_function_of_its_key():
+    keys = np.array([3, 2**64 - 1, 3], dtype=np.uint64)
+    u = stream_uniforms(keys, 6)
+    assert u[0].tobytes() == u[2].tobytes()
+    assert u[0].tobytes() == stream_uniforms(keys[:1], 6)[0].tobytes()
+    assert stream_uniforms(keys[:1], 3)[0].tobytes() == u[0, :3].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +517,19 @@ def test_fit_window_batch_equals_per_model_path(seed, K, B, epochs, kinds):
     gen = np.random.default_rng(seed)
     T = int(gen.integers(10 * K, 100))
     windows = np.stack([obs_window(gen, kinds[i], T) for i in range(B)])
-    starts = random_inits(windows, K, [np.random.default_rng([seed, i]) for i in range(B)])
+    starts = random_inits(windows, K, [key_of([seed, i]) for i in range(B)])
     assert_matches_parent_path(windows, starts, epochs)
 
 
 def test_fit_window_batch_starvation_equals_per_model_path():
+    # kinds 1 and 2 starve a state at most starts; the kind-0 window last
+    # (a t(3) sample) never did in 400 tries, so both branches always run
     gen = np.random.default_rng(0)
-    windows = np.stack([obs_window(gen, 1 + i % 2, 60) for i in range(8)])
+    windows = np.stack([obs_window(gen, 1 + i % 2, 60) for i in range(8)]
+                       + [obs_window(gen, 0, 60)])
     for K in (2, 3, 4, 5):
         assert_matches_parent_path(windows, quantile_starts(windows, K), 10)
-        starts = random_inits(windows, K, [np.random.default_rng([K, i]) for i in range(8)])
+        starts = random_inits(windows, K, [key_of([K, i]) for i in range(len(windows))])
         starved = assert_matches_parent_path(windows, starts, 10)
         assert 0 < starved.any(axis=(1, 2)).sum() < len(windows)
 
@@ -486,7 +562,7 @@ def test_fits_beyond_eight_states_equal_per_model_path(K):
 def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):
     gen = np.random.default_rng(4)
     windows = gen.standard_normal((7, 40))
-    starts = random_inits(windows, 3, [np.random.default_rng([4, i]) for i in range(7)])
+    starts = random_inits(windows, 3, [key_of([4, i]) for i in range(7)])
     whole = fit_window_batch(windows, starts, 6)
     monkeypatch.setattr(ghmm, "_MAX_ENGINE_COLUMNS", 3)
     chunked = fit_window_batch(windows, starts, 6)
@@ -511,7 +587,7 @@ def test_trace_does_not_depend_on_the_batch(monkeypatch):
     # one window fitted alone, inside a batch, and as the one-item last chunk
     gen = np.random.default_rng(9)
     windows = gen.standard_normal((5, 150))
-    starts = random_inits(windows, 3, [np.random.default_rng([9, i]) for i in range(5)])
+    starts = random_inits(windows, 3, [key_of([9, i]) for i in range(5)])
     batched = fit_window_batch(windows, starts, 8)[1]
     alone = fit_baum_welch(windows[4], 3, 8, "random", np.random.default_rng([9, 4]))
     monkeypatch.setattr(ghmm, "_MAX_ENGINE_COLUMNS", 2)

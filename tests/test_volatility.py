@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.coupling import coupling_matrices, spectral_radii
 from nmcbounds.errors import AlignmentError
+from nmcbounds.rng import derive_seed
 from nmcbounds.signal import ReturnSeries, log_returns
 from nmcbounds.volatility import (
     GarchModel,
     VolatilityConfig,
+    _fit_seed,
+    _slot_keys,
     comparison_table,
     fit_garch11,
     garch_conditional_vol,
@@ -126,6 +129,21 @@ def test_tv_volatility_prefix_reproduces_first_dates():
     for name in ("tv_mean", "tv_std", "tv_ci_lo", "tv_ci_hi"):
         assert getattr(prefix, name).tobytes() == getattr(full, name)[:3].tobytes()
     assert prefix.quality_flags == full.quality_flags[:3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2**70, 2**70),
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+       st.integers(20, 1023), st.integers(1, 1023))
+@example(-1, [0, 2**63 - 1], 1023, 1023)
+@example(2**64 + 2**63 + 5, [2**44 - 1, 2**43 + 17], 1023, 1)
+def test_slot_keys_equal_scalar_derive_seed(seed, dates, length, reps):
+    # the uint64 expression wraps where the int path masks with 2**64 - 1:
+    # negative seeds, seeds of 2**63 and more, and t * 2**20 beyond 2**64
+    keys = _slot_keys(seed, dates, length, reps)
+    assert keys.dtype == np.uint64 and keys.shape == (len(dates) * reps,)
+    assert keys.tolist() == [derive_seed(seed, _fit_seed(t, length, rep))
+                             for t in dates for rep in range(reps)]
 
 
 def test_config_rejects_grids_that_would_share_seed_streams():
