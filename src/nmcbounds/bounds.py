@@ -22,8 +22,9 @@ from .chain import (
     Distribution,
     PolynomialKernel,
     StochasticMatrix,
-    _clean_rows,
+    _critical_points,
     _flow_steps,
+    _row_witness,
     evaluate_batch,
     stationary,
     tv_distance,
@@ -137,8 +138,8 @@ def md_bound_curve(alpha: float, lam: float, n_max: int) -> np.ndarray:
     2/(lambda n); alpha == lambda == 0 carries no information and returns
     the constant 2 with a warning.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError("alpha and lambda must lie in [0, 1]")
+    if not (0.0 <= alpha <= 1.0 and lam >= 0.0):
+        raise ValueError("alpha must lie in [0, 1] and lambda must be >= 0")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     if alpha == lam:
         if lam == 0.0:
@@ -173,44 +174,41 @@ class GammaEstimate:
     value: float
     argmax_entry: tuple[int, int]
     argmax_mu: np.ndarray
-    exact_for_degree_2: bool
-    samples: int
 
 
-def gamma_estimate(K: PolynomialKernel, samples: int = 2000, rng=None) -> GammaEstimate:
-    """Perturbation size: sup of C1(x,y)/P_mu(x,y) - 1 over entries and mu.
+def gamma_estimate(K: PolynomialKernel) -> GammaEstimate:
+    """Perturbation size: sup of C1(x,y)/P_mu(x,y) - 1 over entries and mu,
+    computed exactly.
 
-    Probes simplex vertices, the barycenter and random points.  Kernel
-    entries are polynomials in a single coordinate of mu, so for degree-2
-    kernels the vertex sweep is exact.  Raises InfiniteGammaError when the
-    linear part keeps mass on an entry the kernel can drive to zero.
+    Row x of P_mu depends only on t = mu[x], so the supremum over mu is,
+    per row, the largest ratio at the t in [0, 1] where each entry takes
+    its minimum: t = 0, t = 1 or a root of the entry's derivative
+    (`chain._critical_points`, the candidates of `validate_kernel`).
+    ``argmax_mu`` is a point of the simplex with mu[x] = t* for the row x
+    of ``argmax_entry``.  Raises InfiniteGammaError when the linear part
+    keeps mass on an entry the kernel drives to zero.
     """
-    rng = as_generator(rng)
     p = K.p
     C1 = K.coeff[0]
     if K.degree == 1:
-        return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p), True, 0)
-    draws = rng.standard_exponential((samples, p))
-    points = np.concatenate([np.eye(p), np.full((1, p), 1.0 / p),
-                             draws / draws.sum(axis=1, keepdims=True)])
-    Pm = evaluate_batch(K, _clean_rows(points))
+        return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p))
+    T = _critical_points(K)
+    Pm = evaluate_batch(K, T)      # Pm[n, x] is row x of P_mu at mu[x] = T[n, x]
     dead = (Pm <= 0.0) & (C1 > 0.0)
     if dead.any():
-        i = int(np.argmax(dead.any(axis=(1, 2))))
-        x, y = map(int, np.argwhere(dead[i])[0])
+        n, x, y = map(int, np.argwhere(dead)[0])
         raise InfiniteGammaError(
             f"linear entry ({x},{y}) = {C1[x, y]} has zero kernel mass at some mu: "
             "the perturbation ratio is unbounded",
-            entry=(x, y), mu=points[i].copy(),
+            entry=(x, y), mu=_row_witness(p, x, T[n, x]),
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(Pm > 0.0, C1 / np.where(Pm > 0.0, Pm, 1.0), 0.0)
-    vals = ratio.max(axis=(1, 2)) - 1.0
-    i = int(np.argmax(vals))
-    if vals[i] <= 0.0:
-        return GammaEstimate(0.0, (0, 0), points[0], K.degree <= 2, samples)
-    arg_entry = tuple(int(v) for v in np.unravel_index(np.argmax(ratio[i]), ratio[i].shape))
-    return GammaEstimate(float(vals[i]), arg_entry, points[i].copy(), K.degree <= 2, samples)
+    n, x, y = (int(v) for v in np.unravel_index(np.argmax(ratio), ratio.shape))
+    value = float(ratio[n, x, y]) - 1.0
+    if value <= 0.0:
+        return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p))
+    return GammaEstimate(value, (x, y), _row_witness(p, x, T[n, x]))
 
 
 def initial_distance_bound(p: int) -> float:
@@ -391,17 +389,18 @@ class BoundReport:
 
 
 def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = None,
-                rng=None, seed: int | None = None) -> BoundReport:
+                seed: int | None = None) -> BoundReport:
     """Compute every coefficient and bound curve for one kernel.
 
     The alpha/lambda estimates target the linear part exactly (that is the
     published comparison) with the nonlinear infimum reported alongside;
-    the spectral curve is built from the coupling matrix of the linear
-    part.  Sub-errors (an unbounded gamma, say) become flags, not
-    failures.
+    the sampled ones (``config.mc_samples`` pairs each) draw from one
+    generator seeded with ``seed``, and gamma is exact.  The spectral
+    curve is built from the coupling matrix of the linear part.
+    Sub-errors (an unbounded gamma, say) become flags, not failures.
     """
     cfg = config or BoundConfig()
-    rng = as_generator(rng if rng is not None else seed)
+    rng = as_generator(seed)
     p = K.p
     flags = []
 
@@ -414,7 +413,7 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     lam = [lipschitz_lambda(K, k, cfg.mc_samples, rng).value for k in K_RANGE]
 
     try:
-        gamma = gamma_estimate(K, cfg.mc_samples, rng).value
+        gamma = gamma_estimate(K).value
     except InfiniteGammaError:
         gamma = math.inf
         flags.append("gamma_infinite: ratio assumption fails for this kernel")

@@ -281,6 +281,14 @@ def _critical_points(K: PolynomialKernel) -> np.ndarray:
     return np.vstack([np.zeros(p), np.ones(p), roots.reshape(p, -1).T])
 
 
+def _row_witness(p: int, x: int, t: float) -> np.ndarray:
+    """A point of the simplex with mu[x] = t and the rest spread evenly:
+    row x of P_mu there is row x of the kernel at t."""
+    witness = np.full(p, (1.0 - t) / (p - 1))
+    witness[x] = t
+    return witness
+
+
 def _kernel_extremes(K: PolynomialKernel) -> tuple[float, float, np.ndarray | None]:
     T = _critical_points(K)
     m = _polynomial(K, T)          # m[n, x] is row x of P_mu at mu[x] = T[n, x]
@@ -289,9 +297,7 @@ def _kernel_extremes(K: PolynomialKernel) -> tuple[float, float, np.ndarray | No
         return worst_neg, worst_dev, None
     # the row of matrix i furthest past its tolerance (both are EVAL_TOL)
     x = int(np.argmax(np.maximum(-m[i].min(axis=1), np.abs(sums[i, :, 0] - 1.0))))
-    witness = np.full(K.p, (1.0 - T[i, x]) / (K.p - 1))
-    witness[x] = T[i, x]
-    return worst_neg, worst_dev, witness
+    return worst_neg, worst_dev, _row_witness(K.p, x, T[i, x])
 
 
 def validate_kernel(K: PolynomialKernel) -> KernelValidationReport:

@@ -79,8 +79,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     kernel = _resolve_kernel(args)
-    table, _ = compare_bounds(kernel, args.steps, rng=None, trials=args.trials,
-                              seed=args.seed)
+    table, _ = compare_bounds(kernel, args.steps, trials=args.trials, seed=args.seed)
     export_report(table, args.out)
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK

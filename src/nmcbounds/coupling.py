@@ -233,19 +233,16 @@ class SpectralRadiusEstimate:
     r: float
     eps: float
     squarings: int
-    estimates: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpectralRadii:
     """Per-item estimates of a stack: r + eps bounds rho from above on both
-    paths.  ``estimates[i]`` has ``squarings[i] + 1`` entries: the Gelfand
-    sequence, or (r,) for an item the bracket closed (squarings 0)."""
+    paths; ``squarings`` is 0 for an item the bracket closed."""
 
     r: np.ndarray
     eps: np.ndarray
     squarings: np.ndarray
-    estimates: tuple
 
 
 def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
@@ -262,12 +259,12 @@ def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
     while 2 ** (steps + 1) <= K_max:
         steps += 1
     B = Ms.shape[0]
-    est = np.zeros((B, steps + 1))
     squarings = np.zeros(B, dtype=int)
-    est[:, 0] = norm0 = _max_row_sums(Ms)
+    norm0 = _max_row_sums(Ms)
     live = np.flatnonzero(norm0 != 0.0)
     A = Ms[live] / norm0[live, None, None]
     log_scale = np.log(norm0[live])
+    prev = cur = norm0[live]            # the last two estimates of the live items
     for k in range(1, steps + 1):
         if live.size == 0:
             break
@@ -277,18 +274,16 @@ def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
             raise FloatingPointError("non-finite intermediate in spectral radius iteration")
         squarings[live] = k
         vanished = c == 0.0
-        if vanished.any():      # est[., k] stays 0 for these
-            live, A, c, log_scale = (a[~vanished] for a in (live, A, c, log_scale))
+        if vanished.any():      # these keep r = eps = 0
+            live, A, c, log_scale, cur = (a[~vanished] for a in (live, A, c, log_scale, cur))
         A /= c[:, None, None]
         log_scale = 2.0 * log_scale + np.log(c)
-        est[live, k] = np.exp(log_scale / 2**k)
+        prev, cur = cur, np.exp(log_scale / 2**k)
     r = np.zeros(B)
     eps = np.zeros(B)
-    r[live] = est[live, steps]
-    if steps:
-        eps[live] = np.maximum(0.0, est[live, steps - 1] - est[live, steps])
-    return SpectralRadii(r, eps, squarings,
-                         tuple(est[i, :n + 1] for i, n in enumerate(squarings.tolist())))
+    r[live] = cur
+    eps[live] = np.maximum(0.0, prev - cur)
+    return SpectralRadii(r, eps, squarings)
 
 
 def _perron_bracket(M: np.ndarray) -> tuple[float, float] | None:
@@ -341,16 +336,15 @@ def spectral_radii(Ms, K_max: int = 2**20) -> SpectralRadii:
     last decrement, a measure of how unconverged r still is rather than a
     certificate.  From the cutover on, each item runs the Collatz-Wielandt
     bracket (``_perron_bracket``): r = hi and eps = hi - lo, with
-    lo <= rho <= hi certified to 1e-12 relative; squarings reads 0 and
-    estimates (r,).  The cutover comes from a sweep over Dirichlet(0.3)
-    chains, one matrix per call, on a 2-core x86 VM with OpenBLAS (medians
-    of 3, three sweeps): 8 chains took 10.5-11.6 ms by Gelfand and
-    14.2-17.2 ms by the bracket at d = 90, 19.6-31.9 ms and 17.6-18.0 ms at
-    d = 110, and 90-96 ms and 20-21 ms at d = 240.  An item whose bracket does not close
-    within ``_BRACKET_BUDGET`` * d steps (about the flops of the 20
-    squarings), or whose iterate loses strict positivity, falls back to
-    Gelfand.  On both paths r + eps bounds rho from above, and
-    r = eps = 0 when M = 0.
+    lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.  The
+    cutover comes from a sweep over Dirichlet(0.3) chains, one matrix per
+    call, on a 2-core x86 VM with OpenBLAS (medians of 3, three sweeps):
+    8 chains took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the bracket
+    at d = 90, 19.6-31.9 ms and 17.6-18.0 ms at d = 110, and 90-96 ms and
+    20-21 ms at d = 240.  An item whose bracket does not close within
+    ``_BRACKET_BUDGET`` * d steps (about the flops of the 20 squarings),
+    or whose iterate loses strict positivity, falls back to Gelfand.  On
+    both paths r + eps bounds rho from above, and r = eps = 0 when M = 0.
     """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
@@ -365,18 +359,14 @@ def spectral_radii(Ms, K_max: int = 2**20) -> SpectralRadii:
     r = np.array([0.0 if b is None else b[1] for b in brackets])
     eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
     squarings = np.zeros(len(brackets), dtype=int)
-    estimates = [np.array([r_i]) for r_i in r]
     r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
-    for i, e in zip(fallback, gelfand.estimates):
-        estimates[i] = e
-    return SpectralRadii(r, eps, squarings, tuple(estimates))
+    return SpectralRadii(r, eps, squarings)
 
 
 def spectral_radius(M: CouplingMatrix, K_max: int = 2**20) -> SpectralRadiusEstimate:
     """Spectral radius of one pair matrix (see ``spectral_radii``)."""
     est = spectral_radii(M.entries[None], K_max)
-    return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]),
-                                  int(est.squarings[0]), est.estimates[0])
+    return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]), int(est.squarings[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundConfig, BoundReport, full_report
+from .bounds import BoundReport, full_report
 from .chain import Distribution, PolynomialKernel, flow_batch, stationary
 from .errors import NmcError
-from .rng import as_generator
+from .rng import as_generator, derive_seed
 
 EXAMPLE1_P = np.array([
     [0.4, 0.2, 0.2, 0.2],
@@ -101,12 +101,16 @@ class ComparisonTable:
     metadata: dict = field(default_factory=dict)
 
 
-def compare_bounds(K: PolynomialKernel, steps: int, config: BoundConfig | None = None,
-                   rng=None, trials: int = 1000, seed: int | None = None) -> tuple[ComparisonTable, BoundReport]:
-    """True-TV envelope next to every bound curve, one row per step n."""
-    rng = as_generator(rng if rng is not None else seed)
-    report = full_report(K, steps, config, rng, seed=seed)
-    env = tv_envelope(K, trials, steps, rng)
+def compare_bounds(K: PolynomialKernel, steps: int, trials: int = 1000,
+                   seed: int | None = None) -> tuple[ComparisonTable, BoundReport]:
+    """True-TV envelope next to every bound curve, one row per step n.
+
+    The report is ``full_report(K, steps, seed=seed)``.  The envelope's
+    random starts come from a stream of their own, ``derive_seed(seed, 1)``,
+    so they do not depend on how many draws the report's samplers take.
+    """
+    report = full_report(K, steps, seed=seed)
+    env = tv_envelope(K, trials, steps, None if seed is None else derive_seed(seed, 1))
     columns = ["n", "tv_min", "tv_mean", "tv_max",
                "md", "spectral", "combined_small_n", "combined_large_n"]
     rows = []

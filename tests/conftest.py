@@ -37,3 +37,18 @@ def row_sum_drift_kernel() -> PolynomialKernel:
     sums to 1 + 0.1 m (1 - 2 m) with m = mu[x]: stochastic at the barycenter
     (its fixed point), off by up to 0.1 elsewhere, entries always >= 0.4."""
     return PolynomialKernel((np.full((2, 2), 0.5), np.diag([0.1, 0.1]), np.diag([-0.2, -0.2])))
+
+
+def bowl_kernel(floor: float) -> PolynomialKernel:
+    """Valid degree-3 kernel on 3 states whose entry (0, 0) is
+    floor + (t - 0.37)^2 with t = mu[0], the rest of row 0 going to state 1;
+    rows 1 and 2 are constant.  Its perturbation ratio peaks inside (0, 1),
+    at gamma = (0.1369 + floor)/floor - 1, and is unbounded at floor 0."""
+    C1 = np.array([[0.1369 + floor, 0.8631 - floor, 0.0],
+                   [0.3, 0.4, 0.3],
+                   [0.2, 0.3, 0.5]])
+    C2 = np.zeros((3, 3))
+    C2[0, :2] = -0.74, 0.74
+    C3 = np.zeros((3, 3))
+    C3[0, :2] = 1.0, -1.0
+    return PolynomialKernel((C1, C2, C3))

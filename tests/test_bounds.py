@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmcbounds.bounds import (
     BoundConfig,
@@ -18,10 +20,12 @@ from nmcbounds.bounds import (
     perturbation_bound,
     combined_bound,
 )
-from nmcbounds.chain import PolynomialKernel, StochasticMatrix
+from nmcbounds.chain import PolynomialKernel, StochasticMatrix, _clean_rows, evaluate_batch
 from nmcbounds import bounds as bounds_mod
 from nmcbounds.errors import InfiniteGammaError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
+
+from conftest import bowl_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +144,76 @@ def test_gamma_linear_kernel_zero():
 
 def test_gamma_example1_closed_form(ex1_k01, ex1_k02):
     # entry (1,1) = 0.4 - kappa mu1 minimized at mu1 = 1
-    g1 = gamma_estimate(ex1_k01, samples=50, rng=0)
+    g1 = gamma_estimate(ex1_k01)
     assert g1.value == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert g1.argmax_entry == (0, 0)
-    g2 = gamma_estimate(ex1_k02, samples=50, rng=0)
+    g2 = gamma_estimate(ex1_k02)
     assert g2.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_infinite_for_example2_at_02():
     K = builtin_example(2, 0.2)
     with pytest.raises(InfiniteGammaError):
-        gamma_estimate(K, samples=50, rng=0)
+        gamma_estimate(K)
+
+
+def test_gamma_at_an_interior_minimum():
+    # entry (0,0) = 0.01 + (t - 0.37)^2 bottoms out at t = 0.37, between the
+    # vertices: C1(0,0)/0.01 - 1 = 0.1469/0.01 - 1
+    g = gamma_estimate(bowl_kernel(0.01))
+    assert g.value == pytest.approx(13.69, abs=1e-9)
+    assert g.argmax_entry == (0, 0)
+    assert g.argmax_mu.tolist() == pytest.approx([0.37, 0.315, 0.315], abs=1e-15)
+    with pytest.raises(InfiniteGammaError) as info:
+        gamma_estimate(bowl_kernel(0.0))
+    assert info.value.entry == (0, 0)
+    assert info.value.mu.tolist() == pytest.approx([0.37, 0.315, 0.315], abs=1e-15)
+
+
+def bernstein_kernel(gen, p, degree, floor, concentration):
+    """A random valid kernel: row x of P_mu is sum_k b_k(t) Q_k(x, .) over
+    the Bernstein basis b_k of degree - 1, with every Q_k row-stochastic and
+    >= floor, so every entry stays >= floor on [0, 1]."""
+    n = degree - 1
+    Q = floor + (1.0 - p * floor) * gen.dirichlet(np.full(p, concentration), size=(n + 1, p))
+    coeff = np.zeros((degree, p, p))
+    for k in range(n + 1):
+        for j in range(k, n + 1):
+            coeff[j] += math.comb(n, k) * math.comb(n - k, j - k) * (-1) ** (j - k) * Q[k]
+    return PolynomialKernel(tuple(coeff))
+
+
+def sampled_gamma(K, samples=2000, seed=0):
+    """The former estimator: the largest ratio at the vertices, the
+    barycenter and ``samples`` flat-Dirichlet points of the simplex."""
+    p = K.p
+    draws = np.random.default_rng(seed).standard_exponential((samples, p))
+    points = np.concatenate([np.eye(p), np.full((1, p), 1.0 / p),
+                             draws / draws.sum(axis=1, keepdims=True)])
+    Pm = evaluate_batch(K, _clean_rows(points))
+    return max(0.0, float((K.coeff[0] / Pm).max()) - 1.0)
+
+
+def grid_gamma(K, points=20001):
+    """The largest ratio over a dense t-grid, every row on the same grid."""
+    t = np.linspace(0.0, 1.0, points)
+    powers = t[:, None] ** np.arange(K.degree)
+    P = np.einsum("nj,jxy->nxy", powers, np.stack(K.coeff))
+    return max(0.0, float((K.coeff[0] / P).max()) - 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 4),
+       st.floats(0.002, 0.04), st.sampled_from([0.3, 1.0]))
+def test_exact_gamma_dominates_sampling_and_matches_a_dense_grid(seed, p, degree, floor,
+                                                                 concentration):
+    K = bernstein_kernel(np.random.default_rng(seed), p, degree, floor, concentration)
+    exact = gamma_estimate(K).value
+    assert exact >= sampled_gamma(K, seed=seed) - 1e-12 * (1.0 + exact)
+    # a grid of step h misses an entry's minimum by at most |f''| h^2 / 8
+    # (below 1e-8 here), a relative 5e-6 of entries >= 0.002
+    grid = grid_gamma(K)
+    assert grid - 1e-12 * (1.0 + exact) <= exact <= grid + 1e-5 * (1.0 + exact)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +278,16 @@ def test_ratio_second_moment_bound(ex1_k01):
     assert rep.gamma == pytest.approx(1 / 3, abs=1e-12)
     assert rep.bound == pytest.approx((4 / 3) ** 10, abs=1e-9)
     assert rep.passed
+
+
+def test_ratio_moments_reproducible_from_the_seed():
+    # gamma = None takes gamma from the kernel, which must not draw from
+    # a stream of its own: equal seeds give equal reports
+    K = bowl_kernel(0.01)
+    first = likelihood_ratio_moments(K, n=3, k=2, samples=1000, rng=7)
+    second = likelihood_ratio_moments(K, n=3, k=2, samples=1000, rng=7)
+    assert first == second
+    assert first.gamma == pytest.approx(13.69, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

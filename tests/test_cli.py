@@ -12,6 +12,8 @@ import nmcbounds
 from nmcbounds.cli import main
 from nmcbounds.experiments import parse_report
 
+from conftest import bowl_kernel
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -286,6 +288,25 @@ def test_model_failing_between_sample_points_exits_2_up_front(tmp_path, capsys, 
     assert code == 2
     assert "error: model fails validation: worst entry -1.000e-08" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dip.json"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_valid_model_with_lambda_above_one_is_reported(tmp_path, capsys, command):
+    # entry (0, 0) is 0.01 + (t - 0.37)^2: valid, with lambda_1 up to 1.26
+    # and gamma = 13.69 at t = 0.37
+    K = bowl_kernel(0.01)
+    model = tmp_path / "bowl.json"
+    model.write_text(json.dumps({"p": 3, "degree": 3,
+                                 "coeff": [c.reshape(-1).tolist() for c in K.coeff]}),
+                     encoding="utf-8")
+    out = (["--out-prefix", str(tmp_path / "bowl")] if command == "bounds"
+           else ["--trials", "200", "--out", str(tmp_path / "bowl.csv")])
+    code, _, _ = run_cli([command, "--model", str(model), "--steps", "5"] + out, capsys)
+    assert code == 0
+    if command == "bounds":
+        coeffs = json.loads((tmp_path / "bowl_coefficients.json").read_text())
+        assert coeffs["gamma"] == pytest.approx(13.69, abs=1e-9)
+        assert coeffs["lambda"][0] > 1.0
 
 
 @pytest.mark.parametrize("example, kappa, seed", [("1", "0.1", "1"), ("1", "0.1", "2"),

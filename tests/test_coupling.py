@@ -396,11 +396,11 @@ def loop_coupling_matrix(P):
 
 
 def loop_spectral_radius(M, K_max=2**20):
-    """One-matrix Gelfand iteration (r, eps, squarings, estimates), the
-    scalar loop the batched iteration replaced."""
+    """One-matrix Gelfand iteration (r, eps, squarings), the scalar loop
+    the batched iteration replaced."""
     norm0 = float(M.sum(axis=1).max())
     if norm0 == 0.0:
-        return 0.0, 0.0, 0, [0.0]
+        return 0.0, 0.0, 0
     A = M / norm0
     log_scale = np.log(norm0)
     estimates = [norm0]
@@ -410,12 +410,12 @@ def loop_spectral_radius(M, K_max=2**20):
         A = A @ A
         c = float(A.sum(axis=1).max())
         if c == 0.0:
-            return 0.0, 0.0, k, estimates + [0.0]
+            return 0.0, 0.0, k
         A /= c
         log_scale = 2.0 * log_scale + np.log(c)
         estimates.append(float(np.exp(log_scale / 2**k)))
     eps = max(0.0, estimates[-2] - estimates[-1]) if len(estimates) > 1 else 0.0
-    return estimates[-1], eps, k, estimates
+    return estimates[-1], eps, k
 
 
 def dirichlet_chain(gen, p, a=0.3):
@@ -435,10 +435,7 @@ DEGENERATE_CHAINS = (
 
 def test_degenerate_chains_take_the_early_exits():
     est = spectral_radii(coupling_matrices(np.stack(DEGENERATE_CHAINS)))
-    zero, nilpotent, live = est.estimates
-    assert zero.tolist() == [0.0]
-    assert nilpotent.tolist() == [1.0, 0.0]
-    assert est.squarings.tolist() == [0, 1, 20] and live.size == 21
+    assert est.squarings.tolist() == [0, 1, 20]
     assert est.r[:2].tolist() == [0.0, 0.0] and est.eps[:2].tolist() == [0.0, 0.0]
     assert est.r[2] > 0.0
 
@@ -463,11 +460,10 @@ def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at, K_max):
     for i, P in enumerate(stack):
         M = loop_coupling_matrix(P)
         assert Ms[i].tobytes() == M.tobytes()
-        r, eps, squarings, estimates = loop_spectral_radius(M, K_max)
-        assert (est.r[i], est.eps[i], est.squarings[i]) == (r, eps, squarings)
-        assert est.estimates[i].tolist() == estimates
+        expected = loop_spectral_radius(M, K_max)
+        assert (est.r[i], est.eps[i], est.squarings[i]) == expected
         single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)), K_max)
-        assert (single.r, single.eps, single.squarings) == (r, eps, squarings)
+        assert (single.r, single.eps, single.squarings) == expected
 
 
 def oracle_bracket(M, rtol=1e-12, max_iter=20000):
@@ -488,15 +484,15 @@ def oracle_bracket(M, rtol=1e-12, max_iter=20000):
     return lo, hi
 
 
-def assert_spectral_path(CM, r, eps, squarings, estimates):
+def assert_spectral_path(CM, r, eps, squarings):
     """A bracket item (squarings 0) holds max|eig(M)| in [r - eps, r] within
     1e-9 relative and agrees with the oracle iteration; a fallback item is
     the Gelfand loop bit for bit.  Both stay below the max row sum."""
     M = CM.entries
     if squarings:
-        assert (r, eps, squarings, estimates.tolist()) == loop_spectral_radius(M)
+        assert (r, eps, squarings) == loop_spectral_radius(M)
     else:
-        assert estimates.tolist() == [r] and 0.0 <= eps <= 2e-12 * r
+        assert 0.0 <= eps <= 2e-12 * r
         eig = float(np.abs(np.linalg.eigvals(M)).max())
         assert r - eps <= eig * (1.0 + 1e-9) and eig <= r * (1.0 + 1e-9)
         lo, hi = oracle_bracket(M)
@@ -535,7 +531,7 @@ def fixed_chain(kind, p):
 def test_bracket_holds_the_spectral_radius(seed, p, a):
     M = build_coupling_matrix(StochasticMatrix(dirichlet_chain(np.random.default_rng(seed), p, a)))
     est = spectral_radii(M.entries[None])
-    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0], est.estimates[0])
+    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
     single = spectral_radius(M)
     assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
 
@@ -549,7 +545,7 @@ def test_bracket_on_fixed_chains(kind, squarings, p):
     M = build_coupling_matrix(StochasticMatrix(fixed_chain(kind, p)))
     est = spectral_radii(M.entries[None])
     assert est.squarings[0] == squarings
-    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0], est.estimates[0])
+    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
     if kind == "all rows equal":
         assert (est.r[0], est.eps[0]) == (0.0, 0.0)
 
@@ -581,7 +577,6 @@ def test_mixed_stack_equals_its_items():
         alone = spectral_radii(M[None])
         assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r[0], alone.eps[0],
                                                             alone.squarings[0])
-        assert est.estimates[i].tolist() == alone.estimates[0].tolist()
 
 
 @settings(max_examples=10, deadline=None)
@@ -594,9 +589,7 @@ def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B, K_max):
         mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
         est = spectral_radii(Ms, K_max)
     for i, M in enumerate(Ms):
-        r, eps, squarings, estimates = loop_spectral_radius(M, K_max)
-        assert (est.r[i], est.eps[i], est.squarings[i]) == (r, eps, squarings)
-        assert est.estimates[i].tolist() == estimates
+        assert (est.r[i], est.eps[i], est.squarings[i]) == loop_spectral_radius(M, K_max)
 
 
 @settings(max_examples=15, deadline=None)

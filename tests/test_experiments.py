@@ -12,6 +12,7 @@ from nmcbounds.experiments import (
     parse_report,
     tv_envelope,
 )
+from nmcbounds.rng import derive_seed
 
 from conftest import row_sum_drift_kernel
 
@@ -84,6 +85,17 @@ def test_compare_bounds_deterministic():
     t1, _ = compare_bounds(K, steps=5, trials=50, seed=11)
     t2, _ = compare_bounds(K, steps=5, trials=50, seed=11)
     assert t1.rows == t2.rows
+
+
+def test_compare_bounds_envelope_has_its_own_stream():
+    # the envelope starts come from derive_seed(seed, 1), whatever the
+    # report's samplers draw
+    K = builtin_example(1, 0.1)
+    table, _ = compare_bounds(K, steps=5, trials=50, seed=11)
+    env = tv_envelope(K, 50, 5, derive_seed(11, 1))
+    cols = [table.columns.index(c) for c in ("tv_min", "tv_mean", "tv_max")]
+    assert [[row[c] for c in cols] for row in table.rows] == [
+        [float(env.tv_min[n]), float(env.tv_mean[n]), float(env.tv_max[n])] for n in range(1, 6)]
 
 
 def test_export_roundtrip(tmp_path):
