@@ -28,6 +28,7 @@ from .chain import (
     evaluate_batch,
     stationary,
     tv_distance,
+    validate_kernel,
 )
 from .coupling import build_coupling_matrix, spectral_radius
 from .errors import (
@@ -56,12 +57,8 @@ class CoefficientEstimate:
 
 def _alpha_of_matrix(P: np.ndarray, k: int) -> float:
     Pk = np.linalg.matrix_power(P, k)
-    p = P.shape[0]
-    best = 1.0
-    for x in range(p):
-        for xp in range(x + 1, p):
-            best = min(best, float(np.minimum(Pk[x], Pk[xp]).sum()))
-    return best
+    iu, ju = np.triu_indices(P.shape[0], 1)
+    return float(np.minimum(Pk[iu], Pk[ju]).sum(axis=1).min(initial=1.0))
 
 
 def _kstep_products(K: PolynomialKernel, mus: np.ndarray, k: int) -> np.ndarray:
@@ -186,12 +183,20 @@ def gamma_estimate(K: PolynomialKernel) -> GammaEstimate:
     (`chain._critical_points`, the candidates of `validate_kernel`).
     ``argmax_mu`` is a point of the simplex with mu[x] = t* for the row x
     of ``argmax_entry``.  Raises InfiniteGammaError when the linear part
-    keeps mass on an entry the kernel drives to zero.
+    keeps mass on an entry the kernel drives to zero, and KernelInvalidError
+    carrying `validate_kernel`'s witness when P_mu is not stochastic
+    somewhere on the simplex.
     """
     p = K.p
     C1 = K.coeff[0]
     if K.degree == 1:
         return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p))
+    check = validate_kernel(K)
+    if not check.ok:
+        raise KernelInvalidError(
+            f"kernel invalid at mu: worst entry {check.worst_negative_entry:.3e}, "
+            f"row-sum deviation {check.worst_row_sum_dev:.3e}", mu=check.witness,
+            worst_entry=check.worst_negative_entry, worst_row_sum_dev=check.worst_row_sum_dev)
     T = _critical_points(K)
     Pm = evaluate_batch(K, T)      # Pm[n, x] is row x of P_mu at mu[x] = T[n, x]
     dead = (Pm <= 0.0) & (C1 > 0.0)

@@ -4,9 +4,10 @@ Two chains sharing a transition matrix are realized jointly through the
 quadruple (eta1, eta2, xi, zeta): while zeta = 1 the chains move through
 the residual laws eta1/eta2, with probability kappa(x1, x2) per step of
 dropping into the overlap law xi, after which zeta = 0 and the chains
-coincide forever.  The not-yet-met dynamics restricted to ordered distinct
-pairs form a sub-stochastic matrix whose spectral radius sets the
-geometric rate of convergence in total variation.
+coincide forever.  The not-yet-met dynamics on distinct pairs form a
+sub-stochastic matrix whose spectral radius sets the geometric rate of
+convergence in total variation.  It commutes with swapping the two
+chains, so it is kept on unordered pairs, d = p(p - 1)/2.
 
 The construction has one split and one sampler: ``split_densities`` alone
 forms the overlap and residual laws, and ``_draw_split`` makes every joint
@@ -17,13 +18,11 @@ The coupling operator is batch-first: ``coupling_matrices`` builds the pair
 matrices of a (B, p, p) stack of transition matrices and ``spectral_radii``
 estimates their spectral radii; ``build_coupling_matrix`` and
 ``spectral_radius`` are their one-matrix wrappers.  ``spectral_radii`` picks
-its path from d = p(p - 1).  Below ``_BRACKET_MIN_DIM`` = 100 (p <= 10) the
-whole stack runs the Gelfand iteration, 20 dense squarings at 2 d^3 flops
+its path from d.  Below ``_BRACKET_MIN_DIM`` = 55 (p <= 10) the whole
+stack runs the Gelfand iteration, 20 dense squarings at 2 d^3 flops
 each; from there on each matrix runs a certified Collatz-Wielandt bracket
-by power iteration, O(d^2) per step.  The cutover is measured on
-Dirichlet(0.3) chains: Gelfand is faster at d = 90, the bracket from
-d = 110.  On both paths r + eps bounds rho from above; on the bracket path
-[r - eps, r] is a certified bracket.
+by power iteration, O(d^2) per step.  On both paths r + eps bounds rho
+from above; on the bracket path [r - eps, r] is a certified bracket.
 """
 
 from __future__ import annotations
@@ -39,9 +38,10 @@ from .rng import as_generator
 
 _ONE_TOL = 1e-12    # row overlaps / overlap masses this close to 1 are treated as 1
 LEMMA_DELTA = 1e-6      # lemma_check: false-alarm probability of each tolerance check
-_BRACKET_MIN_DIM = 100  # spectral_radii: smallest d that takes the bracket path (measured cutover)
+_SQUARINGS = 20         # Gelfand powers M^(2^k), k = 1..20
+_BRACKET_MIN_DIM = 55   # spectral_radii: smallest d that takes the bracket path (p >= 11)
 _BRACKET_RTOL = 1e-12   # the bracket closes when hi - lo <= _BRACKET_RTOL * hi
-_BRACKET_BUDGET = 10    # bracket steps per row of M: about the 40 d^3 flops of 20 squarings
+_BRACKET_BUDGET = 20    # bracket steps per row of Q: 10 p(p - 1), as measured on ordered pairs
 _NEGLIGIBLE = 1e-8      # iterate entries below this share of the largest leave the lower end
 
 
@@ -143,17 +143,17 @@ def simulate_coupled_chain(
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Sub-stochastic matrix over ordered distinct state pairs.
+    """Sub-stochastic matrix over unordered distinct state pairs.
 
-    Row/column ``i`` corresponds to ``pairs[i]``; the bijection is
-    row-major over (x1, x2), x1 != x2, skipping the diagonal.
+    Row/column ``i`` corresponds to ``pairs[i]`` = {x1, x2} with x1 < x2,
+    in the row-major order of ``np.triu_indices(p, 1)``.
     """
 
     p: int
     entries: np.ndarray
 
     def __post_init__(self):
-        d = self.p * (self.p - 1)
+        d = self.dim
         m = np.asarray(self.entries, dtype=np.float64)
         if m.shape != (d, d):
             raise DimensionMismatchError(f"coupling matrix must be {d} x {d}")
@@ -165,53 +165,45 @@ class CouplingMatrix:
 
     @property
     def dim(self) -> int:
-        return self.p * (self.p - 1)
-
-    def index_of(self, x1: int, x2: int) -> int:
-        if x1 == x2:
-            raise ValueError("diagonal pairs are not part of the coupling space")
-        return x1 * (self.p - 1) + (x2 if x2 < x1 else x2 - 1)
-
-    def pair_of(self, index: int) -> tuple[int, int]:
-        x1, r = divmod(index, self.p - 1)
-        x2 = r if r < x1 else r + 1
-        return x1, x2
+        return self.p * (self.p - 1) // 2
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
-        return [self.pair_of(i) for i in range(self.dim)]
+        return [(int(a), int(b)) for a, b in zip(*np.triu_indices(self.p, 1))]
 
 
 def coupling_matrices(Ps) -> np.ndarray:
     """Not-yet-met pair dynamics of a (B, p, p) stack of transition
-    matrices, as a (B, d, d) stack with d = p(p - 1).
+    matrices, as a (B, d, d) stack over unordered pairs, d = p(p - 1)/2.
 
-    Entry [(x1,x2),(y1,y2)] = residual1(y1) * residual2(y2) / (1 - kappa),
-    where residual_i(y) = P(x_i, y) - min(P(x1,y), P(x2,y)).  The residuals
-    have disjoint supports, so diagonal targets carry no mass and each row
-    sums to exactly 1 - kappa(x1, x2).  Rows with kappa = 1 are zero.  The
-    rows are filled one x1 block of p - 1 pairs at a time, so no temporary
-    grows beyond (B, p - 1, p * p).
+    The chain on ordered pairs moves (x1, x2) -> (y1, y2) with probability
+    r1(y1) r2(y2) / (1 - kappa), where r_i(y) = P(x_i, y) - min(P(x1, y),
+    P(x2, y)).  It commutes with the swap (x1, x2) -> (x2, x1), so its
+    spectral radius and the row sums of its powers are those of the
+    quotient by the swap (an equitable partition): entry [{x1,x2},{y1,y2}]
+    = (r1(y1) r2(y2) + r1(y2) r2(y1)) / (1 - kappa).  The residuals have
+    disjoint supports, so one of the two products is exactly 0, diagonal
+    targets carry no mass and each row sums to 1 - kappa(x1, x2).  Rows
+    with kappa = 1 are zero.
     """
     Ps = np.asarray(Ps, dtype=np.float64)
     if Ps.ndim != 3:
         raise DimensionMismatchError("need a (B, p, p) stack of transition matrices")
     _check_stochastic(Ps)
-    B, p, _ = Ps.shape
-    off_diagonal = ~np.eye(p, dtype=bool).ravel()      # row-major (y1, y2), y1 != y2
-    M = np.zeros((B, p * (p - 1), p * (p - 1)))
-    for x1 in range(p):
-        row1 = Ps[:, x1, None, :]                       # (B, 1, p)
-        rows2 = Ps[:, np.arange(p) != x1, :]            # (B, p - 1, p): x2 != x1
-        m = np.minimum(row1, rows2)
-        k = m.sum(axis=-1)
-        dead = k >= 1.0 - _ONE_TOL
-        block = ((row1 - m)[..., :, None] * (rows2 - m)[..., None, :]).reshape(B, p - 1, p * p)
-        block = block[..., off_diagonal]
-        block /= np.where(dead, 1.0, 1.0 - k)[..., None]
-        block[dead] = 0.0
-        M[:, x1 * (p - 1):(x1 + 1) * (p - 1)] = block
-    return M
+    iu, ju = np.triu_indices(Ps.shape[1], 1)
+    rows1, rows2 = Ps[:, iu], Ps[:, ju]             # (B, d, p)
+    m = np.minimum(rows1, rows2)
+    k = m.sum(axis=-1)
+    r1, r2 = rows1 - m, rows2 - m
+    Q = np.take(r1, iu, axis=-1)                    # take keeps (B, d, d) row-major
+    Q *= np.take(r2, ju, axis=-1)
+    swapped = np.take(r1, ju, axis=-1)
+    swapped *= np.take(r2, iu, axis=-1)
+    Q += swapped
+    dead = k >= 1.0 - _ONE_TOL
+    Q /= np.where(dead, 1.0, 1.0 - k)[..., None]
+    Q[dead] = 0.0
+    return Q
 
 
 def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
@@ -245,9 +237,9 @@ class SpectralRadii:
     squarings: np.ndarray
 
 
-def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
-    """Gelfand estimates r_k = ||M^(2^k)||^(1/2^k) of a (B, d, d) stack by
-    repeated squaring, all items advancing together.
+def _gelfand(Ms: np.ndarray) -> SpectralRadii:
+    """Gelfand estimates r_k = ||M^(2^k)||^(1/2^k), k <= ``_SQUARINGS``, of a
+    (B, d, d) stack by repeated squaring, all items advancing together.
 
     Powers are renormalized after every squaring (the log scale is carried
     separately) so the iteration cannot under- or overflow.  The sequence
@@ -255,9 +247,6 @@ def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
     how unconverged the estimate still is in practice.  An item whose
     power vanishes stops there with r = eps = 0.
     """
-    steps = 0
-    while 2 ** (steps + 1) <= K_max:
-        steps += 1
     B = Ms.shape[0]
     squarings = np.zeros(B, dtype=int)
     norm0 = _max_row_sums(Ms)
@@ -265,7 +254,7 @@ def _gelfand(Ms: np.ndarray, K_max: int) -> SpectralRadii:
     A = Ms[live] / norm0[live, None, None]
     log_scale = np.log(norm0[live])
     prev = cur = norm0[live]            # the last two estimates of the live items
-    for k in range(1, steps + 1):
+    for k in range(1, _SQUARINGS + 1):
         if live.size == 0:
             break
         A = A @ A
@@ -326,36 +315,35 @@ def _perron_bracket(M: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-def spectral_radii(Ms, K_max: int = 2**20) -> SpectralRadii:
+def spectral_radii(Ms) -> SpectralRadii:
     """Spectral radii of a (B, d, d) stack of nonnegative matrices, by one
     of two paths chosen from d.
 
     Below ``_BRACKET_MIN_DIM`` every item runs the Gelfand iteration
-    (``_gelfand``, up to K_max powers): r is the last estimate, which can
-    only overshoot rho (by about 2e-7 relative at K_max = 2^20), and eps the
-    last decrement, a measure of how unconverged r still is rather than a
+    (``_gelfand``, up to the power 2^20): r is the last estimate, which can
+    only overshoot rho (by about 2e-7 relative), and eps the last
+    decrement, a measure of how unconverged r still is rather than a
     certificate.  From the cutover on, each item runs the Collatz-Wielandt
     bracket (``_perron_bracket``): r = hi and eps = hi - lo, with
     lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.  The
-    cutover comes from a sweep over Dirichlet(0.3) chains, one matrix per
-    call, on a 2-core x86 VM with OpenBLAS (medians of 3, three sweeps):
-    8 chains took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the bracket
-    at d = 90, 19.6-31.9 ms and 17.6-18.0 ms at d = 110, and 90-96 ms and
-    20-21 ms at d = 240.  An item whose bracket does not close within
-    ``_BRACKET_BUDGET`` * d steps (about the flops of the 20 squarings),
-    or whose iterate loses strict positivity, falls back to Gelfand.  On
-    both paths r + eps bounds rho from above, and r = eps = 0 when M = 0.
+    cutover (between p = 10 and p = 11) comes from a sweep over
+    Dirichlet(0.3) chains on the ordered-pair matrix (d = p(p - 1)), one
+    matrix per call, on a 2-core x86 VM with OpenBLAS (medians of 3, three
+    sweeps): 8 chains took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the
+    bracket at p = 10, 19.6-31.9 ms and 17.6-18.0 ms at p = 11, and
+    90-96 ms and 20-21 ms at p = 16.  An item whose bracket does not close
+    within ``_BRACKET_BUDGET`` * d steps, or whose iterate loses strict
+    positivity, falls back to Gelfand.  On both paths r + eps bounds rho
+    from above, and r = eps = 0 when M = 0.
     """
-    if K_max < 1:
-        raise ValueError("K_max must be >= 1")
     Ms = np.asarray(Ms, dtype=np.float64)
     if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
         raise DimensionMismatchError("need a (B, d, d) stack of square matrices")
     if Ms.shape[1] < _BRACKET_MIN_DIM:
-        return _gelfand(Ms, K_max)
+        return _gelfand(Ms)
     brackets = [_perron_bracket(M) for M in Ms]
     fallback = [i for i, b in enumerate(brackets) if b is None]
-    gelfand = _gelfand(Ms[fallback], K_max)
+    gelfand = _gelfand(Ms[fallback])
     r = np.array([0.0 if b is None else b[1] for b in brackets])
     eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
     squarings = np.zeros(len(brackets), dtype=int)
@@ -363,9 +351,9 @@ def spectral_radii(Ms, K_max: int = 2**20) -> SpectralRadii:
     return SpectralRadii(r, eps, squarings)
 
 
-def spectral_radius(M: CouplingMatrix, K_max: int = 2**20) -> SpectralRadiusEstimate:
+def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:
     """Spectral radius of one pair matrix (see ``spectral_radii``)."""
-    est = spectral_radii(M.entries[None], K_max)
+    est = spectral_radii(M.entries[None])
     return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]), int(est.squarings[0]))
 
 
@@ -393,14 +381,16 @@ def pairchain_meet_curve(P: StochasticMatrix, mu0: Distribution, nu0: Distributi
     """Exact P(pair chain has met by step t) via powers of the pair matrix.
 
     The not-yet-met mass evolves under the sub-stochastic pair matrix, so
-    meet-by-t = 1 - w0^T M^t 1 with w0 the initial off-diagonal mass.
+    meet-by-t = 1 - w0^T M^t 1 with w0 the initial mass of each unordered
+    pair {x1, x2}, (x1, x2) and (x2, x1) together.
     This is systematically below the overlap curve: the stepwise pair
     chain meets later than the per-step maximal coupling of the laws.
     """
     laws0 = split_densities(mu0, nu0)
     M = build_coupling_matrix(P)
     joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
-    w = joint[~np.eye(M.p, dtype=bool)]             # row-major over x1 != x2, as M.pairs
+    iu, ju = np.triu_indices(M.p, 1)
+    w = joint[iu, ju] + joint[ju, iu]               # mass of each unordered pair, as M.pairs
     out = np.empty(n + 1)
     out[0] = 1.0 - w.sum()
     for t in range(n):

@@ -54,7 +54,7 @@ def test_criterion_02_example1_spectral_bounds():
     elapsed = time.perf_counter() - t0
     targets = [0.54, 0.20, 0.07]
     err = max(abs(c - t) for c, t in zip(curve, targets))
-    ok = M.entries.shape == (12, 12) and err <= 0.02 and elapsed < 1.0
+    ok = M.entries.shape == (6, 6) and err <= 0.02 and elapsed < 1.0
     report(2, ok, f"spectral curve {[round(c, 4) for c in curve]} vs {targets}, "
                   f"max err {err:.3f}, {elapsed:.3f}s")
 

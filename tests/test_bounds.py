@@ -20,9 +20,16 @@ from nmcbounds.bounds import (
     perturbation_bound,
     combined_bound,
 )
-from nmcbounds.chain import PolynomialKernel, StochasticMatrix, _clean_rows, evaluate_batch
+from nmcbounds.chain import (
+    EVAL_TOL,
+    PolynomialKernel,
+    StochasticMatrix,
+    _clean_rows,
+    evaluate_batch,
+    validate_kernel,
+)
 from nmcbounds import bounds as bounds_mod
-from nmcbounds.errors import InfiniteGammaError
+from nmcbounds.errors import InfiniteGammaError, KernelInvalidError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 
 from conftest import bowl_kernel
@@ -45,6 +52,27 @@ def test_alpha_identical_rows():
     P = StochasticMatrix(np.tile([0.1, 0.2, 0.7], (3, 1)))
     for k in (1, 2, 5):
         assert md_alpha(P, k).value == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_alpha(P, k):
+    """alpha_k of a matrix by the double loop over state pairs it replaced."""
+    Pk = np.linalg.matrix_power(P, k)
+    best = 1.0
+    for x in range(P.shape[0]):
+        for xp in range(x + 1, P.shape[0]):
+            best = min(best, float(np.minimum(Pk[x], Pk[xp]).sum()))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 4), st.booleans())
+def test_alpha_equals_the_pair_loop(seed, p, k, equal_rows):
+    gen = np.random.default_rng(seed)
+    P = gen.dirichlet(np.full(p, 0.3), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    if equal_rows:
+        P[1:] = P[0]
+    assert md_alpha(StochasticMatrix(P), k).value == loop_alpha(P, k)
 
 
 def test_alpha_nondecreasing_in_k(p1_matrix, p2_matrix):
@@ -168,6 +196,22 @@ def test_gamma_at_an_interior_minimum():
         gamma_estimate(bowl_kernel(0.0))
     assert info.value.entry == (0, 0)
     assert info.value.mu.tolist() == pytest.approx([0.37, 0.315, 0.315], abs=1e-15)
+
+
+def test_gamma_on_an_invalid_kernel_names_a_distribution():
+    # entry (0,0) = (t - 0.5)^2 - 1e-6 dips below 0 around t = mu[0] = 0.5;
+    # the error carries validate_kernel's witness, a point of the simplex
+    C1 = np.array([[0.25 - 1e-6, 0.75 + 1e-6], [0.5, 0.5]])
+    K = PolynomialKernel((C1, np.array([[-1.0, 1.0], [0.0, 0.0]]),
+                          np.array([[1.0, -1.0], [0.0, 0.0]])))
+    report = validate_kernel(K)
+    assert not report.ok
+    with pytest.raises(KernelInvalidError) as info:
+        gamma_estimate(K)
+    mu = info.value.mu
+    assert mu.tolist() == report.witness.tolist()
+    assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0, abs=1e-15)
+    assert info.value.worst_entry == report.worst_negative_entry < -EVAL_TOL
 
 
 def bernstein_kernel(gen, p, degree, floor, concentration):

@@ -245,14 +245,15 @@ def parent_simulate_coupled_chain(P, mu0, nu0, n, rng):
 
 
 def parent_pairchain_meet_curve(P, mu0, nu0, n):
-    """Meet-by-t with the initial pair mass filled pair by pair."""
+    """Meet-by-t with the initial pair mass filled pair by pair, each
+    unordered pair taking the mass of both its orders."""
     laws0 = split_densities(mu0, nu0)
     M = build_coupling_matrix(P)
     w = np.zeros(M.dim)
     if laws0.q < 1.0:
         joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
         for i, (a, b) in enumerate(M.pairs):
-            w[i] = joint[a, b]
+            w[i] = joint[a, b] + joint[b, a]
     out = np.empty(n + 1)
     out[0] = 1.0 - w.sum()
     for t in range(n):
@@ -348,7 +349,7 @@ def test_lemma_check_and_meet_curve_equal_parent(chain, seed, n, samples):
 
 def test_coupling_matrix_shape_and_rows(p1_matrix):
     M = build_coupling_matrix(p1_matrix)
-    assert M.entries.shape == (12, 12)
+    assert M.entries.shape == (6, 6)
     for i, (a, b) in enumerate(M.pairs):
         k = kappa(p1_matrix, a, b)
         assert M.entries[i].sum() == pytest.approx(1.0 - k, abs=1e-9)
@@ -361,17 +362,16 @@ def test_coupling_matrix_identical_rows_zero():
 
 def test_coupling_matrix_example2_rows(p2_matrix):
     M = build_coupling_matrix(p2_matrix)
-    assert M.entries.shape == (20, 20)
+    assert M.entries.shape == (10, 10)
     for i, (a, b) in enumerate(M.pairs):
         assert M.entries[i].sum() <= 1.0 - kappa(p2_matrix, a, b) + 1e-9
 
 
 def test_pair_index_bijection(p2_matrix):
+    # one row per unordered pair {a, b}, a < b, in row-major order
     M = build_coupling_matrix(p2_matrix)
-    for idx in range(M.dim):
-        a, b = M.pair_of(idx)
-        assert a != b
-        assert M.index_of(a, b) == idx
+    assert M.pairs == [(a, b) for a in range(M.p) for b in range(a + 1, M.p)]
+    assert len(set(M.pairs)) == M.dim == M.p * (M.p - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,8 @@ def test_pair_index_bijection(p2_matrix):
 
 
 def loop_coupling_matrix(P):
-    """Entry-by-entry pair matrix, the scalar loop the builder replaced."""
+    """Entry-by-entry pair matrix over ordered pairs (row-major, x1 != x2),
+    the scalar loop that `coupling_matrices` replaced."""
     p = P.shape[0]
     pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
     M = np.zeros((len(pairs), len(pairs)))
@@ -395,7 +396,19 @@ def loop_coupling_matrix(P):
     return M
 
 
-def loop_spectral_radius(M, K_max=2**20):
+def fold(M, p):
+    """Quotient of an ordered-pair matrix by the swap: the row of (x1, x2),
+    x1 < x2, with the columns (y1, y2) and (y2, y1) summed, in the order of
+    ``np.triu_indices(p, 1)``."""
+    ordered = {pair: i for i, pair in enumerate(
+        (a, b) for a in range(p) for b in range(p) if a != b)}
+    iu, ju = np.triu_indices(p, 1)
+    up = [ordered[a, b] for a, b in zip(iu, ju)]
+    down = [ordered[b, a] for a, b in zip(iu, ju)]
+    return M[np.ix_(up, up)] + M[np.ix_(up, down)]
+
+
+def loop_spectral_radius(M):
     """One-matrix Gelfand iteration (r, eps, squarings), the scalar loop
     the batched iteration replaced."""
     norm0 = float(M.sum(axis=1).max())
@@ -404,9 +417,7 @@ def loop_spectral_radius(M, K_max=2**20):
     A = M / norm0
     log_scale = np.log(norm0)
     estimates = [norm0]
-    k = 0
-    while 2 ** (k + 1) <= K_max:
-        k += 1
+    for k in range(1, 21):
         A = A @ A
         c = float(A.sum(axis=1).max())
         if c == 0.0:
@@ -440,29 +451,28 @@ def test_degenerate_chains_take_the_early_exits():
     assert est.r[2] > 0.0
 
 
-# every p whose pair matrix (d = p(p - 1)) takes the Gelfand path, and the
+# every p whose pair matrix (d = p(p - 1)/2) takes the Gelfand path, and the
 # smallest that takes the bracket
-GELFAND_P_MAX = max(p for p in range(2, 100) if p * (p - 1) < coupling._BRACKET_MIN_DIM)
+GELFAND_P_MAX = max(p for p in range(2, 100) if p * (p - 1) // 2 < coupling._BRACKET_MIN_DIM)
 BRACKET_P_MIN = GELFAND_P_MAX + 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, GELFAND_P_MAX), st.integers(1, 12),
-       st.sets(st.integers(0, 11), max_size=4), st.sampled_from([1, 2, 5, 2**20]))
-def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at, K_max):
+       st.sets(st.integers(0, 11), max_size=4))
+def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at):
     gen = np.random.default_rng(seed)
     stack = [dirichlet_chain(gen, p) for _ in range(B)]
     if p == 3:
         for i in sorted(degenerate_at):
             stack[i % B] = DEGENERATE_CHAINS[i % len(DEGENERATE_CHAINS)]
     Ms = coupling_matrices(np.stack(stack))
-    est = spectral_radii(Ms, K_max)
+    est = spectral_radii(Ms)
     for i, P in enumerate(stack):
-        M = loop_coupling_matrix(P)
-        assert Ms[i].tobytes() == M.tobytes()
-        expected = loop_spectral_radius(M, K_max)
+        assert Ms[i].tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
+        expected = loop_spectral_radius(Ms[i])
         assert (est.r[i], est.eps[i], est.squarings[i]) == expected
-        single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)), K_max)
+        single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
         assert (single.r, single.eps, single.squarings) == expected
 
 
@@ -580,16 +590,15 @@ def test_mixed_stack_equals_its_items():
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3),
-       st.sampled_from([1, 2**20]))
-def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B, K_max):
+@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3))
+def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B):
     gen = np.random.default_rng(seed)
     Ms = coupling_matrices(np.stack([dirichlet_chain(gen, p) for _ in range(B)]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
-        est = spectral_radii(Ms, K_max)
+        est = spectral_radii(Ms)
     for i, M in enumerate(Ms):
-        assert (est.r[i], est.eps[i], est.squarings[i]) == loop_spectral_radius(M, K_max)
+        assert (est.r[i], est.eps[i], est.squarings[i]) == loop_spectral_radius(M)
 
 
 @settings(max_examples=15, deadline=None)
@@ -599,14 +608,50 @@ def test_batched_builder_equals_loop_dirichlet(seed, p):
     stack = np.stack([dirichlet_chain(gen, p) for _ in range(3)])
     Ms = coupling_matrices(stack)
     for P, M in zip(stack, Ms):
-        assert M.tobytes() == loop_coupling_matrix(P).tobytes()
+        assert M.tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
 
 
 @pytest.mark.parametrize("p", [24, 40])
 def test_builder_equals_loop_at_large_p(p):
     P = dirichlet_chain(np.random.default_rng(p), p)
     M = build_coupling_matrix(StochasticMatrix(P))
-    assert M.entries.tobytes() == loop_coupling_matrix(P).tobytes()
+    assert M.entries.tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
+
+
+def chain_with_reducible_parts(seed, p, a, equal_rows, blocks):
+    """Dirichlet(a) chain; ``blocks`` makes it block-diagonal (two closed
+    classes, p >= 4) and ``equal_rows`` copies row 0 into row 1 (a kappa = 1
+    pair, so a zero row of the pair matrix)."""
+    gen = np.random.default_rng(seed)
+    if blocks and p >= 4:
+        h = p // 2
+        P = np.zeros((p, p))
+        P[:h, :h] = gen.dirichlet(np.full(h, a), size=h)
+        P[h:, h:] = gen.dirichlet(np.full(p - h, a), size=p - h)
+    else:
+        P = gen.dirichlet(np.full(p, a), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    if equal_rows:
+        P[1] = P[0]
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(chain_with_reducible_parts, st.integers(0, 2**32 - 1), st.integers(2, 7),
+                 st.sampled_from([0.05, 0.3, 1.0]), st.booleans(), st.booleans()))
+def test_unordered_pairs_keep_the_radius_and_the_power_norms(P):
+    # the ordered-pair matrix commutes with the swap, so its quotient on
+    # unordered pairs has the same spectral radius and the same max row sum
+    # of every power
+    M = loop_coupling_matrix(P)
+    Q = coupling_matrices(P[None])[0]
+    assert Q.shape == (M.shape[0] // 2,) * 2
+    rho_M = np.abs(np.linalg.eigvals(M)).max()
+    assert np.abs(np.linalg.eigvals(Q)).max() == pytest.approx(rho_M, rel=1e-12, abs=1e-12)
+    for n in (1, 3, 7):
+        norm_M = np.linalg.matrix_power(M, n).sum(axis=1).max()
+        assert np.linalg.matrix_power(Q, n).sum(axis=1).max() == pytest.approx(
+            norm_M, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -629,8 +674,6 @@ def test_batched_coupling_rejects_bad_shapes():
         coupling_matrices(np.ones((2, 1, 1)))
     with pytest.raises(DimensionMismatchError):
         spectral_radii(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        spectral_radii(np.zeros((1, 2, 2)), K_max=0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +681,14 @@ def test_batched_coupling_rejects_bad_shapes():
 
 
 def test_spectral_radius_diagonal():
-    M = CouplingMatrix(2, np.diag([0.3, 0.1]))
+    M = CouplingMatrix(3, np.diag([0.3, 0.1, 0.2]))
     est = spectral_radius(M)
     assert est.r == pytest.approx(0.3, abs=1e-9)
     assert max_row_sum_norm(M) == pytest.approx(0.3)
 
 
 def test_spectral_radius_zero_matrix():
-    M = CouplingMatrix(2, np.zeros((2, 2)))
+    M = CouplingMatrix(3, np.zeros((3, 3)))
     est = spectral_radius(M)
     assert est.r == 0.0 and est.eps == 0.0
     assert max_row_sum_norm(M) == 0.0
@@ -672,7 +715,7 @@ def test_spectral_radius_below_one_norm(p1_matrix, p2_matrix):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_spectral_radius_random_substochastic(seed, p):
     gen = np.random.default_rng(seed)
-    d = p * (p - 1)
+    d = p * (p - 1) // 2
     arr = gen.random((d, d))
     arr *= gen.random() / arr.sum(axis=1, keepdims=True)  # row sums < 1
     M = CouplingMatrix(p, arr)
