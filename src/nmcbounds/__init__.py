@@ -46,6 +46,7 @@ from .bounds import (
     initial_distance_bruteforce,
     perturbation_bound,
     combined_bound,
+    spectral_bound,
 )
 from .experiments import (
     builtin_example,

@@ -7,7 +7,9 @@ nonlinear kernel, the fixed-point discrepancy delta, and the spectral
 radius r of the coupling matrix.  The curve builders then evaluate the
 classic Markov-Dobrushin bound, its k-step refinement, the spectral-radius
 bound and the combined perturbation bound, all clamped to the TV range
-[0, 2].
+[0, 2].  The spectral-radius formula 2(1 - 1/p)(r + eps)^n is evaluated
+only in `spectral_bound`, which the ``spectral`` curve, both combined curves
+and the volatility indicator share.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (
-    Distribution,
     PolynomialKernel,
     StochasticMatrix,
     _critical_points,
+    _flat_dirichlet,
     _flow_steps,
     _row_witness,
     evaluate_batch,
@@ -45,12 +47,11 @@ class CoefficientEstimate:
     """A scalar obtained by sampling, tagged with its one-sided direction.
 
     ``direction`` is "upper-of-inf" or "lower-of-sup": simplex sampling can
-    only overshoot an infimum and undershoot a supremum.  ``exact`` marks
+    only overshoot an infimum and undershoot a supremum.  It is "exact" for
     values computed without sampling (finite enumeration).
     """
 
     value: float
-    exact: bool
     direction: str
     samples: int = 0
 
@@ -74,8 +75,7 @@ def _sample_pairs(p: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs plus random simplex pairs, as two (pairs, p) arrays."""
     eye = np.eye(p)
     i, j = np.nonzero(eye == 0.0)
-    draws = rng.standard_exponential((samples, 2, p))
-    draws /= draws.sum(axis=2, keepdims=True)
+    draws = _flat_dirichlet(rng, (samples, 2, p))
     return (np.concatenate([eye[i], draws[:, 0]]),
             np.concatenate([eye[j], draws[:, 1]]))
 
@@ -90,11 +90,9 @@ def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimat
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(model, StochasticMatrix):
-        return CoefficientEstimate(_alpha_of_matrix(model.entries, k), True, "exact")
-    K: PolynomialKernel = model
+    K = PolynomialKernel.linear(model) if isinstance(model, StochasticMatrix) else model
     if K.degree == 1:
-        return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k), True, "exact")
+        return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k), "exact")
     mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
     n_pairs = mus.shape[0]
     prods = _kstep_products(K, np.concatenate([mus, nus]), k)
@@ -103,7 +101,7 @@ def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimat
     for x in range(K.p):
         # row overlaps of A[:, x] with every row of B, one sum per (pair, x')
         best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
-    return CoefficientEstimate(best, False, "upper-of-inf", n_pairs)
+    return CoefficientEstimate(best, "upper-of-inf", n_pairs)
 
 
 def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None) -> CoefficientEstimate:
@@ -117,7 +115,7 @@ def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None)
     if k < 1:
         raise ValueError("k must be >= 1")
     if K.degree == 1:
-        return CoefficientEstimate(0.0, True, "exact")
+        return CoefficientEstimate(0.0, "exact")
     mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
     denom = np.abs(mus - nus).sum(axis=1)
     keep = ~(denom < 1e-12)
@@ -125,7 +123,7 @@ def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None)
     n_pairs = mus.shape[0]
     prods = _kstep_products(K, np.concatenate([mus, nus]), k)
     ratio = np.abs(prods[:n_pairs] - prods[n_pairs:]).sum(axis=2).max(axis=1) / denom
-    return CoefficientEstimate(max(0.0, float(ratio.max())), False, "lower-of-sup", n_pairs)
+    return CoefficientEstimate(max(0.0, float(ratio.max())), "lower-of-sup", n_pairs)
 
 
 def md_bound_curve(alpha: float, lam: float, n_max: int) -> np.ndarray:
@@ -235,8 +233,7 @@ def initial_distance_bruteforce(p: int, trials: int, rng) -> tuple[float, np.nda
         d = float(np.abs(uniform - v).sum())
         if d > best:
             best, arg = d, v
-    draws = rng.standard_exponential((trials, p))
-    draws /= draws.sum(axis=1, keepdims=True)
+    draws = _flat_dirichlet(rng, (trials, p))
     dists = np.abs(uniform[None, :] - draws).sum(axis=1)
     i = int(np.argmax(dists))
     if dists[i] > best:
@@ -268,29 +265,26 @@ class RatioMomentReport:
     samples: int
 
 
-def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int, rng,
-                     mu0: Distribution | None = None,
-                     gamma: float | None = None) -> RatioMomentReport:
+def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int,
+                             rng) -> RatioMomentReport:
     """Monte-Carlo check of E(rho_n^k) <= (1+gamma)^{n(k-1)}.
 
     rho_n is the likelihood ratio of the linear part against the nonlinear
-    kernel along a sampled trajectory.  For k = 1 the mean is exactly 1 in
-    expectation (change of measure), which the caller can use as a
-    calibration case.
+    kernel along a sampled trajectory from the uniform start, and gamma is
+    `gamma_estimate`'s.  For k = 1 the mean is exactly 1 in expectation
+    (change of measure), which the caller can use as a calibration case.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     rng = as_generator(rng)
-    if mu0 is None:
-        mu0 = Distribution.uniform(K.p)
-    if gamma is None:
-        gamma = gamma_estimate(K).value
+    mu0 = np.full(K.p, 1.0 / K.p)
+    gamma = gamma_estimate(K).value
     C1 = K.coeff[0]
-    states = rng.choice(K.p, size=samples, p=mu0.probs)
+    states = rng.choice(K.p, size=samples, p=mu0)
     rho = np.ones(samples)
-    for P, _ in _flow_steps(K, mu0.probs[None, :], n):
+    for P, _ in _flow_steps(K, mu0[None, :], n):
         Pm = P[0]
         cum = Pm.cumsum(axis=1)
         u = rng.random(samples)
@@ -308,26 +302,31 @@ def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int, 
     return RatioMomentReport(mean, se, bound, gamma, mean <= bound + 3.0 * se, samples)
 
 
-def delta_estimate(K: PolynomialKernel, tol: float = 1e-10) -> float:
+def delta_estimate(K: PolynomialKernel) -> float:
     """TV distance between the nonlinear and linear fixed points."""
-    pi = stationary(K, tol=tol).distribution
-    pi_star = stationary(PolynomialKernel.linear(K.coeff[0]), tol=tol).distribution
+    pi = stationary(K).distribution
+    pi_star = stationary(PolynomialKernel.linear(K.coeff[0])).distribution
     return tv_distance(pi, pi_star)
 
 
-def combined_bound(r: float, eps: float, delta: float, p: int, n: int,
-                   regime: str = "small-n") -> float:
-    """Combined bound: perturbation floor + spectral-radius decay.
+def spectral_bound(r, eps, p: int, n):
+    """Coupling bound 2(1 - 1/p)(r + eps)^n from the uniform start, not
+    clipped; r, eps and n may be arrays."""
+    return initial_distance_bound(p) * (r + eps) ** n
 
-    small-n: 2/e + delta + 2 (r+eps)^n (1 - 1/p)
-    large-n: 2 delta + 2 (r+eps)^n (1 - 1/p)
+
+def combined_bound(r: float, eps: float, delta: float, p: int, n,
+                   regime: str = "small-n"):
+    """Combined bound: perturbation floor + spectral-radius decay, for an
+    int n or an array of n.
+
+    small-n: 2/e + delta + spectral_bound(r, eps, p, n)
+    large-n: 2 delta + spectral_bound(r, eps, p, n)
     """
     if regime not in ("small-n", "large-n"):
         raise ValueError("regime must be 'small-n' or 'large-n'")
-    tail = 2.0 * (r + eps) ** n * (1.0 - 1.0 / p)
-    if regime == "small-n":
-        return min(2.0, 2.0 * math.exp(-1.0) + delta + tail)
-    return min(2.0, 2.0 * delta + tail)
+    floor = 2.0 * math.exp(-1.0) + delta if regime == "small-n" else 2.0 * delta
+    return np.minimum(2.0, floor + spectral_bound(r, eps, p, n))
 
 
 K_RANGE = (1, 2, 3, 4)      # the k of the k-step coefficients and curves
@@ -439,16 +438,14 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     curves = {
         "md": md_bound_curve(alpha[0], 0.0, n_max),
         "md_lipschitz": md_bound_curve(alpha[0], lam[0], n_max),
-        "spectral": np.clip(2.0 * (1.0 - 1.0 / p) * (est.r + est.eps) ** n, 0.0, 2.0),
+        "spectral": np.clip(spectral_bound(est.r, est.eps, p, n), 0.0, 2.0),
     }
     d0 = initial_distance_bound(p)
     for i, k in enumerate(K_RANGE):
         curves[f"kstep_k{k}"] = kstep_bound_curve(alpha[i], lam[i], lam[0], d0, k, n_max)
     delta_for_curve = 0.0 if math.isnan(delta) else delta
-    curves["combined_small_n"] = np.array(
-        [combined_bound(est.r, est.eps, delta_for_curve, p, int(i), "small-n") for i in n])
-    curves["combined_large_n"] = np.array(
-        [combined_bound(est.r, est.eps, delta_for_curve, p, int(i), "large-n") for i in n])
+    curves["combined_small_n"] = combined_bound(est.r, est.eps, delta_for_curve, p, n, "small-n")
+    curves["combined_large_n"] = combined_bound(est.r, est.eps, delta_for_curve, p, n, "large-n")
 
     return BoundReport(
         p=p, alpha=alpha, alpha_nonlinear=alpha_nl, lam=lam, gamma=gamma,

@@ -420,13 +420,18 @@ def sample_trajectory(K: PolynomialKernel, mu0: Distribution, n: int, rng) -> np
     return states
 
 
+def _flat_dirichlet(rng, shape) -> np.ndarray:
+    """Uniform (flat Dirichlet) points of the simplex along the last axis
+    of ``shape``: standard exponentials divided by their sum."""
+    draws = rng.standard_exponential(shape)
+    return draws / draws.sum(axis=-1, keepdims=True)
+
+
 def random_distribution(p: int, rng) -> Distribution:
     """Uniform (flat Dirichlet) sample from the p-simplex."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    rng = as_generator(rng)
-    draws = rng.standard_exponential(p)
-    return Distribution(draws / draws.sum())
+    return Distribution(_flat_dirichlet(as_generator(rng), p))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport, full_report
-from .chain import Distribution, PolynomialKernel, flow_batch, stationary
+from .chain import Distribution, PolynomialKernel, _flat_dirichlet, flow_batch, stationary
 from .errors import NmcError
 from .rng import as_generator, derive_seed
 
@@ -76,16 +76,11 @@ class EnvelopeResult:
     pi: Distribution
 
 
-def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng,
-                mu0_override: Distribution | None = None) -> EnvelopeResult:
-    """Envelope of exact ||mu_n - pi||_TV over random initial distributions."""
-    rng = as_generator(rng)
+def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeResult:
+    """Envelope of exact ||mu_n - pi||_TV over random (flat Dirichlet)
+    initial distributions."""
     pi = stationary(K).distribution
-    if mu0_override is not None:
-        starts = np.tile(mu0_override.probs, (trials, 1))
-    else:
-        draws = rng.standard_exponential((trials, K.p))
-        starts = draws / draws.sum(axis=1, keepdims=True)
+    starts = _flat_dirichlet(as_generator(rng), (trials, K.p))
     dev = flow_batch(K, starts, steps)                       # (steps+1, B, p)
     dev -= pi.probs                                          # in place: one copy of the flows
     tv = np.abs(dev, out=dev).sum(axis=2)                    # (steps+1, B)

@@ -320,15 +320,11 @@ def random_inits(windows, n_states: int, keys) -> GhmmStack:
                      base.means[slot] + normals * (0.5 * spread[slot, None]), variances)
 
 
-def _one_key(rng) -> np.ndarray:
-    """One 64-bit stream key drawn from a seed or generator."""
-    return as_generator(rng).integers(2**64, size=1, dtype=np.uint64)
-
-
 def random_init(obs, n_states: int, rng) -> GhmmModel:
     """Seeded perturbation of the quantile start (see ``random_inits``),
-    keyed by one draw from ``rng``."""
-    return random_inits(obs, n_states, _one_key(rng)).model(0)
+    keyed by one 64-bit draw from ``rng`` (a seed or generator)."""
+    key = as_generator(rng).integers(2**64, size=1, dtype=np.uint64)
+    return random_inits(obs, n_states, key).model(0)
 
 
 @dataclass
@@ -414,25 +410,16 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
     return GhmmStack(*fitted), traces, starved
 
 
-def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15,
-                   init_policy: str = "quantile", rng=None) -> BaumWelchFit:
-    """Fixed-budget Baum-Welch fit (no early stopping).
-
-    init_policy "quantile" is deterministic; "random" perturbs it from one
-    stream key drawn from ``rng`` (a seed or generator), so repeated fits
-    land in different local optima.
-    """
+def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15) -> BaumWelchFit:
+    """Fixed-budget Baum-Welch fit (no early stopping) from the
+    deterministic quantile start.  Random restarts are ``random_inits``
+    followed by ``fit_window_batch``."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape[0] < 10 * n_states:
         raise ValueError(f"need at least {10 * n_states} observations for {n_states} states")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    if init_policy == "quantile":
-        start = quantile_starts(obs[None], n_states)
-    elif init_policy == "random":
-        start = random_inits(obs, n_states, _one_key(rng))
-    else:
-        raise ValueError("init_policy must be 'quantile' or 'random'")
+    start = quantile_starts(obs[None], n_states)
     fitted, traces, starved = fit_window_batch(obs[None], start, epochs)
     flags = [(int(epoch), int(k)) for epoch, k in zip(*np.nonzero(starved[0]))]
     return BaumWelchFit(fitted.model(0), traces[0], flags)

@@ -270,18 +270,15 @@ class KsResult:
     statistic: float
     p_value: float
     stars: str
-    # parameters were estimated from the sample, which biases the test
-    # toward small statistics; the flag travels with the result
-    estimated_params: bool = True
 
 
 def ks_test(x) -> KsResult:
     """One-sample Kolmogorov-Smirnov statistic against the fitted normal.
 
     The p-value uses the asymptotic Kolmogorov distribution.  Because mean
-    and std come from the same sample, nominal levels are not exact
-    (Lilliefors effect); results carry that caveat rather than a
-    correction.
+    and std come from the same sample, nominal levels are not exact: the
+    estimated parameters bias the test toward small statistics (Lilliefors
+    effect).  The p-value carries that caveat rather than a correction.
     """
     v = x.values if isinstance(x, ReturnSeries) else np.asarray(x, dtype=np.float64)
     n = v.shape[0]
@@ -308,25 +305,28 @@ class LjungBoxResult:
     q_stat: float
     p_value: float
     stars: str
-    max_lag: int
 
 
-def ljung_box(x, max_lag: int = 12) -> LjungBoxResult:
-    """Ljung-Box white-noise test; p-value from chi-square with max_lag df."""
+LJUNG_BOX_LAGS = 12
+
+
+def ljung_box(x) -> LjungBoxResult:
+    """Ljung-Box white-noise test over LJUNG_BOX_LAGS lags; p-value from
+    chi-square with LJUNG_BOX_LAGS df."""
     v = x.values if isinstance(x, ReturnSeries) else np.asarray(x, dtype=np.float64)
     n = v.shape[0]
-    if n <= max_lag + 1:
-        raise ValueError(f"need more than {max_lag + 1} observations")
+    if n <= LJUNG_BOX_LAGS + 1:
+        raise ValueError(f"need more than {LJUNG_BOX_LAGS + 1} observations")
     c = v - v.mean()
     denom = float((c ** 2).sum())
     if denom == 0.0:
         raise ValueError("degenerate sample: zero variance")
     q = 0.0
-    for k in range(1, max_lag + 1):
+    for k in range(1, LJUNG_BOX_LAGS + 1):
         rho = float((c[k:] * c[:-k]).sum()) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
     from scipy import special
 
-    p = float(special.gammaincc(max_lag / 2.0, q / 2.0))   # chi-square survival
-    return LjungBoxResult(q, p, significance_stars(p), max_lag)
+    p = float(special.gammaincc(LJUNG_BOX_LAGS / 2.0, q / 2.0))   # chi-square survival
+    return LjungBoxResult(q, p, significance_stars(p))

@@ -2,8 +2,9 @@
 
 Per evaluation date, Gaussian-HMM fits on windows of denoised log returns
 produce hidden transition matrices; each matrix yields the one-step
-convergence bound 2(1 - 1/K)(r + eps) through its coupling matrix, and the
-mean/spread over (window length x random restart) pairs is the indicator.
+coupling bound 2(1 - 1/K)(r + eps) through its coupling matrix
+(``bounds.spectral_bound`` at n = 1), and the mean/spread over (window
+length x random restart) pairs is the indicator.
 A calm market fits nearly interchangeable states (row overlaps near 1, r
 near 0); regime stress separates the states and pushes r up.
 
@@ -31,6 +32,7 @@ from datetime import timedelta
 
 import numpy as np
 
+from .bounds import spectral_bound
 from .coupling import coupling_matrices, spectral_radii
 from .errors import AlignmentError
 from .experiments import ComparisonTable
@@ -100,11 +102,12 @@ def _slot_keys(seed: int, dates, length: int, reps: int) -> np.ndarray:
 
 
 def transition_tv_bounds(transitions, n_states: int) -> np.ndarray:
-    """One-step spectral-radius bounds 2(1 - 1/K)(r + eps) of a (B, K, K)
-    stack of fitted hidden chains, each clipped to [0, 2]."""
+    """One-step coupling bounds ``spectral_bound(r, eps, K, 1)`` =
+    2(1 - 1/K)(r + eps) of a (B, K, K) stack of fitted hidden chains, each
+    clipped to [0, 2]."""
     trans = np.asarray(transitions, dtype=np.float64)
     est = spectral_radii(coupling_matrices(trans / trans.sum(axis=-1, keepdims=True)))
-    return np.clip(2.0 * (1.0 - 1.0 / n_states) * (est.r + est.eps), 0.0, 2.0)
+    return np.clip(spectral_bound(est.r, est.eps, n_states, 1), 0.0, 2.0)
 
 
 def transition_tv_bound(transition: np.ndarray, n_states: int) -> float:
@@ -212,24 +215,19 @@ def _sigmoid(x):
     return z / (1.0 + z)
 
 
-def _garch_nll(theta, r, h0):
-    mu, log_omega, s_rho, s_frac = theta
-    rho = min(_sigmoid(s_rho), _RHO_CAP)
-    frac = _sigmoid(s_frac)
-    omega = math.exp(log_omega)
-    alpha1 = rho * frac
-    beta1 = rho * (1.0 - frac)
-    h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
-    if h.min() <= 0 or not np.all(np.isfinite(h)):
-        return 1e12
-    return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
-
-
 def _theta_to_params(theta):
+    """(mu, omega, alpha1, beta1) of an unconstrained search point."""
     mu, log_omega, s_rho, s_frac = theta
     rho = min(_sigmoid(s_rho), _RHO_CAP)
     frac = _sigmoid(s_frac)
     return mu, math.exp(log_omega), rho * frac, rho * (1.0 - frac)
+
+
+def _garch_nll(theta, r, h0):
+    h, e2 = _variance_path(*_theta_to_params(theta), r, h0)
+    if h.min() <= 0 or not np.all(np.isfinite(h)):
+        return 1e12
+    return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
 
 
 def fit_garch11(returns) -> GarchFit:
@@ -378,16 +376,15 @@ def comparison_table(returns: ReturnSeries, tv: TvVolatilitySeries,
 # synthetic fixture used by tests and the CLI self-check
 
 
-def two_regime_prices(seed: int, n_low: int = 400, n_high: int = 400,
-                      sigma_low: float = 0.005, sigma_high: float = 0.03,
-                      start: float = 100.0) -> PriceSeries:
-    """Lognormal price path whose daily sigma jumps from low to high."""
+def two_regime_prices(seed: int, n_low: int = 400, n_high: int = 400) -> PriceSeries:
+    """Lognormal price path from 100 whose daily sigma jumps from 0.005 to
+    0.03 after ``n_low`` days."""
     rng = np.random.default_rng(seed)
     rets = np.concatenate([
-        rng.normal(0.0, sigma_low, n_low),
-        rng.normal(0.0, sigma_high, n_high),
+        rng.normal(0.0, 0.005, n_low),
+        rng.normal(0.0, 0.03, n_high),
     ])
-    prices = start * np.exp(np.cumsum(rets))
+    prices = 100.0 * np.exp(np.cumsum(rets))
     first = _date(2020, 1, 1)
     dates = tuple(first + timedelta(days=i) for i in range(prices.shape[0]))
     return PriceSeries(dates, prices)

@@ -44,7 +44,7 @@ def test_alpha_published_values(p1_matrix):
     published = {1: 0.8, 2: 0.3, 3: 0.11, 4: 0.04}
     for k, target in published.items():
         est = md_alpha(p1_matrix, k)
-        assert est.exact
+        assert est.direction == "exact"
         assert 2 * (1 - est.value) == pytest.approx(target, abs=0.005)
 
 
@@ -88,7 +88,7 @@ def test_alpha_rejects_k0(p1_matrix):
 
 def test_alpha_nonlinear_estimate(ex1_k01):
     est = md_alpha(ex1_k01, 1, samples=300, rng=0)
-    assert not est.exact and est.direction == "upper-of-inf"
+    assert est.direction == "upper-of-inf"
     # worst pair (rows 2 and 4) is unaffected by the perturbation
     assert est.value == pytest.approx(0.6, abs=0.05)
 
@@ -99,7 +99,7 @@ def test_alpha_nonlinear_estimate(ex1_k01):
 
 def test_lambda_zero_for_linear():
     est = lipschitz_lambda(PolynomialKernel.linear(EXAMPLE1_P), 1)
-    assert est.value == 0.0 and est.exact
+    assert est.value == 0.0 and est.direction == "exact"
 
 
 def test_lambda_example1_bounded_by_2kappa(ex1_k01):
@@ -325,8 +325,8 @@ def test_ratio_second_moment_bound(ex1_k01):
 
 
 def test_ratio_moments_reproducible_from_the_seed():
-    # gamma = None takes gamma from the kernel, which must not draw from
-    # a stream of its own: equal seeds give equal reports
+    # gamma comes from the kernel, which must not draw from a stream of
+    # its own: equal seeds give equal reports
     K = bowl_kernel(0.01)
     first = likelihood_ratio_moments(K, n=3, k=2, samples=1000, rng=7)
     second = likelihood_ratio_moments(K, n=3, k=2, samples=1000, rng=7)
@@ -368,6 +368,19 @@ def test_combined_bound_limits():
     assert combined_bound(0.99, 0.5, 1.0, 4, 1, "small-n") <= 2.0
     with pytest.raises(ValueError):
         combined_bound(0.3, 0.0, 0.0, 4, 1, "mid-n")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 11])
+@pytest.mark.parametrize("p", [16, 24, 32, 40])
+def test_combined_large_n_is_the_spectral_curve_for_linear_chains(seed, p):
+    # delta = 0 on a linear chain, so both curves are spectral_bound clipped
+    # to [0, 2]; one evaluation of the formula makes them equal to the bit.
+    # The chains are Dirichlet(0.3) rows drawn as the coupling-large-p
+    # benchmark draws them.
+    P = np.random.default_rng([seed, 3 + p]).dirichlet(np.full(p, 0.3), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    curves = full_report(PolynomialKernel.linear(P), 15).curves
+    assert curves["combined_large_n"].tobytes() == curves["spectral"].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,8 @@ def test_em_monotone_loglik_over_random_fits():
     gen = np.random.default_rng(13)
     for _ in range(50):
         obs = gen.standard_normal(gen.integers(60, 120))
-        fit = fit_baum_welch(obs, n_states=gen.integers(2, 4), epochs=8,
-                             init_policy="random", rng=gen)
-        diffs = np.diff(fit.loglik_trace)
+        starts = random_inits(obs, gen.integers(2, 4), [key_of(gen)])
+        diffs = np.diff(fit_window_batch(obs[None], starts, 8)[1][0])
         assert (diffs >= -1e-8).all()
 
 
@@ -151,8 +150,8 @@ def test_permutation_invariance():
 def test_fitted_transition_is_stochastic():
     gen = np.random.default_rng(19)
     obs = gen.standard_normal(150)
-    fit = fit_baum_welch(obs, n_states=3, epochs=15, init_policy="random", rng=gen)
-    StochasticMatrix(fit.model.transition)  # validates
+    fitted = fit_window_batch(obs[None], random_inits(obs, 3, [key_of(gen)]), 15)[0]
+    StochasticMatrix(fitted.transition[0])  # validates
 
 
 def test_fit_requires_enough_data():
@@ -215,7 +214,7 @@ def test_non_finite_observations_are_rejected(bad):
     model = three_state_model()
     starts = quantile_starts(np.arange(40.0)[None], 2)
     for call in (lambda: fit_baum_welch(obs, n_states=2),
-                 lambda: fit_baum_welch(obs, n_states=2, init_policy="random", rng=0),
+                 lambda: random_init(obs, 2, 0),
                  lambda: forward_backward(model, obs),
                  lambda: fit_window_batch(obs[None], starts, 2)):
         with pytest.raises(ValueError, match="observations must be finite"):
@@ -223,8 +222,7 @@ def test_non_finite_observations_are_rejected(bad):
 
 
 def key_of(seed):
-    """The one stream key random_init and fit_baum_welch draw from a seed
-    or generator."""
+    """The one stream key random_init draws from a seed or generator."""
     return np.random.default_rng(seed).integers(2**64, size=1, dtype=np.uint64)[0]
 
 
@@ -589,10 +587,10 @@ def test_trace_does_not_depend_on_the_batch(monkeypatch):
     windows = gen.standard_normal((5, 150))
     starts = random_inits(windows, 3, [key_of([9, i]) for i in range(5)])
     batched = fit_window_batch(windows, starts, 8)[1]
-    alone = fit_baum_welch(windows[4], 3, 8, "random", np.random.default_rng([9, 4]))
+    alone = fit_window_batch(windows[4:5], random_inits(windows[4], 3, [key_of([9, 4])]), 8)[1]
     monkeypatch.setattr(ghmm, "_MAX_ENGINE_COLUMNS", 2)
     chunked = fit_window_batch(windows, starts, 8)[1]
-    assert alone.loglik_trace.tobytes() == batched[4].tobytes() == chunked[4].tobytes()
+    assert alone[0].tobytes() == batched[4].tobytes() == chunked[4].tobytes()
 
 
 def test_fit_window_batch_needs_one_row_per_start():

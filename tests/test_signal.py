@@ -260,4 +260,4 @@ def test_ljung_box_null_mean_near_df():
 
 def test_ljung_box_too_short():
     with pytest.raises(ValueError):
-        ljung_box(np.zeros(10), max_lag=12)
+        ljung_box(np.zeros(10))
