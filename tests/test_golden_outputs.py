@@ -29,6 +29,10 @@ CASES = {
                    ["_bounds.csv", "_coefficients.json"]),
     "bounds_ex2": (["bounds", "--example", "2", "--kappa", "0.2", "--out-prefix", "{out}"],
                    ["_bounds.csv", "_coefficients.json"]),
+    "simulate_ex1": (["simulate", "--example", "1", "--kappa", "0.1", "--trials", "20000",
+                      "--seed", "3", "--out", "{out}.csv"], [".csv"]),
+    "simulate_ex2": (["simulate", "--example", "2", "--kappa", "0.2", "--trials", "20000",
+                      "--seed", "3", "--out", "{out}.csv"], [".csv"]),
     "coupling_check_ex1": (["coupling-check", "--example", "1", "--seed", "0",
                             "--out", "{out}.csv"], [".csv"]),
     "stats_prices": (["stats", "--prices", PRICES, "--out", "{out}.csv"], [".csv"]),
