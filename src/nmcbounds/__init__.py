@@ -11,9 +11,6 @@ from .chain import (
     evaluate_kernel,
     flow_batch,
     load_model,
-    propagate,
-    random_distribution,
-    sample_trajectory,
     stationary,
     tv_distance,
     validate_kernel,

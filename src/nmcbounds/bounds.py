@@ -262,7 +262,6 @@ class RatioMomentReport:
     bound: float
     gamma: float
     passed: bool
-    samples: int
 
 
 def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int,
@@ -299,7 +298,7 @@ def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int,
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples))
     bound = (1.0 + gamma) ** (n * (k - 1))
-    return RatioMomentReport(mean, se, bound, gamma, mean <= bound + 3.0 * se, samples)
+    return RatioMomentReport(mean, se, bound, gamma, mean <= bound + 3.0 * se)
 
 
 def delta_estimate(K: PolynomialKernel) -> float:

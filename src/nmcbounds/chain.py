@@ -12,7 +12,25 @@ coefficient matrices encode the perturbation.  All state indices are
 Row x of P_mu depends on mu only through the scalar mu[x] in [0, 1], so
 validity on the whole simplex is a univariate check per row
 (`validate_kernel`), and a kernel certified valid steps its flows without
-forming P_mu (`flow_batch`, `stationary`).
+forming P_mu.
+
+The flow engine (`_flows`) is the one core behind `flow_batch`,
+`stationary` and `experiments.tv_envelope`.  It stores a batch
+state-major: B distributions are a (p, B) array, one column each, with
+the batch axis last and contiguous, so a step is p-term arithmetic on
+length-B rows rather than work on a short state axis.  `flow_batch`
+transposes at its edge and `stationary` flows one (p, 1) column.  The
+engine keeps the orders of numpy 2.4.6's item-major (B, p) einsums and
+sums it was first written with, so flows stay bit-identical to that form:
+
+- a coefficient term sum_x term[x] C_j(x, y) (einsum ``xy,xb->yb``): a
+  chain over x, ((t0 + t1) + t2) + ..., as ``bx,xy->by`` added;
+- a sum over states (``.sum`` along a contiguous p axis): numpy's pairwise
+  order, which is the same chain below 8 terms (`_state_sum`).
+
+The uncertified path (`_flow_steps`, which forms and checks P_mu) stays
+item-major, and `_flows` transposes at its edge.  ``tests/test_chain.py``
+pins the engine against a frozen copy of the item-major form.
 """
 
 from __future__ import annotations
@@ -30,7 +48,6 @@ from .errors import (
     ModelSpecError,
     NonconvergenceError,
 )
-from .rng import as_generator
 
 SUM_TOL = 1e-12          # distribution / row-sum drift allowed at construction
 EVAL_TOL = 1e-9          # kernel evaluation validity tolerance
@@ -82,6 +99,39 @@ def _clean_rows(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"entry {v.min():.3e} too negative to be rounding noise")
     v = np.clip(v, 0.0, None)
     return v / v.sum(axis=-1, keepdims=True)
+
+
+def _chain_sum(rows):
+    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
+    that a single row is returned as it is."""
+    if len(rows) == 1:
+        return rows[0]
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total += row
+    return total
+
+
+def _state_sum(rows):
+    """Sum over the leading (state) axis of an array in the order of
+    numpy's pairwise ``sum`` along a contiguous axis: a chain below 8
+    terms; up to 128, eight strided chains (each a ``sum`` over the outer
+    axis of a reshape, which numpy adds in sequence) added as a tree, then
+    the rest; past 128, the same on two halves split at a multiple of 8."""
+    n = len(rows)
+    if n < 8:
+        return _chain_sum(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _state_sum(rows[:half]) + _state_sum(rows[half:])
+    full = n - n % 8
+    acc = rows[:full].reshape((full // 8, 8) + rows.shape[1:]).sum(axis=0)
+    acc = acc[0::2] + acc[1::2]            # (r0 + r1), (r2 + r3), ...
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in rows[full:]:
+        total += row
+    return total
 
 
 def _clean_probs(vec: np.ndarray) -> Distribution:
@@ -332,32 +382,40 @@ def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
         yield P, mus
 
 
-def _free_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
-    """mu_1..mu_n of a certified kernel without forming P_mu.
+def _free_steps(K: PolynomialKernel, cols: np.ndarray, n: int):
+    """mu_1..mu_n of a certified kernel from the columns of ``cols`` (p x B,
+    contiguous), without forming P_mu.
 
     Row x of P_mu is sum_j C_j(x, .) w[x]^j with w the cleaned mu, so
     mu_{t+1} = sum_j (mu_t * w^j) C_j.  One einsum per coefficient keeps
-    the reduction independent of the batch size (a matmul does not).
+    the reduction independent of the batch size (a matmul does not).  A
+    linear kernel never reads w, so it only checks the drift.
     """
-    if mus.shape[-1] != K.p:
-        raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={mus.shape[-1]}")
     for _ in range(n):
-        w = _clean_rows(mus)
-        term = mus
-        nxt = np.einsum("bx,xy->by", term, K.coeff[0])
-        for c in K.coeff[1:]:
-            term = term * w
-            nxt += np.einsum("bx,xy->by", term, c)
-        mus = nxt
-        yield mus
+        low = cols.min()
+        if low < -_NEG_CLIP:
+            raise ValueError(f"entry {low:.3e} too negative to be rounding noise")
+        nxt = np.einsum("xy,xb->yb", K.coeff[0], cols)
+        if K.degree > 1:
+            w = np.clip(cols, 0.0, None)
+            w /= _state_sum(w)
+            term = cols
+            for c in K.coeff[1:]:
+                term = term * w
+                nxt += np.einsum("xy,xb->yb", c, term)
+        cols = nxt
+        yield cols
 
 
-def _flows(K: PolynomialKernel, mus: np.ndarray, n: int):
-    """mu_1..mu_n from the rows of ``mus``: matrix-free when the kernel is
-    certified, through the checked `_flow_steps` otherwise."""
+def _flows(K: PolynomialKernel, cols: np.ndarray, n: int):
+    """mu_1..mu_n, each (p, B), from the columns of ``cols`` (p x B,
+    contiguous): matrix-free when the kernel is certified, through the
+    checked, item-major `_flow_steps` otherwise."""
+    if cols.shape[0] != K.p:
+        raise DimensionMismatchError(f"dimension mismatch: kernel p={K.p}, mu p={cols.shape[0]}")
     if K.certified:
-        return _free_steps(K, mus, n)
-    return (nxt for _, nxt in _flow_steps(K, mus, n))
+        return _free_steps(K, cols, n)
+    return (rows.T for _, rows in _flow_steps(K, np.ascontiguousarray(cols.T), n))
 
 
 def flow_batch(K: PolynomialKernel, mu0s, n: int) -> np.ndarray:
@@ -367,17 +425,9 @@ def flow_batch(K: PolynomialKernel, mu0s, n: int) -> np.ndarray:
     mu0s = np.asarray(mu0s, dtype=np.float64)
     out = np.empty((n + 1,) + mu0s.shape)
     out[0] = mu0s
-    for t, mus in enumerate(_flows(K, mu0s, n)):
-        out[t + 1] = mus
+    for t, cols in enumerate(_flows(K, np.ascontiguousarray(mu0s.T), n), start=1):
+        out[t] = cols.T
     return out
-
-
-def propagate(K: PolynomialKernel, mu0: Distribution, n: int) -> list[Distribution]:
-    """Exact flow mu_0, mu_1, ..., mu_n with mu_{t+1} = mu_t^T P_{mu_t}."""
-    if mu0.p != K.p:
-        raise DimensionMismatchError("mu0 dimension does not match the kernel")
-    flow = flow_batch(K, mu0.probs[None, :], n)
-    return [_clean_probs(row) for row in flow[:, 0, :]]
 
 
 @dataclass(frozen=True)
@@ -391,33 +441,17 @@ def stationary(K: PolynomialKernel, tol: float = 1e-10, max_iter: int = 10**6) -
     """Fixed point of mu -> mu^T P_mu by iteration from the barycenter."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mu = np.full((1, K.p), 1.0 / K.p)
+    mu = np.full((K.p, 1), 1.0 / K.p)
     residual = np.inf
     for it, nxt in enumerate(_flows(K, mu, max_iter), start=1):
         residual = float(np.abs(nxt - mu).sum())
         if residual <= tol:
-            return StationaryResult(_clean_probs(mu[0]), it, residual)
+            return StationaryResult(_clean_probs(mu[:, 0]), it, residual)
         mu = nxt
     raise NonconvergenceError(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})",
-        last_iterate=_clean_probs(mu[0]), residual=residual, iterations=max_iter,
+        last_iterate=_clean_probs(mu[:, 0]), residual=residual, iterations=max_iter,
     )
-
-
-def sample_trajectory(K: PolynomialKernel, mu0: Distribution, n: int, rng) -> np.ndarray:
-    """One observed trajectory X_0..X_n of the nonlinear chain.
-
-    The chain's law is driven by the exact distribution flow: step t uses
-    row X_t of P_{mu_t}.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = as_generator(rng)
-    states = np.empty(n + 1, dtype=np.intp)
-    states[0] = rng.choice(K.p, p=mu0.probs)
-    for t, (P, _) in enumerate(_flow_steps(K, mu0.probs[None, :], n)):
-        states[t + 1] = rng.choice(K.p, p=P[0, states[t]])
-    return states
 
 
 def _flat_dirichlet(rng, shape) -> np.ndarray:
@@ -425,13 +459,6 @@ def _flat_dirichlet(rng, shape) -> np.ndarray:
     of ``shape``: standard exponentials divided by their sum."""
     draws = rng.standard_exponential(shape)
     return draws / draws.sum(axis=-1, keepdims=True)
-
-
-def random_distribution(p: int, rng) -> Distribution:
-    """Uniform (flat Dirichlet) sample from the p-simplex."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    return Distribution(_flat_dirichlet(as_generator(rng), p))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport, full_report
-from .chain import Distribution, PolynomialKernel, _flat_dirichlet, flow_batch, stationary
+from .chain import (
+    Distribution,
+    PolynomialKernel,
+    _flat_dirichlet,
+    _flows,
+    _state_sum,
+    stationary,
+)
 from .errors import NmcError
 from .rng import as_generator, derive_seed
 
@@ -72,19 +79,34 @@ class EnvelopeResult:
     tv_min: np.ndarray
     tv_mean: np.ndarray
     tv_max: np.ndarray
-    trials: int
     pi: Distribution
+
+
+_ENVELOPE_BLOCK = 8192      # start columns flowed together by `tv_envelope`
 
 
 def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeResult:
     """Envelope of exact ||mu_n - pi||_TV over random (flat Dirichlet)
-    initial distributions."""
+    initial distributions.
+
+    The starts are flowed in blocks of columns, and each step writes only
+    its TV distances, so memory is (steps + 1) * trials, not times p.  The
+    statistics are taken over whole contiguous rows of trials at the end,
+    so they do not depend on the block size.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     pi = stationary(K).distribution
     starts = _flat_dirichlet(as_generator(rng), (trials, K.p))
-    dev = flow_batch(K, starts, steps)                       # (steps+1, B, p)
-    dev -= pi.probs                                          # in place: one copy of the flows
-    tv = np.abs(dev, out=dev).sum(axis=2)                    # (steps+1, B)
-    return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1), trials, pi)
+    target = pi.probs[:, None]
+    tv = np.empty((steps + 1, trials))
+    for lo in range(0, trials, _ENVELOPE_BLOCK):
+        block = slice(lo, lo + _ENVELOPE_BLOCK)
+        cols = np.ascontiguousarray(starts[block].T)                 # (p, block)
+        tv[0, block] = _state_sum(np.abs(cols - target))
+        for t, mus in enumerate(_flows(K, cols, steps), start=1):
+            tv[t, block] = _state_sum(np.abs(mus - target))
+    return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1), pi)
 
 
 @dataclass

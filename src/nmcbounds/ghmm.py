@@ -24,7 +24,8 @@ first written with, so the fits stay bit-identical to that form:
 - forward contraction sum_i alpha_i a_ij (einsum ``bi,bij->bj``): a chain,
   ((p0 + p1) + p2) + ...;
 - a sum over the state axis (``.sum`` along a contiguous K axis): numpy's
-  pairwise order, which is the same chain below 8 terms (``_state_sum``);
+  pairwise order, which is the same chain below 8 terms
+  (``chain._state_sum``, shared with the kernel flow engine);
 - backward contraction sum_j a_ij w_j (einsum ``bij,bj->bi``, contiguous
   j): two lanes, even j and odd j, each a chain, then even + odd; at K = 3
   that is (p0 + p2) + p1, at K = 4 (p0 + p2) + (p1 + p3), at K = 5
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _chain_sum, _state_sum
 from .rng import as_generator, stream_uniforms
 
 VARIANCE_FLOOR = 1e-10
@@ -129,32 +131,6 @@ class GhmmStack:
 
     def model(self, index: int) -> GhmmModel:
         return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
-
-
-def _chain_sum(rows):
-    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
-    that a single row is returned as it is."""
-    if len(rows) == 1:
-        return rows[0]
-    total = rows[0] + rows[1]
-    for row in rows[2:]:
-        total += row
-    return total
-
-
-def _state_sum(rows):
-    """Sum over the leading (state) axis in the order of numpy's pairwise
-    ``sum`` along a contiguous axis of up to 128 terms: a chain below 8
-    terms, else eight strided chains added as a tree, then the rest."""
-    n = len(rows)
-    if n < 8:
-        return _chain_sum(rows)
-    full = n - n % 8
-    acc = [_chain_sum(rows[j:full:8]) for j in range(8)]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in rows[full:]:
-        total += row
-    return total
 
 
 def _dot_sum(rows):

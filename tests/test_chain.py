@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.chain import (
     EVAL_TOL,
+    _NEG_CLIP,
     Distribution,
     PolynomialKernel,
     StochasticMatrix,
@@ -15,11 +16,10 @@ from nmcbounds.chain import (
     evaluate_kernel,
     flow_batch,
     load_model,
-    propagate,
-    random_distribution,
-    sample_trajectory,
     stationary,
+    _flat_dirichlet,
     _flow_steps,
+    _state_sum,
     tv_distance,
     validate_kernel,
 )
@@ -29,7 +29,8 @@ from nmcbounds.errors import (
     ModelSpecError,
     NonconvergenceError,
 )
-from nmcbounds.experiments import EXAMPLE1_P, builtin_example
+from nmcbounds.experiments import _ENVELOPE_BLOCK, EXAMPLE1_P, builtin_example, tv_envelope
+from nmcbounds.rng import as_generator
 
 from conftest import random_distributions, row_sum_drift_kernel
 
@@ -238,21 +239,21 @@ def test_validate_kernel_is_exact_against_a_dense_grid(seed, p, degree, scale, z
 
 
 # ---------------------------------------------------------------------------
-# propagate
+# flow_batch
 
 
 def test_propagate_linear_one_step():
     K = PolynomialKernel.linear(EXAMPLE1_P)
     mu0 = Distribution([0.1, 0.2, 0.3, 0.4])
-    seq = propagate(K, mu0, 1)
-    assert np.allclose(seq[1].probs, mu0.probs @ EXAMPLE1_P, atol=1e-14)
+    seq = flow_batch(K, mu0.probs[None], 1)[:, 0]
+    assert np.allclose(seq[1], mu0.probs @ EXAMPLE1_P, atol=1e-14)
 
 
 def test_propagate_fixed_point_stays():
     K = builtin_example(1, 0.1)
     pi = stationary(K, tol=1e-13).distribution
-    for mu in propagate(K, pi, 5):
-        assert tv_distance(mu, pi) < 1e-9
+    for mu in flow_batch(K, pi.probs[None], 5)[:, 0]:
+        assert tv_distance(Distribution(mu), pi) < 1e-9
 
 
 def test_propagate_two_steps_match_hand_evaluation():
@@ -268,26 +269,26 @@ def test_propagate_two_steps_match_hand_evaluation():
 
     mu1 = mu0 @ hand_matrix(mu0)
     mu2 = mu1 @ hand_matrix(mu1)
-    seq = propagate(builtin_example(1, kappa), Distribution(mu0), 2)
-    assert np.allclose(seq[1].probs, mu1, atol=1e-14)
-    assert np.allclose(seq[2].probs, mu2, atol=1e-14)
+    seq = flow_batch(builtin_example(1, kappa), mu0[None], 2)[:, 0]
+    assert np.allclose(seq[1], mu1, atol=1e-14)
+    assert np.allclose(seq[2], mu2, atol=1e-14)
 
 
 def test_propagate_matches_matrix_power_for_linear():
     K = PolynomialKernel.linear(EXAMPLE1_P)
     mu0 = Distribution([0.7, 0.1, 0.1, 0.1])
-    seq = propagate(K, mu0, 8)
+    seq = flow_batch(K, mu0.probs[None], 8)[:, 0]
     for n in range(9):
         expected = mu0.probs @ np.linalg.matrix_power(EXAMPLE1_P, n)
-        assert np.abs(seq[n].probs - expected).max() < 1e-10
+        assert np.abs(seq[n] - expected).max() < 1e-10
 
 
 def test_propagate_outputs_valid_distributions():
     K = builtin_example(2, 0.2)
-    for mu in random_distributions(5, 20, seed=11):
-        for out in propagate(K, mu, 10):
-            assert out.probs.min() >= 0.0
-            assert abs(out.probs.sum() - 1.0) <= 1e-12
+    starts = np.array([d.probs for d in random_distributions(5, 20, seed=11)])
+    for out in flow_batch(K, starts, 10).reshape(-1, 5):
+        assert out.min() >= 0.0
+        assert abs(out.sum() - 1.0) <= 1e-12
 
 
 def test_flow_batch_rows_match_single_start_flows():
@@ -298,8 +299,6 @@ def test_flow_batch_rows_match_single_start_flows():
     assert (flows[0] == starts).all()
     for b in (0, 17, 29):
         assert (flow_batch(K, starts[b:b + 1], 12)[:, 0] == flows[:, b]).all()
-    seq = propagate(K, Distribution(starts[3]), 12)
-    assert np.abs(np.array([d.probs for d in seq]) - flows[:, 3]).max() < 1e-15
 
 
 def test_flow_batch_rows_match_single_start_flows_degree_3():
@@ -319,18 +318,25 @@ def checked_flow(K, starts, n):
     return np.stack([starts] + [mus for _, mus in _flow_steps(K, starts, n)])
 
 
+def certified_kernel(seed, p, degree, room):
+    """A `random_kernel` whose higher coefficients use at most ``room`` of
+    each linear entry, so no entry goes below 0; centring after the shrink
+    keeps their row sums at rounding level of the entries, so the kernel is
+    certified."""
+    K = random_kernel(seed, p, degree, 1.0, True)
+    if degree == 1:
+        return K
+    spread = sum(np.abs(c) for c in K.coeff[1:])
+    shrink = room * (K.coeff[0] / np.where(spread > 0.0, spread, 1.0)).min()
+    highs = [c * shrink for c in K.coeff[1:]]
+    return PolynomialKernel((K.coeff[0], *(c - c.mean(axis=1, keepdims=True) for c in highs)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 4),
        room=st.floats(0.0, 0.95))
 def test_matrix_free_flow_matches_the_checked_flow(seed, p, degree, room):
-    # higher coefficients use at most ``room`` of each linear entry, so no
-    # entry goes below 0; centring after the shrink keeps their row sums at
-    # rounding level of the entries, so the kernel is certified
-    K = random_kernel(seed, p, degree, 1.0, True)
-    spread = sum(np.abs(c) for c in K.coeff[1:])
-    shrink = room * (K.coeff[0] / np.where(spread > 0.0, spread, 1.0)).min()
-    highs = [c * shrink for c in K.coeff[1:]]
-    K = PolynomialKernel((K.coeff[0], *(c - c.mean(axis=1, keepdims=True) for c in highs)))
+    K = certified_kernel(seed, p, degree, room)
     assert K.certified
     draws = np.random.default_rng(seed).standard_exponential((8, p))
     starts = np.concatenate([np.eye(p), draws / draws.sum(axis=1, keepdims=True)])
@@ -361,6 +367,7 @@ def test_uncertified_flows_take_the_checked_path():
     assert evaluate_batch(K, np.eye(4)[:1])[0, 0, 0] == 0.0
     starts = np.concatenate([np.eye(4), [d.probs for d in random_distributions(4, 5, seed=2)]])
     assert flow_batch(K, starts, 10).tobytes() == checked_flow(K, starts, 10).tobytes()
+    assert_engine_matches_item_major(K, 300, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +396,9 @@ def test_stationary_nonlinear_agrees_with_long_runs():
     K = builtin_example(1, 0.1)
     res = stationary(K, tol=1e-10)
     # oracle: long propagation from several random starts
-    for mu0 in random_distributions(4, 5, seed=23):
-        tail = propagate(K, mu0, 10_000)[-1]
-        assert tv_distance(tail, res.distribution) < 2e-10
+    starts = np.array([d.probs for d in random_distributions(4, 5, seed=23)])
+    for tail in flow_batch(K, starts, 10_000)[-1]:
+        assert tv_distance(Distribution(tail), res.distribution) < 2e-10
     # the nonlinear fixed point sits near the linear one
     lin = stationary(PolynomialKernel.linear(EXAMPLE1_P), tol=1e-10)
     assert tv_distance(res.distribution, lin.distribution) < 0.1
@@ -413,57 +420,119 @@ def test_stationary_nonconvergence_error():
 
 
 # ---------------------------------------------------------------------------
-# sample_trajectory
+# the state-major flow engine against the item-major form it replaced
 
 
-def test_trajectory_absorbing_state():
-    K = PolynomialKernel.linear(np.eye(3))
-    traj = sample_trajectory(K, Distribution([0, 1, 0]), 10, rng=0)
-    assert (traj == 1).all()
+def item_major_clean_rows(v):
+    """Clip float-level negative drift and renormalize along the last axis.
+
+    This and the functions below are the certified flow as first written,
+    frozen here as the reference: an item-major (B, p) batch with one
+    ``bx,xy->by`` einsum per coefficient and sums along the state axis."""
+    if v.min() < -_NEG_CLIP:
+        raise ValueError(f"entry {v.min():.3e} too negative to be rounding noise")
+    v = np.clip(v, 0.0, None)
+    return v / v.sum(axis=-1, keepdims=True)
 
 
-def test_trajectory_deterministic_given_seed():
-    K = builtin_example(1, 0.1)
-    mu0 = Distribution([0.25] * 4)
-    t1 = sample_trajectory(K, mu0, 50, rng=99)
-    t2 = sample_trajectory(K, mu0, 50, rng=99)
-    assert (t1 == t2).all()
+def item_major_free_steps(K, mus, n):
+    for _ in range(n):
+        w = item_major_clean_rows(mus)
+        term = mus
+        nxt = np.einsum("bx,xy->by", term, K.coeff[0])
+        for c in K.coeff[1:]:
+            term = term * w
+            nxt += np.einsum("bx,xy->by", term, c)
+        mus = nxt
+        yield mus
 
 
-def test_trajectory_marginal_matches_propagation():
-    K = PolynomialKernel.linear(EXAMPLE1_P)
-    mu0 = Distribution([1, 0, 0, 0])
-    n = 3
-    rng = np.random.default_rng(5)
-    counts = np.zeros(4)
-    samples = 20_000
-    for _ in range(samples):
-        counts[sample_trajectory(K, mu0, n, rng)[-1]] += 1
-    empirical = counts / samples
-    exact = propagate(K, mu0, n)[-1].probs
-    assert np.abs(empirical - exact).sum() < 0.02
+def item_major_flows(K, mus, n):
+    if K.certified:
+        return item_major_free_steps(K, mus, n)
+    return (nxt for _, nxt in _flow_steps(K, mus, n))
+
+
+def item_major_flow_batch(K, mu0s, n):
+    out = np.empty((n + 1,) + mu0s.shape)
+    out[0] = mu0s
+    for t, mus in enumerate(item_major_flows(K, mu0s, n), start=1):
+        out[t] = mus
+    return out
+
+
+def item_major_stationary(K, tol=1e-10):
+    """(cleaned fixed point, iterations) from the barycenter."""
+    mu = np.full((1, K.p), 1.0 / K.p)
+    for it, nxt in enumerate(item_major_flows(K, mu, 10**6), start=1):
+        if float(np.abs(nxt - mu).sum()) <= tol:
+            return item_major_clean_rows(mu[0]), it
+        mu = nxt
+
+
+def item_major_tv_envelope(K, trials, steps, rng):
+    pi, _ = item_major_stationary(K)
+    starts = _flat_dirichlet(as_generator(rng), (trials, K.p))
+    dev = item_major_flow_batch(K, starts, steps)
+    dev -= pi
+    tv = np.abs(dev, out=dev).sum(axis=2)
+    return tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1)
+
+
+def assert_engine_matches_item_major(K, B, seed, steps=12):
+    starts = _flat_dirichlet(np.random.default_rng(seed), (B, K.p))
+    assert np.array_equal(flow_batch(K, starts, steps), item_major_flow_batch(K, starts, steps))
+    res = stationary(K)
+    pi, iterations = item_major_stationary(K)
+    assert np.array_equal(res.distribution.probs, pi) and res.iterations == iterations
+    env = tv_envelope(K, B, steps, seed)
+    frozen = item_major_tv_envelope(K, B, steps, seed)
+    for live, old in zip((env.tv_min, env.tv_mean, env.tv_max), frozen):
+        assert np.array_equal(live, old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 20), degree=st.integers(1, 3),
+       room=st.floats(0.0, 0.95),
+       B=st.sampled_from([1, 2, _ENVELOPE_BLOCK - 1, _ENVELOPE_BLOCK + 1]))
+@example(seed=5, p=8, degree=2, room=0.9, B=_ENVELOPE_BLOCK + 1)
+@example(seed=6, p=12, degree=3, room=0.5, B=2)
+@example(seed=7, p=20, degree=2, room=0.9, B=1)
+@example(seed=40, p=40, degree=1, room=0.0, B=1)        # the linear p = 40 stationary search
+def test_state_major_engine_equals_item_major_form(seed, p, degree, room, B):
+    K = certified_kernel(seed, p, degree, room)
+    assert K.certified
+    assert_engine_matches_item_major(K, B, seed)
+
+
+def test_state_sum_follows_numpy_pairwise_order():
+    gen = np.random.default_rng(3)
+    for n in (*range(1, 40), 64, 127, 128, 129, 200, 257, 300):
+        for B in (1, 3):
+            rows = gen.random((B, n)) * 10.0 ** gen.integers(-8, 8, (B, n))
+            assert _state_sum(np.ascontiguousarray(rows.T)).tobytes() == rows.sum(axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------
-# random_distribution
+# _flat_dirichlet
 
 
 def test_random_distribution_uniform_marginal():
     rng = np.random.default_rng(17)
-    samples = np.array([random_distribution(2, rng).probs[0] for _ in range(10_000)])
+    samples = _flat_dirichlet(rng, (10_000, 2))[:, 0]
     grid = np.sort(samples)
     ks = np.abs(grid - np.arange(1, 10_001) / 10_000).max()
     assert ks < 0.02
 
 
 def test_random_distribution_deterministic():
-    a = random_distribution(4, rng=42).probs
-    b = random_distribution(4, rng=42).probs
+    a = _flat_dirichlet(np.random.default_rng(42), 4)
+    b = _flat_dirichlet(np.random.default_rng(42), 4)
     assert (a == b).all()
 
 
 def test_random_distribution_valid():
-    d = random_distribution(4, rng=1)
+    d = Distribution(_flat_dirichlet(np.random.default_rng(1), 4))
     assert d.p == 4
     assert d.probs.min() >= 0
     assert abs(d.probs.sum() - 1) <= 1e-12
