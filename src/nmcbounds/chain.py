@@ -101,32 +101,22 @@ def _clean_rows(v: np.ndarray) -> np.ndarray:
     return v / v.sum(axis=-1, keepdims=True)
 
 
-def _chain_sum(rows):
-    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
-    that a single row is returned as it is."""
-    if len(rows) == 1:
-        return rows[0]
-    total = rows[0] + rows[1]
-    for row in rows[2:]:
-        total += row
-    return total
-
-
 def _state_sum(rows):
     """Sum over the leading (state) axis of an array in the order of
-    numpy's pairwise ``sum`` along a contiguous axis: a chain below 8
-    terms; up to 128, eight strided chains (each a ``sum`` over the outer
-    axis of a reshape, which numpy adds in sequence) added as a tree, then
-    the rest; past 128, the same on two halves split at a multiple of 8."""
+    numpy's pairwise ``sum`` along a contiguous axis: a chain,
+    ((r0 + r1) + r2) + ..., below 8 terms; up to 128, eight strided chains
+    added as a tree, then the rest in turn; past 128, the same on two
+    halves split at a multiple of 8.  A ``sum`` over the outer axis, which
+    numpy adds in sequence, forms each chain."""
     n = len(rows)
     if n < 8:
-        return _chain_sum(rows)
+        return rows.sum(axis=0)
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _state_sum(rows[:half]) + _state_sum(rows[half:])
     full = n - n % 8
     acc = rows[:full].reshape((full // 8, 8) + rows.shape[1:]).sum(axis=0)
-    acc = acc[0::2] + acc[1::2]            # (r0 + r1), (r2 + r3), ...
+    acc = acc[0::2] + acc[1::2]            # chains (a0 + a1), (a2 + a3), ...
     acc = acc[0::2] + acc[1::2]
     total = acc[0] + acc[1]
     for row in rows[full:]:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport, full_report
-from .chain import (
-    Distribution,
-    PolynomialKernel,
-    _flat_dirichlet,
-    _flows,
-    _state_sum,
-    stationary,
-)
+from .chain import Distribution, PolynomialKernel, _flat_dirichlet, _flows, _state_sum, stationary
 from .errors import NmcError
 from .rng import as_generator, derive_seed
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _chain_sum, _state_sum
+from .chain import _state_sum
 from .rng import as_generator, stream_uniforms
 
 VARIANCE_FLOOR = 1e-10
@@ -131,6 +131,17 @@ class GhmmStack:
 
     def model(self, index: int) -> GhmmModel:
         return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
+
+
+def _chain_sum(rows):
+    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
+    that a single row is returned as it is."""
+    if len(rows) == 1:
+        return rows[0]
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total += row
+    return total
 
 
 def _dot_sum(rows):
