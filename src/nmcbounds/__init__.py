@@ -19,9 +19,7 @@ from .coupling import (
     CouplingMatrix,
     build_coupling_matrix,
     coupling_matrices,
-    kappa,
     lemma_check,
-    max_row_sum_norm,
     sample_coupled_pair,
     simulate_coupled_chain,
     spectral_radii,
@@ -66,7 +64,6 @@ from .signal import (
 from .ghmm import (
     GhmmModel,
     fit_baum_welch,
-    forward_backward,
     sample_ghmm,
 )
 from .volatility import (

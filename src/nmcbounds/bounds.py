@@ -402,6 +402,8 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     curve is built from the coupling matrix of the linear part.
     Sub-errors (an unbounded gamma, say) become flags, not failures.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     cfg = config or BoundConfig()
     rng = as_generator(seed)
     p = K.p

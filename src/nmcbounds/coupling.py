@@ -79,11 +79,6 @@ def split_densities(mu: Distribution, nu: Distribution) -> SplitLaws:
     )
 
 
-def kappa(P: StochasticMatrix, x1: int, x2: int) -> float:
-    """Row overlap sum_y min(P(x1,y), P(x2,y))."""
-    return float(np.minimum(P.entries[x1], P.entries[x2]).sum())
-
-
 def _draw_split(laws: SplitLaws, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``size`` joint draws (x1, x2, met) through the split: met with
     probability q, then a common draw from xi, else independent draws from
@@ -145,8 +140,8 @@ def simulate_coupled_chain(
 class CouplingMatrix:
     """Sub-stochastic matrix over unordered distinct state pairs.
 
-    Row/column ``i`` corresponds to ``pairs[i]`` = {x1, x2} with x1 < x2,
-    in the row-major order of ``np.triu_indices(p, 1)``.
+    Row/column ``i`` is the i-th pair {x1, x2}, x1 < x2, in the row-major
+    order of ``np.triu_indices(p, 1)``.
     """
 
     p: int
@@ -166,10 +161,6 @@ class CouplingMatrix:
     @property
     def dim(self) -> int:
         return self.p * (self.p - 1) // 2
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(a), int(b)) for a, b in zip(*np.triu_indices(self.p, 1))]
 
 
 def coupling_matrices(Ps) -> np.ndarray:
@@ -213,11 +204,6 @@ def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
 
 def _max_row_sums(A: np.ndarray) -> np.ndarray:
     return A.sum(axis=-1).max(axis=-1)
-
-
-def max_row_sum_norm(M: CouplingMatrix) -> float:
-    """Max row sum, the induced infinity-norm (entries are nonnegative)."""
-    return float(_max_row_sums(M.entries))
 
 
 @dataclass(frozen=True)
@@ -390,7 +376,7 @@ def pairchain_meet_curve(P: StochasticMatrix, mu0: Distribution, nu0: Distributi
     M = build_coupling_matrix(P)
     joint = np.outer(laws0.eta1.probs, laws0.eta2.probs) * (1.0 - laws0.q)
     iu, ju = np.triu_indices(M.p, 1)
-    w = joint[iu, ju] + joint[ju, iu]               # mass of each unordered pair, as M.pairs
+    w = joint[iu, ju] + joint[ju, iu]               # mass of each unordered pair, in row order of M
     out = np.empty(n + 1)
     out[0] = 1.0 - w.sum()
     for t in range(n):
@@ -419,7 +405,6 @@ class LemmaCheckReport:
     q_exact: np.ndarray
     q_empirical: np.ndarray
     pairchain_meet_gap: np.ndarray
-    samples: int
     passed: bool
     underpowered: bool
 
@@ -496,6 +481,6 @@ def lemma_check(
     )
     return LemmaCheckReport(
         steps=np.arange(n + 1), tv1=tv1, tv2=tv2, q_exact=q_exact,
-        q_empirical=q_emp, pairchain_meet_gap=meet_gap, samples=samples,
-        passed=passed, underpowered=samples < 1000,
+        q_empirical=q_emp, pairchain_meet_gap=meet_gap, passed=passed,
+        underpowered=samples < 1000,
     )

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport, full_report
-from .chain import Distribution, PolynomialKernel, _flat_dirichlet, _flows, _state_sum, stationary
-from .errors import NmcError
+from .chain import PolynomialKernel, _flat_dirichlet, _flows, _state_sum, stationary
 from .rng import as_generator, derive_seed
 
 EXAMPLE1_P = np.array([
@@ -72,7 +71,6 @@ class EnvelopeResult:
     tv_min: np.ndarray
     tv_mean: np.ndarray
     tv_max: np.ndarray
-    pi: Distribution
 
 
 _ENVELOPE_BLOCK = 8192      # start columns flowed together by `tv_envelope`
@@ -87,6 +85,8 @@ def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeRe
     statistics are taken over whole contiguous rows of trials at the end,
     so they do not depend on the block size.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pi = stationary(K).distribution
@@ -99,7 +99,7 @@ def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeRe
         tv[0, block] = _state_sum(np.abs(cols - target))
         for t, mus in enumerate(_flows(K, cols, steps), start=1):
             tv[t, block] = _state_sum(np.abs(mus - target))
-    return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1), pi)
+    return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1))
 
 
 @dataclass
@@ -163,26 +163,3 @@ def export_report(table: ComparisonTable, path) -> None:
             os.unlink(tmp)
         raise
 
-
-def parse_report(path) -> ComparisonTable:
-    """Inverse of export_report (numbers parsed back to float/int)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or not lines[0]:
-        raise NmcError("empty report file")
-    columns = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell))
-            except ValueError:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-        rows.append(cells)
-    return ComparisonTable(columns, rows)

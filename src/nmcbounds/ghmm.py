@@ -220,32 +220,6 @@ def _posterior(transition, alpha, scales, emissions, beta):
     return gamma, xi_sum
 
 
-@dataclass(frozen=True)
-class ForwardBackwardResult:
-    log_likelihood: float
-    posteriors: np.ndarray        # (T, K), rows sum to 1
-    pairwise: np.ndarray          # (T-1, K, K), each slice sums to 1
-    scales: np.ndarray            # (T,), per-step normalization constants
-    emission_floored: bool
-
-
-def forward_backward(model: GhmmModel, obs) -> ForwardBackwardResult:
-    """Posteriors and log-likelihood by the scaled forward-backward pass."""
-    obs = _finite_obs(np.asarray(obs, dtype=np.float64))
-    if obs.ndim != 1 or obs.shape[0] < 1:
-        raise ValueError("obs must be a non-empty 1-d sequence")
-    params = [getattr(model, name)[..., None] for name in _PARAMS]   # one model, B = 1
-    loglik, alpha, scales, b = _forward(*params, obs[:, None])
-    beta = np.empty_like(alpha)
-    gamma, _ = _posterior(params[1], alpha, scales, b, beta)
-    w = b[1:, :, 0] * beta[1:, :, 0] / scales[1:]
-    xi = alpha[:-1, :, 0, None] * model.transition * w[:, None, :]
-    pairwise = xi / xi.sum(axis=(1, 2), keepdims=True)
-    floored = bool((b.max(axis=1) <= EMISSION_FLOOR).any())
-    return ForwardBackwardResult(float(loglik[0]), gamma[:, :, 0], pairwise,
-                                 scales[:, 0], floored)
-
-
 def quantile_starts(windows, n_states: int) -> GhmmStack:
     """Deterministic starts for a (B, T) window array: contiguous quantile
     groups of each sorted row set that row's means/variances."""
@@ -260,11 +234,6 @@ def quantile_starts(windows, n_states: int) -> GhmmStack:
     np.fill_diagonal(transition, SELF_LOOP if k > 1 else 1.0)
     return GhmmStack(np.full((B, k), 1.0 / k), np.broadcast_to(transition, (B, k, k)),
                      means, variances)
-
-
-def quantile_init(obs, n_states: int) -> GhmmModel:
-    """Deterministic start of one sequence (see ``quantile_starts``)."""
-    return quantile_starts(np.asarray(obs, dtype=np.float64)[None], n_states).model(0)
 
 
 def _start_draws(keys, n_states: int):

@@ -179,7 +179,6 @@ class GarchFit:
     std_errors: dict
     t_stats: dict
     loglik: float
-    n_obs: int
     boundary_flag: bool
     converged: bool
 
@@ -275,8 +274,7 @@ def fit_garch11(returns) -> GarchFit:
     model = GarchModel(mu, omega, alpha1, beta1)
 
     se, tstat = _opg_errors(model, r, var)
-    return GarchFit(model, se, tstat, -float(res.fun), r.shape[0], boundary,
-                    bool(res.success or res.fun < 1e11))
+    return GarchFit(model, se, tstat, -float(res.fun), boundary, bool(res.success))
 
 
 def _per_obs_loglik(params, r, h0):

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from nmcbounds.chain import Distribution, PolynomialKernel, StochasticMatrix
-from nmcbounds.experiments import EXAMPLE1_P, EXAMPLE2_P, builtin_example
+from nmcbounds.experiments import EXAMPLE1_P, EXAMPLE2_P, ComparisonTable, builtin_example
 
 
 @pytest.fixture
@@ -52,3 +54,18 @@ def bowl_kernel(floor: float) -> PolynomialKernel:
     C3 = np.zeros((3, 3))
     C3[0, :2] = 1.0, -1.0
     return PolynomialKernel((C1, C2, C3))
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_report(path) -> ComparisonTable:
+    """A CSV written by ``export_report``, read back with ``csv.reader``:
+    numeric cells as float, the others as text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        columns, *rows = csv.reader(fh)
+    return ComparisonTable(columns, [[_cell(v) for v in row] for row in rows])

@@ -10,9 +10,8 @@ import pytest
 
 import nmcbounds
 from nmcbounds.cli import main
-from nmcbounds.experiments import parse_report
 
-from conftest import bowl_kernel
+from conftest import bowl_kernel, read_report
 
 
 def run_cli(argv, capsys):
@@ -42,7 +41,7 @@ def test_bounds_example1_published_spectral_row(tmp_path, capsys):
     assert code == 0
     cfg = json.loads(err.strip().splitlines()[0])
     assert cfg["command"] == "bounds" and cfg["seed"] == 0
-    table = parse_report(f"{prefix}_bounds.csv")
+    table = read_report(f"{prefix}_bounds.csv")
     spec_col = table.columns.index("spectral")
     values = [row[spec_col] for row in table.rows[:3]]
     assert values[0] == pytest.approx(0.54, abs=0.02)
@@ -72,13 +71,41 @@ def test_bounds_invalid_model_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_bounds_rejects_negative_steps_before_writing(tmp_path, capsys):
+    prefix = tmp_path / "neg"
+    code, out, err = run_cli(["bounds", "--example", "1", "--steps", "-3",
+                              "--out-prefix", str(prefix)], capsys)
+    assert code == 2
+    assert "error: n_max must be >= 0" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_bounds_zero_steps_writes_empty_curves(tmp_path, capsys):
+    prefix = tmp_path / "zero"
+    code, _, _ = run_cli(["bounds", "--example", "1", "--steps", "0",
+                          "--out-prefix", str(prefix)], capsys)
+    assert code == 0
+    assert read_report(tmp_path / "zero_bounds.csv").rows == []
+    assert (tmp_path / "zero_coefficients.json").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "sim_none.csv"
+    code, _, err = run_cli(["simulate", "--example", "1", "--trials", trials,
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert "error: trials must be >= 1" in err
+    assert not out.exists()
+
+
 def test_simulate_domination_and_determinism(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     args = ["simulate", "--example", "1", "--kappa", "0.2", "--trials", "200",
             "--steps", "15", "--seed", "7", "--out", str(out)]
     code, _, _ = run_cli(args, capsys)
     assert code == 0
-    table = parse_report(out)
+    table = read_report(out)
     mx = table.columns.index("tv_max")
     t4 = table.columns.index("combined_small_n")
     for row in table.rows:
@@ -95,7 +122,7 @@ def test_simulate_single_trial_collapses_envelope(tmp_path, capsys):
                           "--trials", "1", "--steps", "5", "--seed", "1",
                           "--out", str(out)], capsys)
     assert code == 0
-    table = parse_report(out)
+    table = read_report(out)
     lo = table.columns.index("tv_min")
     mid = table.columns.index("tv_mean")
     hi = table.columns.index("tv_max")
@@ -110,7 +137,7 @@ def test_coupling_check_passes(tmp_path, capsys):
                                "--out", str(out)], capsys)
     assert code == 0
     assert "pass" in stdout
-    table = parse_report(out)
+    table = read_report(out)
     assert table.columns == ["t", "tv1", "tv2", "q_exact", "q_empirical"]
     assert len(table.rows) == 6
 
@@ -173,7 +200,7 @@ def test_volatility_self_check(tmp_path, capsys):
     assert "half medians" in line and "falls back:" in line and line.endswith("-> pass")
     assert (tmp_path / "vol_comparison.csv").exists()
     assert (tmp_path / "vol_garch.csv").exists()
-    garch = parse_report(tmp_path / "vol_garch.csv")
+    garch = read_report(tmp_path / "vol_garch.csv")
     assert [row[0] for row in garch.rows] == ["mu", "omega", "alpha1", "beta1"]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmcbounds import experiments
 from nmcbounds.chain import Distribution, PolynomialKernel, evaluate_kernel, validate_kernel
 from nmcbounds.errors import KernelInvalidError
 from nmcbounds.experiments import (
@@ -9,12 +10,11 @@ from nmcbounds.experiments import (
     builtin_example,
     compare_bounds,
     export_report,
-    parse_report,
     tv_envelope,
 )
 from nmcbounds.rng import derive_seed
 
-from conftest import row_sum_drift_kernel
+from conftest import read_report, row_sum_drift_kernel
 
 
 def test_builtin_example1_matches_published_entries():
@@ -57,6 +57,19 @@ def test_envelope_rank_one_collapses():
     K = PolynomialKernel.linear(np.tile([0.25, 0.25, 0.25, 0.25], (4, 1)))
     env = tv_envelope(K, trials=50, steps=4, rng=2)
     assert (env.tv_max[1:] < 1e-12).all()
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_envelope_rejects_trials_below_one_before_any_work(monkeypatch, trials):
+    def no_fixed_point(K):
+        raise AssertionError("stationary called")
+
+    monkeypatch.setattr(experiments, "stationary", no_fixed_point)
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        tv_envelope(builtin_example(1, 0.1), trials, 5, gen)
+    assert gen.bit_generator.state == state
 
 
 def test_envelope_rejects_row_sum_drift():
@@ -105,7 +118,7 @@ def test_export_roundtrip(tmp_path):
     export_report(table, path)
     data1 = path.read_bytes()
     assert b"\r" not in data1
-    parsed = parse_report(path)
+    parsed = read_report(path)
     assert parsed.columns == table.columns
     export_report(parsed, path)
     assert path.read_bytes() == data1

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from nmcbounds.ghmm import (
     GhmmStack,
     fit_baum_welch,
     fit_window_batch,
-    forward_backward,
-    quantile_init,
     quantile_starts,
     random_init,
     random_inits,
@@ -50,12 +49,23 @@ def align_permutation(true_means, fitted_means):
 # ---------------------------------------------------------------------------
 # forward-backward
 
+OneModelPass = namedtuple("OneModelPass", "log_likelihood posteriors scales emissions")
+
+
+def one_model_pass(model, obs):
+    """The core's scaled forward and backward passes for one model (B = 1):
+    log-likelihood, posteriors (T, K), scales (T,) and emissions (T, K)."""
+    params = [getattr(model, name)[..., None] for name in ghmm._PARAMS]
+    loglik, alpha, scales, b = ghmm._forward(*params, np.asarray(obs, dtype=np.float64)[:, None])
+    gamma, _ = ghmm._posterior(params[1], alpha, scales, b, np.empty_like(alpha))
+    return OneModelPass(float(loglik[0]), gamma[:, :, 0], scales[:, 0], b[:, :, 0])
+
 
 def test_single_state_posteriors_and_loglik():
     model = GhmmModel(np.array([1.0]), np.array([[1.0]]),
                       np.array([0.5]), np.array([2.0]))
     obs = np.array([0.1, 0.7, -0.3])
-    res = forward_backward(model, obs)
+    res = one_model_pass(model, obs)
     assert (res.posteriors == 1.0).all()
     expected = sum(-0.5 * math.log(2 * math.pi * 2.0) - (o - 0.5) ** 2 / 4.0 for o in obs)
     assert res.log_likelihood == pytest.approx(expected, abs=1e-10)
@@ -65,7 +75,7 @@ def test_well_separated_states_posterior():
     model = GhmmModel(np.array([0.5, 0.5]),
                       np.array([[0.5, 0.5], [0.5, 0.5]]),
                       np.array([-10.0, 10.0]), np.array([1.0, 1.0]))
-    res = forward_backward(model, np.array([9.8]))
+    res = one_model_pass(model, np.array([9.8]))
     # direct Bayes at a single step
     from scipy.stats import norm
     w = np.array([norm.pdf(9.8, -10, 1), norm.pdf(9.8, 10, 1)])
@@ -79,16 +89,15 @@ def test_identical_states_posteriors_follow_mixture_weights():
     trans = np.array([[0.25, 0.75], [0.25, 0.75]])  # stationary == (0.25, 0.75)
     model = GhmmModel(stat, trans, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     obs = np.random.default_rng(0).standard_normal(20)
-    res = forward_backward(model, obs)
+    res = one_model_pass(model, obs)
     assert np.abs(res.posteriors - stat[None, :]).max() < 1e-12
 
 
 def test_posterior_rows_normalized():
     gen = np.random.default_rng(5)
     model = random_init(gen.standard_normal(100), 3, gen)
-    res = forward_backward(model, gen.standard_normal(60))
+    res = one_model_pass(model, gen.standard_normal(60))
     assert np.abs(res.posteriors.sum(axis=1) - 1.0).max() < 1e-10
-    assert np.abs(res.pairwise.sum(axis=(1, 2)) - 1.0).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +125,7 @@ def test_three_state_recovery():
 
 def test_epochs_zero_returns_init():
     obs = np.random.default_rng(1).standard_normal(100)
-    init = quantile_init(obs, 2)
+    init = quantile_starts(obs[None], 2).model(0)
     fit = fit_baum_welch(obs, n_states=2, epochs=0)
     assert np.allclose(fit.model.means, init.means)
     assert np.allclose(fit.model.transition, init.transition)
@@ -134,7 +143,7 @@ def test_em_monotone_loglik_over_random_fits():
 
 def test_permutation_invariance():
     obs = np.random.default_rng(17).standard_normal(200)
-    init = quantile_init(obs, 3)
+    init = quantile_starts(obs[None], 3).model(0)
     perm = [2, 0, 1]
     starts = GhmmStack(np.stack([init.initial, init.initial[perm]]),
                        np.stack([init.transition, init.transition[np.ix_(perm, perm)]]),
@@ -191,8 +200,8 @@ def test_sample_deterministic():
 def test_emission_floor_flagged_for_absurd_observation():
     model = GhmmModel(np.array([1.0]), np.array([[1.0]]),
                       np.array([0.0]), np.array([1e-10]))
-    res = forward_backward(model, np.array([0.0, 1e6]))
-    assert res.emission_floored
+    res = one_model_pass(model, np.array([0.0, 1e6]))
+    assert (res.emissions.max(axis=1) <= EMISSION_FLOOR).any()
     assert np.isfinite(res.log_likelihood)
 
 
@@ -211,11 +220,9 @@ def test_non_finite_parameters_are_rejected():
 def test_non_finite_observations_are_rejected(bad):
     obs = np.random.default_rng(2).standard_normal(40)
     obs[5] = bad
-    model = three_state_model()
     starts = quantile_starts(np.arange(40.0)[None], 2)
     for call in (lambda: fit_baum_welch(obs, n_states=2),
                  lambda: random_init(obs, 2, 0),
-                 lambda: forward_backward(model, obs),
                  lambda: fit_window_batch(obs[None], starts, 2)):
         with pytest.raises(ValueError, match="observations must be finite"):
             call()
@@ -244,7 +251,7 @@ def per_rng_random_init(obs, n_states, rng):
         normals += [radius * np.cos(angle), radius * np.sin(angle)]
     mix = -np.log(u[2 * pairs + K:]).reshape(K, K)
     mix /= mix.sum(axis=1, keepdims=True)
-    base = quantile_init(obs, n_states)
+    base = quantile_starts(obs[None], n_states).model(0)
     spread = max(float(np.std(obs)), math.sqrt(1e-10))
     means = base.means + np.concatenate(normals)[:K] * (0.5 * spread)
     variances = np.maximum(base.variances * np.exp(2.0 * u[2 * pairs:2 * pairs + K] - 1.0), 1e-10)
@@ -606,7 +613,8 @@ def test_quantile_starts_equal_per_window_quantile_init(seed, K, B, T):
     windows = np.stack([obs_window(gen, int(gen.integers(3)), T) for _ in range(B)])
     stack = quantile_starts(windows, K)
     for i in range(B):
-        for single in (quantile_init(windows[i], K), parent_quantile_init(windows[i], K)):
+        for single in (quantile_starts(windows[i][None], K).model(0),
+                       parent_quantile_init(windows[i], K)):
             for name in ("initial", "transition", "means", "variances"):
                 assert getattr(stack, name)[i].tobytes() == getattr(single, name).tobytes()
 
@@ -649,40 +657,23 @@ def test_stack_is_frozen_and_sized():
     assert isinstance(stack.model(2), GhmmModel)
 
 
-def parent_forward_backward(model, obs):
-    """forward_backward with its pairwise posteriors from a second forward
-    pass in a Python loop."""
-    loglik, gamma, _, scales, b, _, beta = oracle_forward_backward_batch(
+def oracle_one_model(model, obs):
+    """Log-likelihood, posteriors and scales of one model from the frozen
+    item-major recursions."""
+    loglik, gamma, _, scales, _, _, _ = oracle_forward_backward_batch(
         model.initial[None, :], model.transition[None], model.means[None, :],
         model.variances[None, :], obs[:, None])
-    scales = scales.T
-    floored = (b.max(axis=2) <= EMISSION_FLOOR).any(axis=0)
-    T, K = obs.shape[0], model.n_states
-    pairwise = np.empty((max(T - 1, 0), K, K))
-    if T > 1:
-        ahat = model.initial * b[0, 0]
-        ahat = ahat / ahat.sum()
-        for t in range(T - 1):
-            w = b[t + 1, 0] * beta[t + 1, 0] / scales[t + 1, 0]
-            xi = ahat[:, None] * model.transition * w[None, :]
-            pairwise[t] = xi / xi.sum()
-            nxt = (ahat @ model.transition) * b[t + 1, 0]
-            ahat = nxt / nxt.sum()
-    return float(loglik[0]), gamma[:, 0, :], pairwise, scales[:, 0], bool(floored[0])
+    return float(loglik[0]), gamma[:, 0, :], scales.T[:, 0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 120))
-def test_pairwise_posteriors_equal_the_forward_loop(seed, K, T):
+def test_one_model_pass_equals_the_oracle(seed, K, T):
     gen = np.random.default_rng(seed)
     model = GhmmStack(*valid_params(gen, 1, K)).model(0)
     obs = gen.standard_normal(T) * 1.5
-    res = forward_backward(model, obs)
-    loglik, posteriors, pairwise, scales, floored = parent_forward_backward(model, obs)
+    res = one_model_pass(model, obs)
+    loglik, posteriors, scales = oracle_one_model(model, obs)
     assert res.log_likelihood == loglik
     assert res.posteriors.tobytes() == posteriors.tobytes()
     assert res.scales.tobytes() == scales.tobytes()
-    assert res.emission_floored == floored
-    assert res.pairwise.shape == (T - 1, K, K)
-    assert np.allclose(res.pairwise, pairwise, rtol=0.0, atol=1e-14)
-    assert np.abs(res.pairwise.sum(axis=(1, 2)) - 1.0).max(initial=0.0) < 1e-12

@@ -224,6 +224,19 @@ def test_garch_zero_returns_fixed_point():
     assert h[-1] == pytest.approx(1e-4 / (1 - 0.5), rel=1e-6)
 
 
+def test_garch_converged_reads_the_returned_search(monkeypatch):
+    r = returns_from(simulate_garch(0.0, 5e-6, 0.10, 0.85, 500, seed=3))
+    assert fit_garch11(r).converged is True
+    import scipy.optimize
+    minimize = scipy.optimize.minimize
+
+    def capped(*args, options, **kwargs):
+        return minimize(*args, options={**options, "maxiter": 5}, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capped)
+    assert fit_garch11(r).converged is False
+
+
 def test_garch_needs_data():
     with pytest.raises(ValueError):
         fit_garch11(returns_from(np.zeros(10) + 1e-6))
