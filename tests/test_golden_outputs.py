@@ -8,6 +8,12 @@ files were written by the commands below (the output path aside) and are
 regenerated only together with a CHANGES.md entry saying which output moved
 and why.  ``two_regime_prices.csv`` is the input of the price cases:
 ``volatility.two_regime_prices(5, 300, 300)`` written with ``repr`` floats.
+
+``p16_model.json`` is the linear p = 16 chain of the CI's console-script
+step (Dirichlet(0.3) rows from ``np.random.default_rng(16)``).  Its pair
+matrix (d = 120) takes the certified-bracket path, so ``bounds_p16``
+compares its radius fields through the bracket instead (see
+``test_bracket_case_matches_golden``).
 """
 
 import csv
@@ -22,6 +28,8 @@ from nmcbounds.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 REL = 1e-12
 PRICES = str(GOLDEN / "two_regime_prices.csv")
+MODEL_P16 = str(GOLDEN / "p16_model.json")
+ULP = 2.0 ** -52
 
 # case name -> (argv with {out} for the output prefix, files written as suffixes)
 CASES = {
@@ -93,3 +101,47 @@ def test_cli_output_matches_golden(case, tmp_path, capsys):
             same_value(new, json.loads(golden.read_text(encoding="utf-8")), golden.name)
         else:
             same_csv(out + suffix, golden)
+
+
+# fields that carry the bracket's radius: r, its width and the curves built
+# from r + eps
+RADIUS_FIELDS = ("spectral_radius", "eps")
+RADIUS_CURVES = ("spectral", "combined_small_n", "combined_large_n")
+
+
+def test_bracket_case_matches_golden(tmp_path, capsys):
+    # Every field but the radius ones as in the other cases.  The radius
+    # fields agree within the larger certified width w of the two brackets:
+    # each [r - eps, r] holds rho of its operator, and the two operators'
+    # entries differ by at most a few roundings, hence the 8 ulp of slack.
+    out = str(tmp_path / "bounds_p16")
+    assert main(["bounds", "--model", MODEL_P16, "--out-prefix", out]) == 0
+    capsys.readouterr()
+    new = json.loads(Path(out + "_coefficients.json").read_text(encoding="utf-8"))
+    old = json.loads((GOLDEN / "bounds_p16_coefficients.json").read_text(encoding="utf-8"))
+    same_value({k: v for k, v in new.items() if k not in RADIUS_FIELDS},
+               {k: v for k, v in old.items() if k not in RADIUS_FIELDS}, "coefficients")
+    r_new, r_old = new["spectral_radius"], old["spectral_radius"]
+    assert 0.0 < new["eps"] <= 2e-12 * r_new and 0.0 < old["eps"] <= 2e-12 * r_old
+    w = max(new["eps"], old["eps"]) + 8 * ULP * r_old
+    assert abs(r_new - r_old) <= w
+    assert abs(new["eps"] - old["eps"]) <= w
+
+    with open(out + "_bounds.csv", newline="", encoding="utf-8") as fh:
+        new_rows = list(csv.reader(fh))
+    with open(GOLDEN / "bounds_p16_bounds.csv", newline="", encoding="utf-8") as fh:
+        old_rows = list(csv.reader(fh))
+    header = old_rows[0]
+    assert new_rows[0] == header and len(new_rows) == len(old_rows)
+    # r + eps moves by at most 2w, so 2(1 - 1/p)(r + eps)^n by at most
+    # 2(1 - 1/p)((s + 2w)^n - s^n); the clip at 2 only shrinks the move
+    s = r_old + old["eps"]
+    scale = 2.0 * (1.0 - 1.0 / new["p"])
+    for i, (a, b) in enumerate(zip(new_rows[1:], old_rows[1:]), start=1):
+        n = int(b[0])
+        for column, x, y in zip(header, a, b):
+            if column in RADIUS_CURVES:
+                allowed = scale * ((s + 2 * w) ** n - s ** n) + REL * abs(float(y))
+                assert abs(float(x) - float(y)) <= allowed, f"row {i} {column}"
+            else:
+                same_value(csv_cell(x), csv_cell(y), f"row {i} {column}")
