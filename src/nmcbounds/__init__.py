@@ -19,6 +19,7 @@ from .coupling import (
     CouplingMatrix,
     build_coupling_matrix,
     coupling_matrices,
+    coupling_radii,
     lemma_check,
     sample_coupled_pair,
     simulate_coupled_chain,

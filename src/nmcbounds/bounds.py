@@ -32,7 +32,7 @@ from .chain import (
     tv_distance,
     validate_kernel,
 )
-from .coupling import build_coupling_matrix, spectral_radius
+from .coupling import coupling_radii
 from .errors import (
     InfiniteGammaError,
     KernelInvalidError,
@@ -431,7 +431,8 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
         delta = math.nan
         flags.append(f"delta_unavailable: {exc}")
 
-    est = spectral_radius(build_coupling_matrix(P_lin))
+    est = coupling_radii(P_lin.entries[None])
+    r, eps = float(est.r[0]), float(est.eps[0])
 
     n = np.arange(1, n_max + 1, dtype=np.float64)
     # "md" is the published bound of the mapping linear chain; the variant
@@ -439,17 +440,17 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     curves = {
         "md": md_bound_curve(alpha[0], 0.0, n_max),
         "md_lipschitz": md_bound_curve(alpha[0], lam[0], n_max),
-        "spectral": np.clip(spectral_bound(est.r, est.eps, p, n), 0.0, 2.0),
+        "spectral": np.clip(spectral_bound(r, eps, p, n), 0.0, 2.0),
     }
     d0 = initial_distance_bound(p)
     for i, k in enumerate(K_RANGE):
         curves[f"kstep_k{k}"] = kstep_bound_curve(alpha[i], lam[i], lam[0], d0, k, n_max)
     delta_for_curve = 0.0 if math.isnan(delta) else delta
-    curves["combined_small_n"] = combined_bound(est.r, est.eps, delta_for_curve, p, n, "small-n")
-    curves["combined_large_n"] = combined_bound(est.r, est.eps, delta_for_curve, p, n, "large-n")
+    curves["combined_small_n"] = combined_bound(r, eps, delta_for_curve, p, n, "small-n")
+    curves["combined_large_n"] = combined_bound(r, eps, delta_for_curve, p, n, "large-n")
 
     return BoundReport(
         p=p, alpha=alpha, alpha_nonlinear=alpha_nl, lam=lam, gamma=gamma,
-        delta=delta, r=est.r, eps=est.eps, curves=curves, k_range=K_RANGE,
+        delta=delta, r=r, eps=eps, curves=curves, k_range=K_RANGE,
         n_max=n_max, seed=seed, mc_samples=cfg.mc_samples, flags=flags,
     )

@@ -63,7 +63,17 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="nonlinearity strength for built-in examples")
 
 
+def _check_counts(args) -> None:
+    """Reject bad ``--steps`` (and ``--trials`` where the command has it)
+    before the model is loaded or any work runs."""
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+
+
 def cmd_bounds(args) -> int:
+    _check_counts(args)
     kernel = _resolve_kernel(args)
     report = bounds_mod.full_report(kernel, args.steps, seed=args.seed)
     names, rows = report.curve_table()
@@ -78,6 +88,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_counts(args)
     kernel = _resolve_kernel(args)
     table, _ = compare_bounds(kernel, args.steps, trials=args.trials, seed=args.seed)
     export_report(table, args.out)

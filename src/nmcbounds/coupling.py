@@ -14,15 +14,22 @@ forms the overlap and residual laws, and ``_draw_split`` makes every joint
 draw, one pair at a time for ``sample_coupled_pair`` and
 ``simulate_coupled_chain``, a whole sample per step for ``lemma_check``.
 
-The coupling operator is batch-first: ``coupling_matrices`` builds the pair
-matrices of a (B, p, p) stack of transition matrices and ``spectral_radii``
-estimates their spectral radii; ``build_coupling_matrix`` and
-``spectral_radius`` are their one-matrix wrappers.  ``spectral_radii`` picks
-its path from d.  Below ``_BRACKET_MIN_DIM`` = 55 (p <= 10) the whole
-stack runs the Gelfand iteration, 20 dense squarings at 2 d^3 flops
-each; from there on each matrix runs a certified Collatz-Wielandt bracket
-by power iteration, O(d^2) per step.  On both paths r + eps bounds rho
-from above; on the bracket path [r - eps, r] is a certified bracket.
+The coupling operator is batch-first.  ``_residual_rows`` alone forms the
+residual rows r1, r2 and the mass 1 - kappa of every pair of a (B, p, p)
+stack of transition matrices; ``coupling_matrices`` builds the dense pair
+matrices from them, and ``coupling_radii`` estimates the pair matrices'
+spectral radii, the one entry point of ``bounds`` and ``volatility``.  It
+picks its path from d.  Below ``_BRACKET_MIN_DIM`` = 55 (p <= 10) the
+whole stack runs the Gelfand iteration on the dense matrices, 20 dense
+squarings at 2 d^3 flops each.  From there on each item runs a certified
+Collatz-Wielandt bracket by power iteration on the matrix-free operator
+``_pair_matvec``: one (d, p) x (p, p) product and a row-wise dot product
+per step, 2 d p^2 flops on O(d p) memory, with no (d, d) array; the dense
+matrix is built only for an item whose bracket falls back to Gelfand.  On
+both paths r + eps bounds rho from above; on the bracket path [r - eps, r]
+is a certified bracket.  ``spectral_radii`` runs the same two paths on a
+stack of dense matrices, and ``build_coupling_matrix`` and
+``spectral_radius`` are its one-matrix wrappers.
 """
 
 from __future__ import annotations
@@ -163,6 +170,24 @@ class CouplingMatrix:
         return self.p * (self.p - 1) // 2
 
 
+def _residual_rows(Ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The split of every unordered pair {x1, x2}, x1 < x2 (row order of
+    ``np.triu_indices(p, 1)``), of a (B, p, p) stack of transition matrices:
+    the residual rows r1, r2 (B, d, p), r_i(y) = P(x_i, y) - min(P(x1, y),
+    P(x2, y)), the mass 1 - kappa (B, d), set to 1 on dead pairs, and the
+    dead mask (B, d), kappa >= 1 - ``_ONE_TOL``."""
+    Ps = np.asarray(Ps, dtype=np.float64)
+    if Ps.ndim != 3:
+        raise DimensionMismatchError("need a (B, p, p) stack of transition matrices")
+    _check_stochastic(Ps)
+    iu, ju = np.triu_indices(Ps.shape[1], 1)
+    rows1, rows2 = Ps[:, iu], Ps[:, ju]             # (B, d, p)
+    m = np.minimum(rows1, rows2)
+    k = m.sum(axis=-1)
+    dead = k >= 1.0 - _ONE_TOL
+    return rows1 - m, rows2 - m, np.where(dead, 1.0, 1.0 - k), dead
+
+
 def coupling_matrices(Ps) -> np.ndarray:
     """Not-yet-met pair dynamics of a (B, p, p) stack of transition
     matrices, as a (B, d, d) stack over unordered pairs, d = p(p - 1)/2.
@@ -177,24 +202,46 @@ def coupling_matrices(Ps) -> np.ndarray:
     targets carry no mass and each row sums to 1 - kappa(x1, x2).  Rows
     with kappa = 1 are zero.
     """
-    Ps = np.asarray(Ps, dtype=np.float64)
-    if Ps.ndim != 3:
-        raise DimensionMismatchError("need a (B, p, p) stack of transition matrices")
-    _check_stochastic(Ps)
-    iu, ju = np.triu_indices(Ps.shape[1], 1)
-    rows1, rows2 = Ps[:, iu], Ps[:, ju]             # (B, d, p)
-    m = np.minimum(rows1, rows2)
-    k = m.sum(axis=-1)
-    r1, r2 = rows1 - m, rows2 - m
+    r1, r2, one_minus_k, dead = _residual_rows(Ps)
+    iu, ju = np.triu_indices(r1.shape[-1], 1)
     Q = np.take(r1, iu, axis=-1)                    # take keeps (B, d, d) row-major
     Q *= np.take(r2, ju, axis=-1)
     swapped = np.take(r1, ju, axis=-1)
     swapped *= np.take(r2, iu, axis=-1)
     Q += swapped
-    dead = k >= 1.0 - _ONE_TOL
-    Q /= np.where(dead, 1.0, 1.0 - k)[..., None]
+    Q /= one_minus_k[..., None]
     Q[dead] = 0.0
     return Q
+
+
+def _pair_matvec(r1: np.ndarray, r2: np.ndarray, one_minus_k: np.ndarray):
+    """x -> Q x for the pair matrix Q of one item, never forming Q.
+
+    With X the symmetric p x p array holding x[{y1, y2}] at (y1, y2) and
+    (y2, y1) and 0 on the diagonal, (Q x)[{x1, x2}] = sum over y1, y2 of
+    r1(y1) X(y1, y2) r2(y2) / (1 - kappa): the two orders of each target
+    pair carry the two products of ``coupling_matrices``.  One step is the
+    (d, p) x (p, p) product r1 X, a row-wise dot product with r2 (the
+    product's rows scaled by r2 and summed by a matvec with ones) and a
+    division.  Dead pairs must come with zero rows of r1 and
+    ``one_minus_k`` 1, so that they give 0.  For nonnegative x each result carries at
+    most 2p + 1 roundings of a nonnegative sum (Higham 2002, 3.1): p in
+    each length-p inner product and one in the division.
+    """
+    d, p = r1.shape
+    iu, ju = np.triu_indices(p, 1)
+    index = np.full((p, p), d)                      # the diagonal reads the zero slot
+    index[iu, ju] = index[ju, iu] = np.arange(d)
+    padded = np.zeros(d + 1)
+    ones = np.ones(p)
+
+    def matvec(x):
+        padded[:d] = x
+        T = r1 @ padded[index]
+        T *= r2
+        return T @ ones / one_minus_k
+
+    return matvec
 
 
 def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
@@ -261,44 +308,88 @@ def _gelfand(Ms: np.ndarray) -> SpectralRadii:
     return SpectralRadii(r, eps, squarings)
 
 
-def _perron_bracket(M: np.ndarray) -> tuple[float, float] | None:
-    """Certified bracket lo <= rho(M) <= hi of one nonnegative (d, d) matrix,
-    or None when it does not close within the budget.
+def _perron_bracket(matvec, d: int) -> tuple[float, float] | None:
+    """Certified bracket lo <= rho(M) <= hi of one nonnegative d x d
+    operator given by its matvec x -> M x, or None when it does not close
+    within the budget.
 
-    Power iteration x <- (M + I) x / sum from the uniform start, one BLAS
+    Power iteration x <- (M + I) x / sum from the uniform start, one
     matvec y = M x per step.  Collatz-Wielandt (Horn & Johnson, Matrix
     Analysis, ch. 8): hi = max_i y_i / x_i on the strictly positive
     iterate, and lo = min of (M x')_i / x'_i over the support of any
     nonnegative x' != 0.
     Taking x' as x with its negligible entries zeroed lets reducible M
     close, where the decaying entries pin min_i y_i / x_i to a smaller
-    class's radius.  Both ends are widened by the rounding error of a
-    nonnegative matvec and of the quotient, gamma_(d+1) (Higham 2002, 3.1),
-    with three more units for rounding the widening itself.
+    class's radius.  Both ends are widened by gamma_(d+4) (Higham 2002,
+    3.1): d + 1 roundings cover a dense nonnegative matvec and the
+    quotient, and cover the 2p + 2 of ``_pair_matvec`` and the quotient
+    for p >= 6; three more units cover rounding the widening itself.
+    What is certified is rho of the operator the matvec computes in exact
+    arithmetic: of the computed M for a dense matvec, and of the operator
+    given by the computed r1, r2 and 1 - kappa for ``_pair_matvec``.
     """
-    d = M.shape[0]
-    if not M.min() >= 0.0:         # a negative or NaN entry: no certificate
-        return None
     x = np.full(d, 1.0 / d)
+    x_min = x[0]
     lo, hi = 0.0, np.inf
     for _ in range(_BRACKET_BUDGET * d):
-        y = M @ x
+        y = matvec(x)
         ratio = y / x
         hi = min(hi, float(ratio.max()))
         lo = max(lo, float(ratio.min()))
         if hi - lo > _BRACKET_RTOL * hi:
-            keep = x > _NEGLIGIBLE * x.max()
-            if not keep.all():
-                lo = max(lo, float(((M @ np.where(keep, x, 0.0))[keep] / x[keep]).min()))
+            floor = _NEGLIGIBLE * x.max()
+            if not x_min > floor:           # some entries are negligible
+                keep = x > floor
+                lo = max(lo, float((matvec(np.where(keep, x, 0.0))[keep] / x[keep]).min()))
         if hi - lo <= _BRACKET_RTOL * hi < np.inf:      # closed, on a finite hi
             u = (d + 4) * np.finfo(np.float64).eps / 2
             gamma = u / (1.0 - u)
             return lo * (1.0 - gamma), hi * (1.0 + gamma)
         x = y + x
         x /= x.sum()
-        if not x.min() > 0.0:       # underflow (or a non-finite M): give up
+        x_min = x.min()
+        if not x_min > 0.0:         # underflow (or a non-finite M): give up
             return None
     return None
+
+
+def _bracket_or_gelfand(brackets: list, fallback_matrices) -> SpectralRadii:
+    """Merge per-item brackets (r = hi, eps = hi - lo, squarings 0) with
+    ``_gelfand`` of ``fallback_matrices(fallback)``, the dense matrices of
+    the items whose bracket is None."""
+    fallback = [i for i, b in enumerate(brackets) if b is None]
+    r = np.array([0.0 if b is None else b[1] for b in brackets])
+    eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
+    squarings = np.zeros(len(brackets), dtype=int)
+    if fallback:
+        gelfand = _gelfand(fallback_matrices(fallback))
+        r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
+    return SpectralRadii(r, eps, squarings)
+
+
+def coupling_radii(Ps) -> SpectralRadii:
+    """Spectral radii of the pair matrices (``coupling_matrices``) of a
+    (B, p, p) stack of transition matrices, by one of two paths chosen
+    from d = p(p - 1)/2.
+
+    Below ``_BRACKET_MIN_DIM`` the stack runs ``_gelfand`` on its dense
+    pair matrices.  From the cutover on, each item runs ``_perron_bracket``
+    on ``_pair_matvec``, which holds only the item's residual rows, (d, p)
+    each: O(d p) memory and 2 d p^2 flops per step, and no (d, d) array.
+    Only items whose bracket falls back build their dense pair matrices,
+    for ``_gelfand``.  The results are those of ``spectral_radii`` (see
+    there) up to the rounding of the matvec: the bracket certifies rho of
+    the operator given by the computed r1, r2 and 1 - kappa, whose entries
+    are within two roundings of the dense matrix's.
+    """
+    Ps = np.asarray(Ps, dtype=np.float64)
+    d = Ps.shape[-1] * (Ps.shape[-1] - 1) // 2 if Ps.ndim == 3 else 0
+    if d < _BRACKET_MIN_DIM:
+        return _gelfand(coupling_matrices(Ps))
+    r1, r2, one_minus_k, dead = _residual_rows(Ps)
+    r1[dead] = 0.0
+    brackets = [_perron_bracket(_pair_matvec(*item), d) for item in zip(r1, r2, one_minus_k)]
+    return _bracket_or_gelfand(brackets, lambda fallback: coupling_matrices(Ps[fallback]))
 
 
 def spectral_radii(Ms) -> SpectralRadii:
@@ -310,31 +401,29 @@ def spectral_radii(Ms) -> SpectralRadii:
     only overshoot rho (by about 2e-7 relative), and eps the last
     decrement, a measure of how unconverged r still is rather than a
     certificate.  From the cutover on, each item runs the Collatz-Wielandt
-    bracket (``_perron_bracket``): r = hi and eps = hi - lo, with
-    lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.  The
-    cutover (between p = 10 and p = 11) comes from a sweep over
-    Dirichlet(0.3) chains on the ordered-pair matrix (d = p(p - 1)), one
-    matrix per call, on a 2-core x86 VM with OpenBLAS (medians of 3, three
-    sweeps): 8 chains took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the
-    bracket at p = 10, 19.6-31.9 ms and 17.6-18.0 ms at p = 11, and
-    90-96 ms and 20-21 ms at p = 16.  An item whose bracket does not close
-    within ``_BRACKET_BUDGET`` * d steps, or whose iterate loses strict
-    positivity, falls back to Gelfand.  On both paths r + eps bounds rho
-    from above, and r = eps = 0 when M = 0.
+    bracket (``_perron_bracket`` on the dense matvec M x): r = hi and
+    eps = hi - lo, with lo <= rho <= hi certified to 1e-12 relative;
+    squarings reads 0.  An item whose bracket does not close within
+    ``_BRACKET_BUDGET`` * d steps, whose iterate loses strict positivity
+    or which has a negative or NaN entry falls back to Gelfand.  On both
+    paths r + eps bounds rho from above, and r = eps = 0 when M = 0.
+
+    The cutover (between p = 10 and p = 11) comes from a sweep over
+    Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS.  The first
+    sweep, on the ordered-pair matrix (d = p(p - 1)) with the dense
+    bracket, one matrix per call (medians of 3, three sweeps): 8 chains
+    took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the bracket at
+    p = 10, 19.6-31.9 ms and 17.6-18.0 ms at p = 11, and 90-96 ms and
+    20-21 ms at p = 16.  SWEEP_PLACEHOLDER
     """
     Ms = np.asarray(Ms, dtype=np.float64)
     if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
         raise DimensionMismatchError("need a (B, d, d) stack of square matrices")
-    if Ms.shape[1] < _BRACKET_MIN_DIM:
+    d = Ms.shape[1]
+    if d < _BRACKET_MIN_DIM:
         return _gelfand(Ms)
-    brackets = [_perron_bracket(M) for M in Ms]
-    fallback = [i for i, b in enumerate(brackets) if b is None]
-    gelfand = _gelfand(Ms[fallback])
-    r = np.array([0.0 if b is None else b[1] for b in brackets])
-    eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
-    squarings = np.zeros(len(brackets), dtype=int)
-    r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
-    return SpectralRadii(r, eps, squarings)
+    brackets = [_perron_bracket(M.__matmul__, d) if M.min() >= 0.0 else None for M in Ms]
+    return _bracket_or_gelfand(brackets, lambda fallback: Ms[fallback])
 
 
 def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:

@@ -33,7 +33,7 @@ from datetime import timedelta
 import numpy as np
 
 from .bounds import spectral_bound
-from .coupling import coupling_matrices, spectral_radii
+from .coupling import coupling_radii
 from .errors import AlignmentError
 from .experiments import ComparisonTable
 from .ghmm import fit_window_batch, random_inits
@@ -106,7 +106,7 @@ def transition_tv_bounds(transitions, n_states: int) -> np.ndarray:
     2(1 - 1/K)(r + eps) of a (B, K, K) stack of fitted hidden chains, each
     clipped to [0, 2]."""
     trans = np.asarray(transitions, dtype=np.float64)
-    est = spectral_radii(coupling_matrices(trans / trans.sum(axis=-1, keepdims=True)))
+    est = coupling_radii(trans / trans.sum(axis=-1, keepdims=True))
     return np.clip(spectral_bound(est.r, est.eps, n_states, 1), 0.0, 2.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,24 @@ def test_combined_large_n_is_the_spectral_curve_for_linear_chains(seed, p):
     P /= P.sum(axis=1, keepdims=True)
     curves = full_report(PolynomialKernel.linear(P), 15).curves
     assert curves["combined_large_n"].tobytes() == curves["spectral"].tobytes()
+
+
+def test_full_report_at_p40_never_holds_a_dense_pair_matrix():
+    # the pair matrix of a p = 40 chain is d x d, d = 780: 4.9 MB of doubles,
+    # which the matrix-free bracket never allocates
+    p = 40
+    d = p * (p - 1) // 2
+    P = np.random.default_rng(40).dirichlet(np.full(p, 0.3), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    K = PolynomialKernel.linear(P)
+    tracemalloc.start()
+    try:
+        report = full_report(K, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < report.eps <= 2e-12 * report.r        # the bracket closed
+    assert peak < d * d * 8
 
 
 # ---------------------------------------------------------------------------

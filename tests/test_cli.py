@@ -76,7 +76,7 @@ def test_bounds_rejects_negative_steps_before_writing(tmp_path, capsys):
     code, out, err = run_cli(["bounds", "--example", "1", "--steps", "-3",
                               "--out-prefix", str(prefix)], capsys)
     assert code == 2
-    assert "error: n_max must be >= 0" in err
+    assert "error: --steps must be >= 0, got -3" in err
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -95,8 +95,29 @@ def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     code, _, err = run_cli(["simulate", "--example", "1", "--trials", trials,
                             "--out", str(out)], capsys)
     assert code == 2
-    assert "error: trials must be >= 1" in err
+    assert f"error: --trials must be >= 1, got {trials}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "0"],
+    ["simulate", "--steps", "-1"],
+    ["bounds", "--steps", "-3"],
+])
+def test_bad_counts_are_rejected_before_the_report(tmp_path, capsys, monkeypatch, argv):
+    # the counts are checked before the model is resolved, so no report work runs
+    def never(*args, **kwargs):
+        raise AssertionError("full_report was called")
+
+    monkeypatch.setattr(nmcbounds.bounds, "full_report", never)
+    monkeypatch.setattr(nmcbounds.experiments, "full_report", never)
+    monkeypatch.setattr(nmcbounds.cli, "_resolve_kernel", never)
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "simulate" else [
+        "--out-prefix", str(tmp_path / "x")]
+    code, _, err = run_cli(argv[:1] + ["--example", "1"] + argv[1:] + out, capsys)
+    assert code == 2
+    assert "error: --" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_domination_and_determinism(tmp_path, capsys):

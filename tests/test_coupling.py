@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from nmcbounds.coupling import (
     SplitLaws,
     build_coupling_matrix,
     coupling_matrices,
+    coupling_radii,
     exact_laws,
     lemma_check,
     lemma_tolerances,
@@ -474,6 +477,9 @@ def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at):
             stack[i % B] = DEGENERATE_CHAINS[i % len(DEGENERATE_CHAINS)]
     Ms = coupling_matrices(np.stack(stack))
     est = spectral_radii(Ms)
+    radii = coupling_radii(np.stack(stack))
+    for field in ("r", "eps", "squarings"):
+        assert getattr(radii, field).tobytes() == getattr(est, field).tobytes()
     for i, P in enumerate(stack):
         assert Ms[i].tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
         expected = loop_spectral_radius(Ms[i])
@@ -658,6 +664,135 @@ def test_unordered_pairs_keep_the_radius_and_the_power_norms(P):
         norm_M = np.linalg.matrix_power(M, n).sum(axis=1).max()
         assert np.linalg.matrix_power(Q, n).sum(axis=1).max() == pytest.approx(
             norm_M, rel=1e-14, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# matrix-free pair operator
+
+
+def gamma(n):
+    """gamma_n = n u / (1 - n u), the bound on n roundings (Higham 2002, 3.1)."""
+    u = EPS / 2
+    return n * u / (1.0 - n * u)
+
+
+def operator_chain(seed, p, a, equal_rows, zero_columns):
+    """Dirichlet(a) rows on the last p - ``zero_columns`` states (no state
+    enters the first ones); ``equal_rows`` copies row 0 into row 1, a
+    kappa = 1 pair."""
+    z = min(zero_columns, p - 1)
+    P = np.zeros((p, p))
+    P[:, z:] = np.random.default_rng(seed).dirichlet(np.full(p - z, a), size=p)
+    P /= P.sum(axis=1, keepdims=True)
+    if equal_rows:
+        P[1] = P[0]
+    return P
+
+
+def pair_matvec(P):
+    """The matrix-free operator of one chain, set up as ``coupling_radii`` does."""
+    r1, r2, one_minus_k, dead = coupling._residual_rows(P[None])
+    r1[dead] = 0.0
+    return coupling._pair_matvec(r1[0], r2[0], one_minus_k[0]), (r1[0], r2[0], one_minus_k[0])
+
+
+operator_chains = st.builds(operator_chain, st.integers(0, 2**32 - 1), st.integers(2, 20),
+                            st.floats(0.05, 1.0), st.booleans(), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_chains, st.integers(0, 2**32 - 1))
+def test_pair_matvec_equals_the_dense_matrix(P, seed):
+    p = P.shape[0]
+    d = p * (p - 1) // 2
+    x = np.random.default_rng(seed).dirichlet(np.ones(d)) if d > 1 else np.ones(1)
+    matvec, _ = pair_matvec(P)
+    y = matvec(x)
+    z = coupling_matrices(P[None])[0] @ x
+    assert y.shape == (d,) and np.all(y >= 0.0)
+    assert np.all(np.abs(y - z) <= gamma(2 * p + 3) * z)     # dead rows: both exactly 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(operator_chain, st.integers(0, 2**32 - 1), st.integers(2, 8),
+                 st.floats(0.05, 1.0), st.booleans(), st.integers(0, 3)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_pair_matvec_is_within_its_rounding_bound(P, seed, with_zeros):
+    # against the operator given by the computed r1, r2 and 1 - kappa in
+    # exact rational arithmetic: at most 2p + 1 roundings per entry
+    p = P.shape[0]
+    d = p * (p - 1) // 2
+    x = np.random.default_rng(seed).dirichlet(np.ones(d)) if d > 1 else np.ones(1)
+    if with_zeros:
+        x[::3] = 0.0                    # the trimmed iterate of the bracket's lower end
+    matvec, (r1, r2, one_minus_k) = pair_matvec(P)
+    y = matvec(x)
+    X = np.zeros((p, p))
+    iu, ju = np.triu_indices(p, 1)
+    X[iu, ju] = X[ju, iu] = x
+    for i in range(d):
+        exact = sum(Fraction(r1[i, a]) * Fraction(X[a, b]) * Fraction(r2[i, b])
+                    for a in range(p) for b in range(p)) / Fraction(one_minus_k[i])
+        assert abs(Fraction(y[i]) - exact) <= Fraction(gamma(2 * p + 1)) * exact
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.builds(chain_with_reducible_parts, st.integers(0, 2**32 - 1), st.integers(11, 16),
+                 st.sampled_from([0.05, 0.3, 1.0]), st.booleans(), st.booleans()))
+def test_matrix_free_bracket_holds_the_spectral_radius(P):
+    M = build_coupling_matrix(StochasticMatrix(P))
+    est = coupling_radii(P[None])
+    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
+    dense = spectral_radii(M.entries[None])
+    if est.squarings[0] == 0 and dense.squarings[0] == 0:
+        # two certified brackets of operators within a few roundings of each other
+        w = max(est.eps[0], dense.eps[0]) + 8 * EPS * est.r[0]
+        assert abs(est.r[0] - dense.r[0]) <= w
+
+
+@pytest.mark.parametrize("p", [BRACKET_P_MIN, 16])
+def test_matrix_free_fallback_is_gelfand_of_the_dense_matrix(p):
+    P = fixed_chain("near-permutation", p)
+    est = coupling_radii(P[None])
+    expected = coupling._gelfand(coupling_matrices(P[None]))
+    assert est.squarings[0] == 20
+    for field in ("r", "eps", "squarings"):
+        assert getattr(est, field).tobytes() == getattr(expected, field).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3))
+def test_matrix_free_budget_fallback_is_gelfand_bit_for_bit(seed, p, B):
+    gen = np.random.default_rng(seed)
+    Ps = np.stack([dirichlet_chain(gen, p) for _ in range(B)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
+        est = coupling_radii(Ps)
+    expected = coupling._gelfand(coupling_matrices(Ps))
+    for field in ("r", "eps", "squarings"):
+        assert getattr(est, field).tobytes() == getattr(expected, field).tobytes()
+
+
+def test_matrix_free_mixed_stack_equals_its_items():
+    # bracket, fallback and all-dead items in one stack, each as if alone
+    p = BRACKET_P_MIN
+    gen = np.random.default_rng(5)
+    chains = np.stack([dirichlet_chain(gen, p), fixed_chain("near-permutation", p),
+                       fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)])
+    est = coupling_radii(chains)
+    assert est.squarings.tolist() == [0, 20, 0, 0]
+    assert (est.r[2], est.eps[2]) == (0.0, 0.0)
+    for i, P in enumerate(chains):
+        alone = coupling_radii(P[None])
+        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r[0], alone.eps[0],
+                                                            alone.squarings[0])
+
+
+def test_coupling_radii_rejects_bad_stacks():
+    with pytest.raises(DimensionMismatchError):
+        coupling_radii(np.eye(12))
+    with pytest.raises(ValueError, match="row sums"):
+        coupling_radii(np.full((1, 12, 12), 0.5))
 
 
 @pytest.mark.parametrize("bad, message", [
