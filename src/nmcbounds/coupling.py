@@ -353,77 +353,88 @@ def _perron_bracket(matvec, d: int) -> tuple[float, float] | None:
     return None
 
 
-def _bracket_or_gelfand(brackets: list, fallback_matrices) -> SpectralRadii:
-    """Merge per-item brackets (r = hi, eps = hi - lo, squarings 0) with
-    ``_gelfand`` of ``fallback_matrices(fallback)``, the dense matrices of
-    the items whose bracket is None."""
-    fallback = [i for i, b in enumerate(brackets) if b is None]
-    r = np.array([0.0 if b is None else b[1] for b in brackets])
-    eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
-    squarings = np.zeros(len(brackets), dtype=int)
-    if fallback:
-        gelfand = _gelfand(fallback_matrices(fallback))
-        r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
-    return SpectralRadii(r, eps, squarings)
-
-
-def coupling_radii(Ps) -> SpectralRadii:
-    """Spectral radii of the pair matrices (``coupling_matrices``) of a
-    (B, p, p) stack of transition matrices, by one of two paths chosen
-    from d = p(p - 1)/2.
-
-    Below ``_BRACKET_MIN_DIM`` the stack runs ``_gelfand`` on its dense
-    pair matrices.  From the cutover on, each item runs ``_perron_bracket``
-    on ``_pair_matvec``, which holds only the item's residual rows, (d, p)
-    each: O(d p) memory and 2 d p^2 flops per step, and no (d, d) array.
-    Only items whose bracket falls back build their dense pair matrices,
-    for ``_gelfand``.  The results are those of ``spectral_radii`` (see
-    there) up to the rounding of the matvec: the bracket certifies rho of
-    the operator given by the computed r1, r2 and 1 - kappa, whose entries
-    are within two roundings of the dense matrix's.
-    """
-    Ps = np.asarray(Ps, dtype=np.float64)
-    d = Ps.shape[-1] * (Ps.shape[-1] - 1) // 2 if Ps.ndim == 3 else 0
-    if d < _BRACKET_MIN_DIM:
-        return _gelfand(coupling_matrices(Ps))
-    r1, r2, one_minus_k, dead = _residual_rows(Ps)
-    r1[dead] = 0.0
-    brackets = [_perron_bracket(_pair_matvec(*item), d) for item in zip(r1, r2, one_minus_k)]
-    return _bracket_or_gelfand(brackets, lambda fallback: coupling_matrices(Ps[fallback]))
-
-
-def spectral_radii(Ms) -> SpectralRadii:
-    """Spectral radii of a (B, d, d) stack of nonnegative matrices, by one
-    of two paths chosen from d.
+def _radii(d: int, matvecs, dense) -> SpectralRadii:
+    """The one cutover rule: spectral radii of B nonnegative d x d
+    operators, by one of two paths chosen from d.  ``matvecs()`` yields
+    each item's matvec (None for an item with no certificate) and
+    ``dense(items)`` the (len(items), d, d) dense matrices of an index.
 
     Below ``_BRACKET_MIN_DIM`` every item runs the Gelfand iteration
     (``_gelfand``, up to the power 2^20): r is the last estimate, which can
     only overshoot rho (by about 2e-7 relative), and eps the last
     decrement, a measure of how unconverged r still is rather than a
     certificate.  From the cutover on, each item runs the Collatz-Wielandt
-    bracket (``_perron_bracket`` on the dense matvec M x): r = hi and
-    eps = hi - lo, with lo <= rho <= hi certified to 1e-12 relative;
-    squarings reads 0.  An item whose bracket does not close within
-    ``_BRACKET_BUDGET`` * d steps, whose iterate loses strict positivity
-    or which has a negative or NaN entry falls back to Gelfand.  On both
-    paths r + eps bounds rho from above, and r = eps = 0 when M = 0.
+    bracket (``_perron_bracket``): r = hi and eps = hi - lo, with
+    lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.  An
+    item whose bracket does not close within ``_BRACKET_BUDGET`` * d steps,
+    whose iterate loses strict positivity or which has no matvec falls
+    back to Gelfand on its dense matrix, the only one built on this path.
+    On both paths r + eps bounds rho from above, and r = eps = 0 when the
+    operator is 0.
 
     The cutover (between p = 10 and p = 11) comes from a sweep over
-    Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS.  The first
-    sweep, on the ordered-pair matrix (d = p(p - 1)) with the dense
-    bracket, one matrix per call (medians of 3, three sweeps): 8 chains
-    took 10.5-11.6 ms by Gelfand and 14.2-17.2 ms by the bracket at
-    p = 10, 19.6-31.9 ms and 17.6-18.0 ms at p = 11, and 90-96 ms and
-    20-21 ms at p = 16.  SWEEP_PLACEHOLDER
+    Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS, 8 chains one
+    per call, medians of 3, three sweeps.  On the ordered-pair matrix
+    (d = p(p - 1)) with the dense bracket, 8 chains took 10.5-11.6 ms by
+    Gelfand and 14.2-17.2 ms by the bracket at p = 10, 19.6-31.9 ms and
+    17.6-18.0 ms at p = 11, and 90-96 ms and 20-21 ms at p = 16.  On the
+    unordered-pair matrix with the matrix-free bracket they take
+    4.9-7.1 ms and 14.5-20.8 ms at p = 10, 5.6-7.8 ms and 18.8-19.7 ms at
+    p = 11, 10.4-10.6 ms and 16.5-20.9 ms at p = 13, 17.3-17.6 ms and
+    12.3-18.2 ms at p = 15, and 21.7-24.4 ms and 14.4-18.7 ms at p = 16.
+    Time alone would now cut over near p = 15; the cutover stays at
+    p = 11 so that p = 11..14 keep a certified bracket, at about 1.5 ms
+    more per chain at p = 11.
     """
+    if d < _BRACKET_MIN_DIM:
+        return _gelfand(dense(slice(None)))
+    brackets = [None if matvec is None else _perron_bracket(matvec, d) for matvec in matvecs()]
+    fallback = [i for i, b in enumerate(brackets) if b is None]
+    r = np.array([0.0 if b is None else b[1] for b in brackets])
+    eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
+    squarings = np.zeros(len(brackets), dtype=int)
+    if fallback:
+        gelfand = _gelfand(dense(fallback))
+        r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
+    return SpectralRadii(r, eps, squarings)
+
+
+def coupling_radii(Ps) -> SpectralRadii:
+    """Spectral radii of the pair matrices (``coupling_matrices``) of a
+    (B, p, p) stack of transition matrices, d = p(p - 1)/2 (see
+    ``_radii`` for the two paths).
+
+    Below the cutover the stack runs ``_gelfand`` on its dense pair
+    matrices.  From the cutover on, each item runs ``_perron_bracket`` on
+    ``_pair_matvec``, which holds only the item's residual rows, (d, p)
+    each: O(d p) memory and 2 d p^2 flops per step, and no (d, d) array.
+    Only items whose bracket falls back build their dense pair matrices.
+    The bracket certifies rho of the operator given by the computed r1, r2
+    and 1 - kappa, whose entries are within two roundings of the dense
+    matrix's, so r moves from ``spectral_radii``'s only within the two
+    brackets' widths.
+    """
+    Ps = np.asarray(Ps, dtype=np.float64)
+    p = Ps.shape[-1] if Ps.ndim == 3 else 0
+
+    def matvecs():
+        r1, r2, one_minus_k, dead = _residual_rows(Ps)
+        r1[dead] = 0.0
+        return (_pair_matvec(*item) for item in zip(r1, r2, one_minus_k))
+
+    return _radii(p * (p - 1) // 2, matvecs, lambda items: coupling_matrices(Ps[items]))
+
+
+def spectral_radii(Ms) -> SpectralRadii:
+    """Spectral radii of a (B, d, d) stack of nonnegative matrices (see
+    ``_radii`` for the two paths): the bracket runs on the dense matvec
+    M x, and an item with a negative or NaN entry falls back to Gelfand."""
     Ms = np.asarray(Ms, dtype=np.float64)
     if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
         raise DimensionMismatchError("need a (B, d, d) stack of square matrices")
-    d = Ms.shape[1]
-    if d < _BRACKET_MIN_DIM:
-        return _gelfand(Ms)
-    brackets = [_perron_bracket(M.__matmul__, d) if M.min() >= 0.0 else None for M in Ms]
-    return _bracket_or_gelfand(brackets, lambda fallback: Ms[fallback])
+    return _radii(Ms.shape[1],
+                  lambda: (M.__matmul__ if M.min() >= 0.0 else None for M in Ms),
+                  lambda items: Ms[items])
 
 
 def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:
