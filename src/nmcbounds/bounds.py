@@ -399,7 +399,8 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     published comparison) with the nonlinear infimum reported alongside;
     the sampled ones (``config.mc_samples`` pairs each) draw from one
     generator seeded with ``seed``, and gamma is exact.  The spectral
-    curve is built from the coupling matrix of the linear part.
+    curve is built from the spectral radius of the linear part's pair
+    operator (``coupling_radii``).
     Sub-errors (an unbounded gamma, say) become flags, not failures.
     """
     if n_max < 0:

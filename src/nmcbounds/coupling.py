@@ -214,7 +214,7 @@ def coupling_matrices(Ps) -> np.ndarray:
     return Q
 
 
-def _pair_matvec(r1: np.ndarray, r2: np.ndarray, one_minus_k: np.ndarray):
+def _pair_matvec(r1: np.ndarray, r2: np.ndarray, one_minus_k: np.ndarray, dead: np.ndarray):
     """x -> Q x for the pair matrix Q of one item, never forming Q.
 
     With X the symmetric p x p array holding x[{y1, y2}] at (y1, y2) and
@@ -223,12 +223,13 @@ def _pair_matvec(r1: np.ndarray, r2: np.ndarray, one_minus_k: np.ndarray):
     pair carry the two products of ``coupling_matrices``.  One step is the
     (d, p) x (p, p) product r1 X, a row-wise dot product with r2 (the
     product's rows scaled by r2 and summed by a matvec with ones) and a
-    division.  Dead pairs must come with zero rows of r1 and
-    ``one_minus_k`` 1, so that they give 0.  For nonnegative x each result carries at
-    most 2p + 1 roundings of a nonnegative sum (Higham 2002, 3.1): p in
-    each length-p inner product and one in the division.
+    division.  The rows of r1 are zeroed on dead pairs (where
+    ``one_minus_k`` is 1), so that those give 0.  For nonnegative x each
+    result carries at most 2p + 1 roundings of a nonnegative sum (Higham
+    2002, 3.1): p in each length-p inner product and one in the division.
     """
     d, p = r1.shape
+    r1 = np.where(dead[:, None], 0.0, r1)
     iu, ju = np.triu_indices(p, 1)
     index = np.full((p, p), d)                      # the diagonal reads the zero slot
     index[iu, ju] = index[ju, iu] = np.arange(d)
@@ -372,19 +373,17 @@ def _radii(d: int, matvecs, dense) -> SpectralRadii:
     On both paths r + eps bounds rho from above, and r = eps = 0 when the
     operator is 0.
 
-    The cutover (between p = 10 and p = 11) comes from a sweep over
+    The cutover (between p = 10 and p = 11) comes from sweeps over
     Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS, 8 chains one
-    per call, medians of 3, three sweeps.  On the ordered-pair matrix
-    (d = p(p - 1)) with the dense bracket, 8 chains took 10.5-11.6 ms by
-    Gelfand and 14.2-17.2 ms by the bracket at p = 10, 19.6-31.9 ms and
-    17.6-18.0 ms at p = 11, and 90-96 ms and 20-21 ms at p = 16.  On the
-    unordered-pair matrix with the matrix-free bracket they take
-    4.9-7.1 ms and 14.5-20.8 ms at p = 10, 5.6-7.8 ms and 18.8-19.7 ms at
-    p = 11, 10.4-10.6 ms and 16.5-20.9 ms at p = 13, 17.3-17.6 ms and
-    12.3-18.2 ms at p = 15, and 21.7-24.4 ms and 14.4-18.7 ms at p = 16.
-    Time alone would now cut over near p = 15; the cutover stays at
-    p = 11 so that p = 11..14 keep a certified bracket, at about 1.5 ms
-    more per chain at p = 11.
+    per call, medians of 3, three sweeps.  With the matrix-free bracket,
+    8 chains take 4.9-7.1 ms by Gelfand and 14.5-20.8 ms by the bracket at
+    p = 10, 5.6-7.8 and 18.8-19.7 ms at p = 11, 10.4-10.6 and 16.5-20.9 ms
+    at p = 13, 17.3-17.6 and 12.3-18.2 ms at p = 15, and 21.7-24.4 and
+    14.4-18.7 ms at p = 16.  Time alone would now cut over near p = 15.
+    The cutover stays where the dense bracket on ordered pairs first won
+    (p = 11: 19.6-31.9 ms by Gelfand, 17.6-18.0 ms by the bracket), so that
+    p = 11..14 keep a certified bracket, for at most about 1.5 ms more per
+    chain.
     """
     if d < _BRACKET_MIN_DIM:
         return _gelfand(dense(slice(None)))
@@ -401,28 +400,18 @@ def _radii(d: int, matvecs, dense) -> SpectralRadii:
 
 def coupling_radii(Ps) -> SpectralRadii:
     """Spectral radii of the pair matrices (``coupling_matrices``) of a
-    (B, p, p) stack of transition matrices, d = p(p - 1)/2 (see
-    ``_radii`` for the two paths).
-
-    Below the cutover the stack runs ``_gelfand`` on its dense pair
-    matrices.  From the cutover on, each item runs ``_perron_bracket`` on
-    ``_pair_matvec``, which holds only the item's residual rows, (d, p)
-    each: O(d p) memory and 2 d p^2 flops per step, and no (d, d) array.
-    Only items whose bracket falls back build their dense pair matrices.
-    The bracket certifies rho of the operator given by the computed r1, r2
-    and 1 - kappa, whose entries are within two roundings of the dense
-    matrix's, so r moves from ``spectral_radii``'s only within the two
-    brackets' widths.
+    (B, p, p) stack of transition matrices, d = p(p - 1)/2, by the two
+    paths of ``_radii``.  The bracket runs on ``_pair_matvec``, which holds
+    only the item's residual rows, and only items whose bracket falls back
+    build their dense pair matrices.  It certifies rho of the operator
+    given by the computed r1, r2 and 1 - kappa, whose entries are within
+    two roundings of the dense matrix's.
     """
     Ps = np.asarray(Ps, dtype=np.float64)
     p = Ps.shape[-1] if Ps.ndim == 3 else 0
-
-    def matvecs():
-        r1, r2, one_minus_k, dead = _residual_rows(Ps)
-        r1[dead] = 0.0
-        return (_pair_matvec(*item) for item in zip(r1, r2, one_minus_k))
-
-    return _radii(p * (p - 1) // 2, matvecs, lambda items: coupling_matrices(Ps[items]))
+    return _radii(p * (p - 1) // 2,
+                  lambda: (_pair_matvec(*item) for item in zip(*_residual_rows(Ps))),
+                  lambda items: coupling_matrices(Ps[items]))
 
 
 def spectral_radii(Ms) -> SpectralRadii:

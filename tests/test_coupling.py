@@ -676,28 +676,30 @@ def gamma(n):
     return n * u / (1.0 - n * u)
 
 
-def operator_chain(seed, p, a, equal_rows, zero_columns):
+def operator_chain(seed, p, a, duplicate, zero_columns):
     """Dirichlet(a) rows on the last p - ``zero_columns`` states (no state
-    enters the first ones); ``equal_rows`` copies row 0 into row 1, a
-    kappa = 1 pair."""
+    enters the first ones).  A ``duplicate`` share s makes row 1 row 0
+    with s of its mass spread evenly: s = 0 is a kappa = 1 pair, s = 1e-13
+    a pair within ``_ONE_TOL`` of it, dead with nonzero residuals."""
     z = min(zero_columns, p - 1)
     P = np.zeros((p, p))
     P[:, z:] = np.random.default_rng(seed).dirichlet(np.full(p - z, a), size=p)
     P /= P.sum(axis=1, keepdims=True)
-    if equal_rows:
-        P[1] = P[0]
+    if duplicate is not None:
+        P[1] = (1.0 - duplicate) * P[0] + duplicate / p
     return P
 
 
 def pair_matvec(P):
-    """The matrix-free operator of one chain, set up as ``coupling_radii`` does."""
-    r1, r2, one_minus_k, dead = coupling._residual_rows(P[None])
-    r1[dead] = 0.0
-    return coupling._pair_matvec(r1[0], r2[0], one_minus_k[0]), (r1[0], r2[0], one_minus_k[0])
+    """The matrix-free operator of one chain, with the residual rows it is
+    built from."""
+    rows = [a[0] for a in coupling._residual_rows(P[None])]
+    return coupling._pair_matvec(*rows), rows
 
 
+duplicates = st.sampled_from([None, 0.0, 1e-13])
 operator_chains = st.builds(operator_chain, st.integers(0, 2**32 - 1), st.integers(2, 20),
-                            st.floats(0.05, 1.0), st.booleans(), st.integers(0, 3))
+                            st.floats(0.05, 1.0), duplicates, st.integers(0, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,7 +717,7 @@ def test_pair_matvec_equals_the_dense_matrix(P, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.builds(operator_chain, st.integers(0, 2**32 - 1), st.integers(2, 8),
-                 st.floats(0.05, 1.0), st.booleans(), st.integers(0, 3)),
+                 st.floats(0.05, 1.0), duplicates, st.integers(0, 3)),
        st.integers(0, 2**32 - 1), st.booleans())
 def test_pair_matvec_is_within_its_rounding_bound(P, seed, with_zeros):
     # against the operator given by the computed r1, r2 and 1 - kappa in
@@ -725,12 +727,13 @@ def test_pair_matvec_is_within_its_rounding_bound(P, seed, with_zeros):
     x = np.random.default_rng(seed).dirichlet(np.ones(d)) if d > 1 else np.ones(1)
     if with_zeros:
         x[::3] = 0.0                    # the trimmed iterate of the bracket's lower end
-    matvec, (r1, r2, one_minus_k) = pair_matvec(P)
+    matvec, (r1, r2, one_minus_k, dead) = pair_matvec(P)
     y = matvec(x)
     X = np.zeros((p, p))
     iu, ju = np.triu_indices(p, 1)
     X[iu, ju] = X[ju, iu] = x
-    for i in range(d):
+    assert np.all(y[dead] == 0.0)
+    for i in np.flatnonzero(~dead):
         exact = sum(Fraction(r1[i, a]) * Fraction(X[a, b]) * Fraction(r2[i, b])
                     for a in range(p) for b in range(p)) / Fraction(one_minus_k[i])
         assert abs(Fraction(y[i]) - exact) <= Fraction(gamma(2 * p + 1)) * exact
