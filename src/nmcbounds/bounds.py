@@ -4,11 +4,15 @@ Everything a bound needs is a handful of scalars: the worst-case k-step
 row overlap alpha_k, the kernel's sensitivity lambda_k to its distribution
 argument, the perturbation ratio gamma between the linear part and the
 nonlinear kernel, the fixed-point discrepancy delta, and the spectral
-radius r of the coupling matrix.  The curve builders then evaluate the
-classic Markov-Dobrushin bound, its k-step refinement, the spectral-radius
-bound and the combined perturbation bound, all clamped to the TV range
-[0, 2].  The spectral-radius formula 2(1 - 1/p)(r + eps)^n is evaluated
-only in `spectral_bound`, which the ``spectral`` curve, both combined curves
+radius r of the coupling matrix.  On a nonlinear kernel alpha_k and
+lambda_k are one-sided sampled estimates; a report's values for all k
+share one pair sample and one k-step flow (`_sampled_kstep`), and
+`md_alpha` and `lipschitz_lambda` give the same values for the same
+generator.  The curve builders then evaluate the classic Markov-Dobrushin
+bound, its k-step refinement, the spectral-radius bound and the combined
+perturbation bound, all clamped to the TV range [0, 2].  The
+spectral-radius formula 2(1 - 1/p)(r + eps)^n is evaluated only in
+`spectral_bound`, which the ``spectral`` curve, both combined curves
 and the volatility indicator share.
 """
 
@@ -62,15 +66,6 @@ def _alpha_of_matrix(P: np.ndarray, k: int) -> float:
     return float(np.minimum(Pk[iu], Pk[ju]).sum(axis=1).min(initial=1.0))
 
 
-def _kstep_products(K: PolynomialKernel, mus: np.ndarray, k: int) -> np.ndarray:
-    """P_{mu_0} P_{mu_1} ... P_{mu_{k-1}} along the exact flow from each
-    row of ``mus``, shape (B, p, p)."""
-    prod = None
-    for P, _ in _flow_steps(K, mus, k):
-        prod = P if prod is None else np.matmul(prod, P)
-    return prod
-
-
 def _sample_pairs(p: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs plus random simplex pairs, as two (pairs, p) arrays."""
     eye = np.eye(p)
@@ -80,28 +75,53 @@ def _sample_pairs(p: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([eye[j], draws[:, 1]]))
 
 
+def _sampled_kstep(K: PolynomialKernel, k_max: int, samples: int, rng):
+    """alpha_k and lambda_k of a nonlinear kernel for k = 1..k_max, as two
+    lists of CoefficientEstimate, from one draw of pairs (mu, nu) and one
+    k_max-step flow of both sides through the checked `_flow_steps`.
+
+    Each k reads the prefix P_{mu_0} ... P_{mu_{k-1}} of the running
+    product: alpha_k is the least row overlap between the two sides (an
+    upper estimate of the infimum), lambda_k the largest row gap over
+    ||mu - nu||_1 >= 1e-12 (a lower estimate of the supremum).
+    """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
+    mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
+    n_pairs = mus.shape[0]
+    denom = np.abs(mus - nus).sum(axis=1)
+    keep = ~(denom < 1e-12)
+    denom = denom[keep]
+    alphas, lams = [], []
+    prod = None
+    for P, _ in _flow_steps(K, np.concatenate([mus, nus]), k_max):
+        prod = P if prod is None else np.matmul(prod, P)
+        A, B = prod[:n_pairs], prod[n_pairs:]
+        best = 1.0
+        for x in range(K.p):
+            # row overlaps of A[:, x] with every row of B, one sum per (pair, x')
+            best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
+        alphas.append(CoefficientEstimate(best, "upper-of-inf", n_pairs))
+        ratio = np.abs(A - B).sum(axis=2).max(axis=1)[keep] / denom
+        lams.append(CoefficientEstimate(max(0.0, float(ratio.max())), "lower-of-sup", denom.size))
+    return alphas, lams
+
+
 def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimate:
     """Markov-Dobrushin coefficient alpha_k.
 
     For a stochastic matrix this is the exact minimum over state pairs of
     the k-step row overlap.  For a nonlinear kernel the infimum also runs
     over the distribution arguments; it is probed at vertex pairs plus
-    ``samples`` random simplex pairs and reported as an upper estimate.
+    ``samples`` random simplex pairs and reported as an upper estimate
+    (`_sampled_kstep`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     K = PolynomialKernel.linear(model) if isinstance(model, StochasticMatrix) else model
     if K.degree == 1:
         return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k), "exact")
-    mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
-    n_pairs = mus.shape[0]
-    prods = _kstep_products(K, np.concatenate([mus, nus]), k)
-    A, B = prods[:n_pairs], prods[n_pairs:]
-    best = 1.0
-    for x in range(K.p):
-        # row overlaps of A[:, x] with every row of B, one sum per (pair, x')
-        best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
-    return CoefficientEstimate(best, "upper-of-inf", n_pairs)
+    return _sampled_kstep(K, k, samples, rng)[0][-1]
 
 
 def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None) -> CoefficientEstimate:
@@ -110,20 +130,13 @@ def lipschitz_lambda(K: PolynomialKernel, k: int, samples: int = 2000, rng=None)
     lambda_k = sup over x, mu, nu of ||P^k_mu(x,.) - P^k_nu(x,.)||_TV
     divided by ||mu - nu||_TV.  Zero exactly for linear kernels; otherwise
     a Monte-Carlo lower estimate of the supremum over vertex pairs plus
-    random simplex pairs.
+    random simplex pairs (`_sampled_kstep`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if K.degree == 1:
         return CoefficientEstimate(0.0, "exact")
-    mus, nus = _sample_pairs(K.p, samples, as_generator(rng))
-    denom = np.abs(mus - nus).sum(axis=1)
-    keep = ~(denom < 1e-12)
-    mus, nus, denom = mus[keep], nus[keep], denom[keep]
-    n_pairs = mus.shape[0]
-    prods = _kstep_products(K, np.concatenate([mus, nus]), k)
-    ratio = np.abs(prods[:n_pairs] - prods[n_pairs:]).sum(axis=2).max(axis=1) / denom
-    return CoefficientEstimate(max(0.0, float(ratio.max())), "lower-of-sup", n_pairs)
+    return _sampled_kstep(K, k, samples, rng)[1][-1]
 
 
 def md_bound_curve(alpha: float, lam: float, n_max: int) -> np.ndarray:
@@ -302,7 +315,10 @@ def likelihood_ratio_moments(K: PolynomialKernel, n: int, k: int, samples: int,
 
 
 def delta_estimate(K: PolynomialKernel) -> float:
-    """TV distance between the nonlinear and linear fixed points."""
+    """TV distance between the nonlinear and linear fixed points; 0 for a
+    linear kernel, whose two fixed points are one, without a search."""
+    if K.degree == 1:
+        return 0.0
     pi = stationary(K).distribution
     pi_star = stationary(PolynomialKernel.linear(K.coeff[0])).distribution
     return tv_distance(pi, pi_star)
@@ -397,8 +413,9 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
 
     The alpha/lambda estimates target the linear part exactly (that is the
     published comparison) with the nonlinear infimum reported alongside;
-    the sampled ones (``config.mc_samples`` pairs each) draw from one
-    generator seeded with ``seed``, and gamma is exact.  The spectral
+    on a nonlinear kernel the sampled alpha_k and lambda_k of all k share
+    one draw of ``config.mc_samples`` pairs from a generator seeded with
+    ``seed`` (`_sampled_kstep`), and gamma is exact.  The spectral
     curve is built from the spectral radius of the linear part's pair
     operator (``coupling_radii``).
     Sub-errors (an unbounded gamma, say) become flags, not failures.
@@ -413,10 +430,12 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     P_lin = StochasticMatrix(K.coeff[0])
     alpha = [md_alpha(P_lin, k).value for k in K_RANGE]
     if K.degree > 1:
-        alpha_nl = [md_alpha(K, k, cfg.mc_samples, rng).value for k in K_RANGE]
+        alphas, lams = _sampled_kstep(K, max(K_RANGE), cfg.mc_samples, rng)
+        alpha_nl = [alphas[k - 1].value for k in K_RANGE]
+        lam = [lams[k - 1].value for k in K_RANGE]
     else:
         alpha_nl = [None for _ in K_RANGE]
-    lam = [lipschitz_lambda(K, k, cfg.mc_samples, rng).value for k in K_RANGE]
+        lam = [0.0 for _ in K_RANGE]
 
     try:
         gamma = gamma_estimate(K).value

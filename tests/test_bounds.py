@@ -26,6 +26,8 @@ from nmcbounds.chain import (
     PolynomialKernel,
     StochasticMatrix,
     _clean_rows,
+    _flat_dirichlet,
+    _flow_steps,
     evaluate_batch,
     validate_kernel,
 )
@@ -357,6 +359,26 @@ def test_delta_example1(ex1_k01):
     assert 0.0 < d < 0.2
 
 
+def test_delta_of_a_linear_chain_runs_no_fixed_point_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("stationary called")
+
+    monkeypatch.setattr(bounds_mod, "stationary", no_search)
+    for P in (EXAMPLE1_P, [[0.0, 1.0], [1.0, 0.0]]):
+        assert delta_estimate(PolynomialKernel.linear(np.asarray(P))) == 0.0
+
+
+@pytest.mark.parametrize("P", [[[0.0, 1.0], [1.0, 0.0]],
+                               [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]])
+def test_periodic_linear_chain_reports_delta_zero(P):
+    # from the barycenter the second chain alternates between two points,
+    # so a fixed-point search would run out of iterations; its delta is 0
+    # all the same, since the nonlinear and linear fixed points are one
+    with pytest.warns(UserWarning, match="alpha == lambda == 0"):
+        report = full_report(PolynomialKernel.linear(np.asarray(P)), 5)
+    assert report.delta == 0.0 and report.flags == []
+
+
 def test_combined_bound_example1_value(p1_matrix):
     from nmcbounds.coupling import build_coupling_matrix, spectral_radius
     est = spectral_radius(build_coupling_matrix(p1_matrix))
@@ -477,24 +499,143 @@ def test_domination_small_scale():
 
 
 # ---------------------------------------------------------------------------
+# the shared sampled core: one pair draw and one flow for every k
+
+
+def frozen_pairs(p, samples, rng):
+    eye = np.eye(p)
+    i, j = np.nonzero(eye == 0.0)
+    draws = _flat_dirichlet(rng, (samples, 2, p))
+    return np.concatenate([eye[i], draws[:, 0]]), np.concatenate([eye[j], draws[:, 1]])
+
+
+def frozen_products(K, mus, k):
+    prod = None
+    for P, _ in _flow_steps(K, mus, k):
+        prod = P if prod is None else np.matmul(prod, P)
+    return prod
+
+
+def frozen_md_alpha(K, k, samples, rng):
+    """The nonlinear md_alpha as it was before the samplers shared a flow:
+    its own draw and its own k-step products."""
+    mus, nus = frozen_pairs(K.p, samples, rng)
+    n_pairs = mus.shape[0]
+    prods = frozen_products(K, np.concatenate([mus, nus]), k)
+    A, B = prods[:n_pairs], prods[n_pairs:]
+    best = 1.0
+    for x in range(K.p):
+        best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
+    return best, n_pairs
+
+
+def frozen_lipschitz_lambda(K, k, samples, rng):
+    """The nonlinear lipschitz_lambda as it was, flowing only the pairs
+    with ||mu - nu||_1 >= 1e-12."""
+    mus, nus = frozen_pairs(K.p, samples, rng)
+    denom = np.abs(mus - nus).sum(axis=1)
+    keep = ~(denom < 1e-12)
+    mus, nus, denom = mus[keep], nus[keep], denom[keep]
+    n_pairs = mus.shape[0]
+    prods = frozen_products(K, np.concatenate([mus, nus]), k)
+    ratio = np.abs(prods[:n_pairs] - prods[n_pairs:]).sum(axis=2).max(axis=1) / denom
+    return max(0.0, float(ratio.max())), n_pairs
+
+
+def assert_matches_frozen(K, k, samples, seed):
+    alpha = md_alpha(K, k, samples, np.random.default_rng(seed))
+    lam = lipschitz_lambda(K, k, samples, np.random.default_rng(seed))
+    assert (alpha.value, alpha.samples) == frozen_md_alpha(K, k, samples, np.random.default_rng(seed))
+    assert (lam.value, lam.samples) == frozen_lipschitz_lambda(K, k, samples,
+                                                               np.random.default_rng(seed))
+    assert (alpha.direction, lam.direction) == ("upper-of-inf", "lower-of-sup")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 3),
+       k=st.integers(1, 4), samples=st.sampled_from([0, 1, 37]))
+def test_samplers_equal_their_separate_flows(seed, p, degree, k, samples):
+    K = bernstein_kernel(np.random.default_rng(seed), p, degree, 0.2 / p, 0.5)
+    assert K.certified
+    assert_matches_frozen(K, k, samples, seed)
+
+
+@pytest.mark.parametrize("example", [(1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2)])
+def test_samplers_equal_their_separate_flows_on_the_builtins(example):
+    K = builtin_example(*example)
+    for seed in range(5):
+        for k in (1, 2, 3, 4):
+            assert_matches_frozen(K, k, 2000, seed)
+
+
+@pytest.mark.parametrize("example", [(1, 0.1), (2, 0.2)])
+def test_report_coefficients_share_one_sample(example):
+    # every k of the report reads the same pairs, so each value is what the
+    # standalone sampler gives on a fresh generator with the report's seed
+    K = builtin_example(*example)
+    samples, seed = 150, 7
+    report = full_report(K, 5, BoundConfig(mc_samples=samples), seed=seed)
+    for k in (1, 2, 3, 4):
+        assert report.alpha_nonlinear[k - 1] == md_alpha(K, k, samples, np.random.default_rng(seed)).value
+        assert report.lam[k - 1] == lipschitz_lambda(K, k, samples, np.random.default_rng(seed)).value
+
+
+def test_lambda_skips_pairs_with_equal_arguments(monkeypatch, ex1_k01):
+    # a pair with mu == nu has no ratio; alpha still reads it
+    drawn = bounds_mod._sample_pairs
+
+    def with_a_tie(p, samples, rng):
+        mus, nus = drawn(p, samples, rng)
+        return np.concatenate([mus, mus[-1:]]), np.concatenate([nus, mus[-1:]])
+
+    monkeypatch.setattr(bounds_mod, "_sample_pairs", with_a_tie)
+    lam = lipschitz_lambda(ex1_k01, 2, 20, np.random.default_rng(3))
+    assert md_alpha(ex1_k01, 2, 20, np.random.default_rng(3)).samples == 33
+    monkeypatch.undo()
+    assert (lam.value, lam.samples) == frozen_lipschitz_lambda(ex1_k01, 2, 20,
+                                                               np.random.default_rng(3))
+
+
+def test_negative_sample_counts_fail_before_any_draw(ex1_k01):
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    for sampler in (md_alpha, lipschitz_lambda):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            sampler(ex1_k01, 1, -1, gen)
+        assert gen.bit_generator.state == state
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        full_report(ex1_k01, 3, BoundConfig(mc_samples=-5))
+
+
+def test_zero_samples_keep_the_vertex_pairs(ex1_k01):
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    assert md_alpha(ex1_k01, 2, 0, gen).samples == 12
+    assert lipschitz_lambda(ex1_k01, 2, 0, gen).samples == 12
+    assert gen.bit_generator.state == state
+    report = full_report(ex1_k01, 3, BoundConfig(mc_samples=0), seed=0)
+    assert report.alpha_nonlinear[0] == 0.6 and report.lam[0] == pytest.approx(0.1, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # sampled coefficients pinned bit for bit
 
 
-# recorded before the per-sample loops were replaced by the batched engine;
-# the engine keeps the evaluation and flow arithmetic, so they hold with ==.
+# every k of a report reads one pair sample and one flow, and the engine
+# keeps the evaluation and flow arithmetic, so these hold with ==.
 # delta comes from the matrix-free fixed-point search of certified kernels,
 # which moved it in the last bits (0.017993031436055767 and
 # 0.03778032396366732 on the checked path)
 PINNED_MC200_SEED0 = {
     (1, 0.1): dict(
-        alpha_nonlinear=[0.6, 0.84993286587033, 0.9450000000000002, 0.9800000000000002],
-        lam=[0.10000000000000006, 0.023759752210066612, 0.004739635672825445,
-             0.0010874498657612594],
+        alpha_nonlinear=[0.6, 0.8500000000000001, 0.9450000000000001, 0.9800000000000002],
+        lam=[0.10000000000000013, 0.02299220362762092, 0.0047966299434065215,
+             0.001096547533243081],
         gamma=0.33333333333333326, delta=0.017993031436055712),
     (2, 0.2): dict(
         alpha_nonlinear=[0.30000000000000004, 0.6480000000000001, 0.8429184000000002,
                          0.9268558553544963],
-        lam=[0.20000000000000015, 0.14600000000000002, 0.07166960000000004,
+        lam=[0.20000000000000032, 0.14600000000000002, 0.07166960000000004,
              0.033920925200512014],
         gamma=math.inf, delta=0.037780323963667234),
 }

@@ -98,6 +98,8 @@ SURFACE_ALLOWLIST = {
     ("ghmm", "sample_ghmm"): "criterion 10 API",
     ("chain", "flow_batch"): "public face of the kernel flow engine",
     ("chain", "evaluate_kernel"): "rebound by name in perfbench/spans.py",
+    ("bounds", "lipschitz_lambda"): "rebound by name in perfbench/spans.py; scalar face of "
+                                     "the sampled k-step core",
     ("ghmm", "random_init"): "rebound by name in perfbench/spans.py",
     ("volatility", "transition_tv_bound"): "rebound by name in perfbench/spans.py",
 }
