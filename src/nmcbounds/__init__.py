@@ -23,7 +23,6 @@ from .coupling import (
     lemma_check,
     sample_coupled_pair,
     simulate_coupled_chain,
-    spectral_radii,
     spectral_radius,
     split_densities,
 )

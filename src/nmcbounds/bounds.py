@@ -423,6 +423,8 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     cfg = config or BoundConfig()
+    if cfg.mc_samples < 0:      # a linear kernel draws nothing, so check here
+        raise ValueError("samples must be >= 0")
     rng = as_generator(seed)
     p = K.p
     flags = []

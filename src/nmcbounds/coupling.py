@@ -27,15 +27,15 @@ Collatz-Wielandt bracket by power iteration on the matrix-free operator
 per step, 2 d p^2 flops on O(d p) memory, with no (d, d) array; the dense
 matrix is built only for an item whose bracket falls back to Gelfand.  On
 both paths r + eps bounds rho from above; on the bracket path [r - eps, r]
-is a certified bracket.  ``spectral_radii`` runs the same two paths on a
-stack of dense matrices, and ``build_coupling_matrix`` and
-``spectral_radius`` are its one-matrix wrappers.
+is a certified bracket.  It is the only radius engine:
+``build_coupling_matrix`` and ``spectral_radius`` are its one-chain
+wrappers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .rng import as_generator
 _ONE_TOL = 1e-12    # row overlaps / overlap masses this close to 1 are treated as 1
 LEMMA_DELTA = 1e-6      # lemma_check: false-alarm probability of each tolerance check
 _SQUARINGS = 20         # Gelfand powers M^(2^k), k = 1..20
-_BRACKET_MIN_DIM = 55   # spectral_radii: smallest d that takes the bracket path (p >= 11)
+_BRACKET_MIN_DIM = 55   # coupling_radii: smallest d that takes the bracket path (p >= 11)
 _BRACKET_RTOL = 1e-12   # the bracket closes when hi - lo <= _BRACKET_RTOL * hi
 _BRACKET_BUDGET = 20    # bracket steps per row of Q: 10 p(p - 1), as measured on ordered pairs
 _NEGLIGIBLE = 1e-8      # iterate entries below this share of the largest leave the lower end
@@ -145,25 +145,24 @@ def simulate_coupled_chain(
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Sub-stochastic matrix over unordered distinct state pairs.
+    """Sub-stochastic pair matrix (``coupling_matrices``) of one chain.
 
     Row/column ``i`` is the i-th pair {x1, x2}, x1 < x2, in the row-major
-    order of ``np.triu_indices(p, 1)``.
+    order of ``np.triu_indices(p, 1)``.  The read-only ``entries`` are
+    derived from ``transition``, so they always belong to that chain.
     """
 
-    p: int
-    entries: np.ndarray
+    transition: StochasticMatrix
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.dim
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.shape != (d, d):
-            raise DimensionMismatchError(f"coupling matrix must be {d} x {d}")
-        if m.min() < 0.0:
-            raise ValueError("coupling matrix entries must be nonnegative")
-        m = m.copy()
+        m = coupling_matrices(self.transition.entries[None])[0]
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @property
+    def p(self) -> int:
+        return self.transition.p
 
     @property
     def dim(self) -> int:
@@ -247,7 +246,7 @@ def _pair_matvec(r1: np.ndarray, r2: np.ndarray, one_minus_k: np.ndarray, dead: 
 
 def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
     """Pair matrix of one transition matrix (see ``coupling_matrices``)."""
-    return CouplingMatrix(P.p, coupling_matrices(P.entries[None])[0])
+    return CouplingMatrix(P)
 
 
 def _max_row_sums(A: np.ndarray) -> np.ndarray:
@@ -354,24 +353,26 @@ def _perron_bracket(matvec, d: int) -> tuple[float, float] | None:
     return None
 
 
-def _radii(d: int, matvecs, dense) -> SpectralRadii:
-    """The one cutover rule: spectral radii of B nonnegative d x d
-    operators, by one of two paths chosen from d.  ``matvecs()`` yields
-    each item's matvec (None for an item with no certificate) and
-    ``dense(items)`` the (len(items), d, d) dense matrices of an index.
+def coupling_radii(Ps) -> SpectralRadii:
+    """Spectral radii of the pair matrices (``coupling_matrices``) of a
+    (B, p, p) stack of transition matrices, d = p(p - 1)/2, by one of two
+    paths chosen from d.
 
     Below ``_BRACKET_MIN_DIM`` every item runs the Gelfand iteration
-    (``_gelfand``, up to the power 2^20): r is the last estimate, which can
-    only overshoot rho (by about 2e-7 relative), and eps the last
-    decrement, a measure of how unconverged r still is rather than a
-    certificate.  From the cutover on, each item runs the Collatz-Wielandt
-    bracket (``_perron_bracket``): r = hi and eps = hi - lo, with
-    lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.  An
-    item whose bracket does not close within ``_BRACKET_BUDGET`` * d steps,
-    whose iterate loses strict positivity or which has no matvec falls
-    back to Gelfand on its dense matrix, the only one built on this path.
-    On both paths r + eps bounds rho from above, and r = eps = 0 when the
-    operator is 0.
+    (``_gelfand``, up to the power 2^20) on its dense pair matrix: r is the
+    last estimate, which can only overshoot rho (by about 2e-7 relative),
+    and eps the last decrement, a measure of how unconverged r still is
+    rather than a certificate.  From the cutover on, each item runs the
+    Collatz-Wielandt bracket (``_perron_bracket``) on ``_pair_matvec``,
+    which holds only the item's residual rows: r = hi and eps = hi - lo,
+    with lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.
+    It certifies rho of the operator given by the computed r1, r2 and
+    1 - kappa, whose entries are within two roundings of the dense
+    matrix's.  An item whose bracket does not close within
+    ``_BRACKET_BUDGET`` * d steps or whose iterate loses strict positivity
+    falls back to Gelfand on its dense pair matrix, the only one built on
+    this path.  On both paths r + eps bounds rho from above, and
+    r = eps = 0 when the operator is 0.
 
     The cutover (between p = 10 and p = 11) comes from sweeps over
     Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS, 8 chains one
@@ -385,50 +386,25 @@ def _radii(d: int, matvecs, dense) -> SpectralRadii:
     p = 11..14 keep a certified bracket, for at most about 1.5 ms more per
     chain.
     """
+    Ps = np.asarray(Ps, dtype=np.float64)
+    p = Ps.shape[-1] if Ps.ndim == 3 else 0
+    d = p * (p - 1) // 2
     if d < _BRACKET_MIN_DIM:
-        return _gelfand(dense(slice(None)))
-    brackets = [None if matvec is None else _perron_bracket(matvec, d) for matvec in matvecs()]
+        return _gelfand(coupling_matrices(Ps))
+    brackets = [_perron_bracket(_pair_matvec(*item), d) for item in zip(*_residual_rows(Ps))]
     fallback = [i for i, b in enumerate(brackets) if b is None]
     r = np.array([0.0 if b is None else b[1] for b in brackets])
     eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
     squarings = np.zeros(len(brackets), dtype=int)
     if fallback:
-        gelfand = _gelfand(dense(fallback))
+        gelfand = _gelfand(coupling_matrices(Ps[fallback]))
         r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
     return SpectralRadii(r, eps, squarings)
 
 
-def coupling_radii(Ps) -> SpectralRadii:
-    """Spectral radii of the pair matrices (``coupling_matrices``) of a
-    (B, p, p) stack of transition matrices, d = p(p - 1)/2, by the two
-    paths of ``_radii``.  The bracket runs on ``_pair_matvec``, which holds
-    only the item's residual rows, and only items whose bracket falls back
-    build their dense pair matrices.  It certifies rho of the operator
-    given by the computed r1, r2 and 1 - kappa, whose entries are within
-    two roundings of the dense matrix's.
-    """
-    Ps = np.asarray(Ps, dtype=np.float64)
-    p = Ps.shape[-1] if Ps.ndim == 3 else 0
-    return _radii(p * (p - 1) // 2,
-                  lambda: (_pair_matvec(*item) for item in zip(*_residual_rows(Ps))),
-                  lambda items: coupling_matrices(Ps[items]))
-
-
-def spectral_radii(Ms) -> SpectralRadii:
-    """Spectral radii of a (B, d, d) stack of nonnegative matrices (see
-    ``_radii`` for the two paths): the bracket runs on the dense matvec
-    M x, and an item with a negative or NaN entry falls back to Gelfand."""
-    Ms = np.asarray(Ms, dtype=np.float64)
-    if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
-        raise DimensionMismatchError("need a (B, d, d) stack of square matrices")
-    return _radii(Ms.shape[1],
-                  lambda: (M.__matmul__ if M.min() >= 0.0 else None for M in Ms),
-                  lambda items: Ms[items])
-
-
 def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:
-    """Spectral radius of one pair matrix (see ``spectral_radii``)."""
-    est = spectral_radii(M.entries[None])
+    """Spectral radius of one chain's pair matrix (see ``coupling_radii``)."""
+    est = coupling_radii(M.transition.entries[None])
     return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]), int(est.squarings[0]))
 
 

@@ -603,8 +603,9 @@ def test_negative_sample_counts_fail_before_any_draw(ex1_k01):
         with pytest.raises(ValueError, match="samples must be >= 0"):
             sampler(ex1_k01, 1, -1, gen)
         assert gen.bit_generator.state == state
-    with pytest.raises(ValueError, match="samples must be >= 0"):
-        full_report(ex1_k01, 3, BoundConfig(mc_samples=-5))
+    for K in (ex1_k01, PolynomialKernel.linear(EXAMPLE1_P)):     # a linear kernel draws nothing
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            full_report(K, 3, BoundConfig(mc_samples=-5))
 
 
 def test_zero_samples_keep_the_vertex_pairs(ex1_k01):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmcbounds import coupling
-from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs
+from nmcbounds.bounds import full_report
+from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs, load_model
 from nmcbounds.coupling import (
-    CouplingMatrix,
     SplitLaws,
     build_coupling_matrix,
     coupling_matrices,
@@ -20,7 +21,6 @@ from nmcbounds.coupling import (
     pairchain_meet_curve,
     sample_coupled_pair,
     simulate_coupled_chain,
-    spectral_radii,
     spectral_radius,
     split_densities,
 )
@@ -39,8 +39,8 @@ def pairs(M):
 
 
 def max_row_sum(M):
-    """Max row sum, the induced infinity-norm of the nonnegative M."""
-    return float(coupling._max_row_sums(M.entries))
+    """Max row sum, the induced infinity-norm of the nonnegative array M."""
+    return float(coupling._max_row_sums(M))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,7 @@ DEGENERATE_CHAINS = (
 
 
 def test_degenerate_chains_take_the_early_exits():
-    est = spectral_radii(coupling_matrices(np.stack(DEGENERATE_CHAINS)))
+    est = coupling_radii(np.stack(DEGENERATE_CHAINS))
     assert est.squarings.tolist() == [0, 1, 20]
     assert est.r[:2].tolist() == [0.0, 0.0] and est.eps[:2].tolist() == [0.0, 0.0]
     assert est.r[2] > 0.0
@@ -476,10 +476,7 @@ def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at):
         for i in sorted(degenerate_at):
             stack[i % B] = DEGENERATE_CHAINS[i % len(DEGENERATE_CHAINS)]
     Ms = coupling_matrices(np.stack(stack))
-    est = spectral_radii(Ms)
-    radii = coupling_radii(np.stack(stack))
-    for field in ("r", "eps", "squarings"):
-        assert getattr(radii, field).tobytes() == getattr(est, field).tobytes()
+    est = coupling_radii(np.stack(stack))
     for i, P in enumerate(stack):
         assert Ms[i].tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
         expected = loop_spectral_radius(Ms[i])
@@ -520,7 +517,7 @@ def assert_spectral_path(CM, r, eps, squarings):
         lo, hi = oracle_bracket(M)
         if hi - lo <= 1e-12 * hi:          # the plain oracle closes unless M is reducible
             assert hi <= r * (1.0 + 1e-9) and r <= lo * (1.0 + 1e-4)
-    assert r <= max_row_sum(CM) + 1e-12
+    assert r <= max_row_sum(M) + 1e-12
 
 
 def fixed_chain(kind, p):
@@ -551,8 +548,9 @@ def fixed_chain(kind, p):
 @given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 24),
        st.sampled_from([0.05, 0.3, 1.0]))
 def test_bracket_holds_the_spectral_radius(seed, p, a):
-    M = build_coupling_matrix(StochasticMatrix(dirichlet_chain(np.random.default_rng(seed), p, a)))
-    est = spectral_radii(M.entries[None])
+    P = dirichlet_chain(np.random.default_rng(seed), p, a)
+    M = build_coupling_matrix(StochasticMatrix(P))
+    est = coupling_radii(P[None])
     assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
     single = spectral_radius(M)
     assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
@@ -564,8 +562,9 @@ def test_bracket_holds_the_spectral_radius(seed, p, a):
     ("near-permutation", 20),
 ])
 def test_bracket_on_fixed_chains(kind, squarings, p):
-    M = build_coupling_matrix(StochasticMatrix(fixed_chain(kind, p)))
-    est = spectral_radii(M.entries[None])
+    P = fixed_chain(kind, p)
+    M = build_coupling_matrix(StochasticMatrix(P))
+    est = coupling_radii(P[None])
     assert est.squarings[0] == squarings
     assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
     if kind == "all rows equal":
@@ -577,40 +576,30 @@ def test_bracket_holds_a_closed_form_radius():
     # 2 x 2 A it is (a + d)/2 + sqrt(((a - d)/2)^2 + bc), exact to a few ulps.
     # The bracket's lower end lies below it by up to the 1e-12 closing gap,
     # so [r - eps, r] must contain it and r may not stop at the lower end.
+    # M is no pair matrix of a chain, so this runs the generic dense bracket.
     n = -(-coupling._BRACKET_MIN_DIM // 2)
     for a, b, c, dd in ([0.5, 0.2, 0.1, 0.3], [0.05, 0.6, 0.3, 0.2], [0.7, 0.01, 0.25, 0.4]):
         M = np.kron(np.array([[a, b], [c, dd]]), np.full((n, n), 1.0 / n))
         rho = (a + dd) / 2 + np.sqrt(((a - dd) / 2) ** 2 + b * c)
-        est = spectral_radii(M[None])
-        assert est.squarings[0] == 0
-        assert est.r[0] - est.eps[0] <= rho * (1 + 4 * EPS) and rho * (1 - 4 * EPS) <= est.r[0]
-
-
-def test_mixed_stack_equals_its_items():
-    # bracket, fallback and M = 0 items in one stack, each as if alone
-    p = BRACKET_P_MIN
-    gen = np.random.default_rng(5)
-    chains = [dirichlet_chain(gen, p), fixed_chain("near-permutation", p),
-              fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)]
-    Ms = coupling_matrices(np.stack(chains))
-    est = spectral_radii(Ms)
-    assert est.squarings.tolist() == [0, 20, 0, 0]
-    for i, M in enumerate(Ms):
-        alone = spectral_radii(M[None])
-        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r[0], alone.eps[0],
-                                                            alone.squarings[0])
+        bracket = coupling._perron_bracket(M.__matmul__, M.shape[0])
+        assert bracket is not None
+        r, eps = bracket[1], bracket[1] - bracket[0]
+        assert r - eps <= rho * (1 + 4 * EPS) and rho * (1 - 4 * EPS) <= r
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3))
 def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B):
     gen = np.random.default_rng(seed)
-    Ms = coupling_matrices(np.stack([dirichlet_chain(gen, p) for _ in range(B)]))
+    Ps = np.stack([dirichlet_chain(gen, p) for _ in range(B)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
-        est = spectral_radii(Ms)
-    for i, M in enumerate(Ms):
-        assert (est.r[i], est.eps[i], est.squarings[i]) == loop_spectral_radius(M)
+        est = coupling_radii(Ps)
+        singles = [spectral_radius(build_coupling_matrix(StochasticMatrix(P))) for P in Ps]
+    for i, M in enumerate(coupling_matrices(Ps)):
+        expected = loop_spectral_radius(M)
+        assert (est.r[i], est.eps[i], est.squarings[i]) == expected
+        assert (singles[i].r, singles[i].eps, singles[i].squarings) == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -746,11 +735,11 @@ def test_matrix_free_bracket_holds_the_spectral_radius(P):
     M = build_coupling_matrix(StochasticMatrix(P))
     est = coupling_radii(P[None])
     assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
-    dense = spectral_radii(M.entries[None])
-    if est.squarings[0] == 0 and dense.squarings[0] == 0:
+    dense = coupling._perron_bracket(M.entries.__matmul__, M.dim)
+    if est.squarings[0] == 0 and dense is not None:
         # two certified brackets of operators within a few roundings of each other
-        w = max(est.eps[0], dense.eps[0]) + 8 * EPS * est.r[0]
-        assert abs(est.r[0] - dense.r[0]) <= w
+        w = max(est.eps[0], dense[1] - dense[0]) + 8 * EPS * est.r[0]
+        assert abs(est.r[0] - dense[1]) <= w
 
 
 @pytest.mark.parametrize("p", [BRACKET_P_MIN, 16])
@@ -791,6 +780,21 @@ def test_matrix_free_mixed_stack_equals_its_items():
                                                             alone.squarings[0])
 
 
+@pytest.mark.parametrize("P", [dirichlet_chain(np.random.default_rng(p), p) for p in (4, 10, 11, 16)]
+                         + [fixed_chain("near-permutation", BRACKET_P_MIN)])
+def test_one_radius_per_chain(P):
+    single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
+    est = coupling_radii(P[None])
+    assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
+
+
+def test_report_radius_is_the_one_chain_radius():
+    K = load_model(Path(__file__).parent / "golden" / "p16_model.json")
+    report = full_report(K, 3, seed=0)
+    single = spectral_radius(build_coupling_matrix(StochasticMatrix(K.coeff[0])))
+    assert (report.r, report.eps) == (single.r, single.eps)
+
+
 def test_coupling_radii_rejects_bad_stacks():
     with pytest.raises(DimensionMismatchError):
         coupling_radii(np.eye(12))
@@ -816,25 +820,25 @@ def test_batched_coupling_rejects_bad_shapes():
         coupling_matrices(np.eye(3))
     with pytest.raises(DimensionMismatchError):
         coupling_matrices(np.ones((2, 1, 1)))
-    with pytest.raises(DimensionMismatchError):
-        spectral_radii(np.zeros((2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
-# spectral radius and max-row-sum norm
+# spectral radius and max-row-sum norm; the diagonal, zero and random
+# sub-stochastic matrices are no pair matrices of a chain, so they run the
+# generic Gelfand core
 
 
 def test_spectral_radius_diagonal():
-    M = CouplingMatrix(3, np.diag([0.3, 0.1, 0.2]))
-    est = spectral_radius(M)
-    assert est.r == pytest.approx(0.3, abs=1e-9)
+    M = np.diag([0.3, 0.1, 0.2])
+    est = coupling._gelfand(M[None])
+    assert est.r[0] == pytest.approx(0.3, abs=1e-9)
     assert max_row_sum(M) == pytest.approx(0.3)
 
 
 def test_spectral_radius_zero_matrix():
-    M = CouplingMatrix(3, np.zeros((3, 3)))
-    est = spectral_radius(M)
-    assert est.r == 0.0 and est.eps == 0.0
+    M = np.zeros((3, 3))
+    est = coupling._gelfand(M[None])
+    assert est.r[0] == 0.0 and est.eps[0] == 0.0
     assert max_row_sum(M) == 0.0
 
 
@@ -852,7 +856,7 @@ def test_spectral_radius_below_one_norm(p1_matrix, p2_matrix):
     for P in (p1_matrix, p2_matrix):
         M = build_coupling_matrix(P)
         est = spectral_radius(M)
-        assert est.r <= max_row_sum(M) + 1e-12
+        assert est.r <= max_row_sum(M.entries) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -862,11 +866,10 @@ def test_spectral_radius_random_substochastic(seed, p):
     d = p * (p - 1) // 2
     arr = gen.random((d, d))
     arr *= gen.random() / arr.sum(axis=1, keepdims=True)  # row sums < 1
-    M = CouplingMatrix(p, arr)
-    est = spectral_radius(M)
-    assert est.r <= max_row_sum(M) + 1e-12
+    est = coupling._gelfand(arr[None])
+    assert est.r[0] <= max_row_sum(arr) + 1e-12
     eig = float(np.abs(np.linalg.eigvals(arr)).max())
-    assert est.r == pytest.approx(eig, abs=1e-5)
+    assert est.r[0] == pytest.approx(eig, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmcbounds.coupling import coupling_matrices, spectral_radii
+from nmcbounds.coupling import coupling_radii
 from nmcbounds.errors import AlignmentError
 from nmcbounds.rng import derive_seed
 from nmcbounds.signal import ReturnSeries, log_returns
@@ -110,7 +110,7 @@ def test_batched_transition_bounds_equal_per_fit_bounds(seed, K, B):
     assert values.tolist() == singles
     assert values[0] == 0.0
     # the clipped product equals the former per-item Python-float form
-    est = spectral_radii(coupling_matrices(stack / stack.sum(axis=-1, keepdims=True)))
+    est = coupling_radii(stack / stack.sum(axis=-1, keepdims=True))
     scale = 2.0 * (1.0 - 1.0 / K)
     assert values.tolist() == [min(max(scale * (r + e) ** 1, 0.0), 2.0)
                                for r, e in zip(est.r.tolist(), est.eps.tolist())]
