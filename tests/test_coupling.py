@@ -780,6 +780,23 @@ def test_matrix_free_mixed_stack_equals_its_items():
                                                             alone.squarings[0])
 
 
+def test_mixed_stack_equals_its_items():
+    # bracket, fallback and M = 0 items in one stack, in either order, each
+    # as the one-chain spectral_radius of its pair matrix gives it
+    p = BRACKET_P_MIN
+    gen = np.random.default_rng(5)
+    chains = np.stack([dirichlet_chain(gen, p), fixed_chain("near-permutation", p),
+                       fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)])
+    est = coupling_radii(chains)
+    rev = coupling_radii(chains[::-1])
+    assert est.squarings.tolist() == [0, 20, 0, 0]
+    for i, P in enumerate(chains):
+        alone = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
+        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r, alone.eps, alone.squarings)
+        j = len(chains) - 1 - i
+        assert (rev.r[j], rev.eps[j], rev.squarings[j]) == (alone.r, alone.eps, alone.squarings)
+
+
 @pytest.mark.parametrize("P", [dirichlet_chain(np.random.default_rng(p), p) for p in (4, 10, 11, 16)]
                          + [fixed_chain("near-permutation", BRACKET_P_MIN)])
 def test_one_radius_per_chain(P):
