@@ -32,9 +32,9 @@ from .chain import (
     _flow_steps,
     _row_witness,
     evaluate_batch,
+    require_valid,
     stationary,
     tv_distance,
-    validate_kernel,
 )
 from .coupling import coupling_radii
 from .errors import (
@@ -202,12 +202,7 @@ def gamma_estimate(K: PolynomialKernel) -> GammaEstimate:
     C1 = K.coeff[0]
     if K.degree == 1:
         return GammaEstimate(0.0, (0, 0), np.full(p, 1.0 / p))
-    check = validate_kernel(K)
-    if not check.ok:
-        raise KernelInvalidError(
-            f"kernel invalid at mu: worst entry {check.worst_negative_entry:.3e}, "
-            f"row-sum deviation {check.worst_row_sum_dev:.3e}", mu=check.witness,
-            worst_entry=check.worst_negative_entry, worst_row_sum_dev=check.worst_row_sum_dev)
+    require_valid(K)
     T = _critical_points(K)
     Pm = evaluate_batch(K, T)      # Pm[n, x] is row x of P_mu at mu[x] = T[n, x]
     dead = (Pm <= 0.0) & (C1 > 0.0)

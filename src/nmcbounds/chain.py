@@ -54,8 +54,11 @@ EVAL_TOL = 1e-9          # kernel evaluation validity tolerance
 _NEG_CLIP = 1e-15        # float noise clipped to zero by producers
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a) -> np.ndarray:
+    """A read-only, C-ordered float64 copy of ``a``, the storage of every
+    value type built from caller data: the caller's array stays as it was,
+    and the layout fixes the summation order downstream."""
+    a = np.array(a, dtype=np.float64, order="C", ndmin=1)
     a.flags.writeable = False
     return a
 
@@ -67,7 +70,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = _freeze(self.probs)
         if probs.ndim != 1 or probs.shape[0] < 2:
             raise DimensionMismatchError("distribution needs a 1-d vector with p >= 2")
         if not np.all(np.isfinite(probs)):
@@ -76,7 +79,7 @@ class Distribution:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        object.__setattr__(self, "probs", _freeze(probs))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def p(self) -> int:
@@ -150,11 +153,11 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
+        m = _freeze(self.entries)
         if m.ndim != 2:
             raise DimensionMismatchError("transition matrix must be square with p >= 2")
         _check_stochastic(m)
-        object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "entries", m)
 
     @property
     def p(self) -> int:
@@ -174,7 +177,7 @@ class PolynomialKernel:
     coeff: tuple
 
     def __post_init__(self):
-        mats = tuple(_freeze(np.asarray(c, dtype=np.float64)) for c in self.coeff)
+        mats = tuple(_freeze(c) for c in self.coeff)
         if not mats:
             raise ValueError("kernel needs at least the linear coefficient matrix")
         p = mats[0].shape[0]
@@ -201,7 +204,7 @@ class PolynomialKernel:
     @classmethod
     def linear(cls, matrix) -> "PolynomialKernel":
         entries = matrix.entries if isinstance(matrix, StochasticMatrix) else matrix
-        return cls((np.asarray(entries, dtype=np.float64),))
+        return cls((entries,))
 
     @cached_property
     def _extremes(self) -> tuple[float, float, np.ndarray | None]:
@@ -272,11 +275,8 @@ def evaluate_batch(K: PolynomialKernel, mus) -> np.ndarray:
     m = _polynomial(K, mus)
     sums, worst_neg, _, i = _violations(m)
     if i is not None:
-        entry, dev = float(m[i].min()), float(np.abs(sums[i] - 1.0).max())
-        raise KernelInvalidError(
-            f"kernel invalid at mu: worst entry {entry:.3e}, row-sum deviation {dev:.3e}",
-            mu=mus[i].copy(), worst_entry=entry, worst_row_sum_dev=dev,
-        )
+        raise KernelInvalidError(mus[i].copy(), float(m[i].min()),
+                                 float(np.abs(sums[i] - 1.0).max()))
     if worst_neg < 0.0:       # clipping moves the row sums
         np.clip(m, 0.0, None, out=m)
         sums = m.sum(axis=2, keepdims=True)
@@ -356,6 +356,15 @@ def validate_kernel(K: PolynomialKernel) -> KernelValidationReport:
     worst_neg, worst_dev, witness = K._extremes
     return KernelValidationReport(witness is None, worst_neg, worst_dev,
                                   None if witness is None else witness.copy())
+
+
+def require_valid(K: PolynomialKernel) -> None:
+    """Raise KernelInvalidError, carrying `validate_kernel`'s witness, unless
+    P_mu is stochastic everywhere on the simplex."""
+    check = validate_kernel(K)
+    if not check.ok:
+        raise KernelInvalidError(check.witness, check.worst_negative_entry,
+                                 check.worst_row_sum_dev)
 
 
 def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
@@ -467,7 +476,7 @@ def load_model(path) -> PolynomialKernel:
     Schema: {"p": int, "degree": int, "coeff": [degree flat row-major
     p*p arrays]}.  Unknown keys and non-finite numbers are rejected.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:

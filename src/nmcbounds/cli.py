@@ -19,15 +19,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import signal as signal_mod
 from . import volatility as vol_mod
-from .chain import Distribution, PolynomialKernel, load_model, validate_kernel
+from .chain import Distribution, PolynomialKernel, load_model, require_valid
 from .coupling import lemma_check
-from .errors import (
-    KernelInvalidError,
-    ModelSpecError,
-    NmcError,
-    NonconvergenceError,
-    PriceDataError,
-)
+from .errors import NmcError, NonconvergenceError
 from .experiments import ComparisonTable, builtin_example, compare_bounds, export_report
 
 EXIT_OK = 0
@@ -47,11 +41,7 @@ def _resolve_kernel(args) -> PolynomialKernel:
         kernel = load_model(args.model)
     else:
         kernel = builtin_example(args.example, args.kappa)
-    check = validate_kernel(kernel)
-    if not check.ok:
-        raise KernelInvalidError(
-            f"model fails validation: worst entry {check.worst_negative_entry:.3e}, "
-            f"row-sum deviation {check.worst_row_sum_dev:.3e}")
+    require_valid(kernel)
     return kernel
 
 
@@ -246,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("volatility", help="TV-volatility pipeline plus GARCH baseline")
-    p.add_argument("--prices")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--prices")
+    source.add_argument("--self-check", action="store_true",
+                        help="run on the built-in two-regime fixture and verify the "
+                             "regime elevation property")
     p.add_argument("--date-col", default="date")
     p.add_argument("--price-col", default="adj_close")
     p.add_argument("--window-min", type=int, default=60)
@@ -258,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date-stride", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", default="volatility")
-    p.add_argument("--self-check", action="store_true",
-                   help="run on the built-in two-regime fixture and verify the "
-                        "regime elevation property")
     p.set_defaults(func=cmd_volatility)
     return parser
 
@@ -268,19 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "volatility" and not args.self_check and not args.prices:
-        parser.error("volatility requires --prices (or --self-check)")
     _echo_config(args.command, args)
     try:
         return args.func(args)
-    except (ModelSpecError, PriceDataError, KernelInvalidError, ValueError,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NonconvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except NmcError as exc:
+    except (NmcError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,14 +13,19 @@ class KernelInvalidError(NmcError):
     """A kernel evaluated outside the stochastic-matrix cone.
 
     Carries the offending distribution (a probability vector) and the worst
-    violation so callers can report where validity breaks.
+    violation so callers can report where validity breaks; the message is
+    formatted from them, so every raise site reports the same text.
     """
 
-    def __init__(self, message, mu=None, worst_entry=None, worst_row_sum_dev=None):
-        super().__init__(message)
+    def __init__(self, mu, worst_entry, worst_row_sum_dev):
+        super().__init__(f"kernel invalid at mu: worst entry {worst_entry:.3e}, "
+                         f"row-sum deviation {worst_row_sum_dev:.3e}")
         self.mu = mu
         self.worst_entry = worst_entry
         self.worst_row_sum_dev = worst_row_sum_dev
+
+    def __reduce__(self):     # pickle and copy rebuild from the fields
+        return type(self), (self.mu, self.worst_entry, self.worst_row_sum_dev)
 
 
 class NonconvergenceError(NmcError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _state_sum
+from .chain import _freeze, _state_sum
 from .rng import as_generator, stream_uniforms
 
 VARIANCE_FLOOR = 1e-10
@@ -84,11 +84,9 @@ def _finite_obs(obs: np.ndarray) -> np.ndarray:
 
 
 def _freeze_params(obj) -> list:
-    """Store read-only C-ordered float64 copies of obj's parameter arrays
-    (the layout fixes the summation order downstream); return them."""
-    arrays = [np.asarray(getattr(obj, name), dtype=np.float64).copy() for name in _PARAMS]
+    """Store obj's parameter arrays through `chain._freeze`; return them."""
+    arrays = [_freeze(getattr(obj, name)) for name in _PARAMS]
     for name, a in zip(_PARAMS, arrays):
-        a.flags.writeable = False
         object.__setattr__(obj, name, a)
     return arrays
 

@@ -18,6 +18,7 @@ from datetime import date as _date
 
 import numpy as np
 
+from .chain import _freeze
 from .errors import PriceDataError
 
 # Daubechies scaling filter, 8 vanishing moments, 16 taps.  Generated by
@@ -56,7 +57,7 @@ class PriceSeries:
     close: np.ndarray
 
     def __post_init__(self):
-        close = np.asarray(self.close, dtype=np.float64)
+        close = _freeze(self.close)
         if len(self.dates) != close.shape[0]:
             raise PriceDataError("dates and prices differ in length")
         if close.shape[0] < 2:
@@ -66,8 +67,6 @@ class PriceSeries:
         for a, b in zip(self.dates, self.dates[1:]):
             if not a < b:
                 raise PriceDataError(f"dates not strictly increasing at {b}")
-        close = close.copy()
-        close.flags.writeable = False
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "close", close)
 
@@ -81,13 +80,11 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _freeze(self.values)
         if len(self.dates) != values.shape[0]:
             raise PriceDataError("dates and returns differ in length")
         if not np.all(np.isfinite(values)):
             raise PriceDataError("returns must be finite")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "values", values)
 
@@ -103,7 +100,7 @@ def load_prices(path, date_col: str = "date", price_col: str = "adj_close") -> P
     number in the message.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise PriceDataError("price file is empty")

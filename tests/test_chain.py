@@ -1,5 +1,6 @@
 import inspect
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from nmcbounds.errors import (
     NonconvergenceError,
 )
 from nmcbounds.experiments import _ENVELOPE_BLOCK, EXAMPLE1_P, builtin_example, tv_envelope
+from nmcbounds.ghmm import GhmmModel, GhmmStack
 from nmcbounds.rng import as_generator
+from nmcbounds.signal import PriceSeries, ReturnSeries
 
 from conftest import random_distributions, row_sum_drift_kernel
 
@@ -50,6 +53,42 @@ def test_distribution_invariants():
     assert d.p == 2
     with pytest.raises(ValueError):
         d.probs[0] = 1.0  # frozen storage
+
+
+_GHMM = ([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [0.0, 1.0], [1.0, 2.0])
+_DATES = ("2020-01-01", "2020-01-02", "2020-01-03")
+
+# value type -> (the arrays it is built from, constructor, its stored arrays)
+VALUE_TYPES = {
+    "Distribution": ([[0.25] * 4], lambda a: Distribution(*a), lambda v: [v.probs]),
+    "StochasticMatrix": ([EXAMPLE1_P], lambda a: StochasticMatrix(*a), lambda v: [v.entries]),
+    "PolynomialKernel": ([EXAMPLE1_P, np.diag([-0.1, 0.0, 0.0, 0.0])],
+                         lambda a: PolynomialKernel(tuple(a)), lambda v: list(v.coeff)),
+    "PolynomialKernel.linear": ([EXAMPLE1_P], lambda a: PolynomialKernel.linear(*a),
+                                lambda v: list(v.coeff)),
+    "GhmmModel": (list(_GHMM), lambda a: GhmmModel(*a),
+                  lambda v: [v.initial, v.transition, v.means, v.variances]),
+    "GhmmStack": ([[a, a] for a in _GHMM], lambda a: GhmmStack(*a),
+                  lambda v: [v.initial, v.transition, v.means, v.variances]),
+    "PriceSeries": ([[100.0, 101.0, 99.5]], lambda a: PriceSeries(_DATES, *a),
+                    lambda v: [v.close]),
+    "ReturnSeries": ([[0.01, -0.02, 0.0]], lambda a: ReturnSeries(_DATES, *a),
+                     lambda v: [v.values]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_store_frozen_copies(name):
+    sources, build, stored = VALUE_TYPES[name]
+    arrays = [np.array(a, dtype=np.float64) for a in sources]
+    before = [a.copy() for a in arrays]
+    kept = stored(build(arrays))
+    for a, b in zip(arrays, before):
+        assert a.flags.writeable and a.tobytes() == b.tobytes()
+    assert len(kept) == len(arrays)
+    for s, a in zip(kept, arrays):
+        assert not s.flags.writeable and s.flags.c_contiguous and s.dtype == np.float64
+        assert not np.shares_memory(s, a) and s.tobytes() == a.tobytes()
 
 
 def test_stochastic_matrix_invariants():
@@ -155,6 +194,14 @@ def test_evaluate_batch_reports_first_offending_mu():
     assert (info.value.mu == mus[1]).all()
     assert info.value.worst_entry > 0.0           # a row-sum failure, not a sign one
     assert info.value.worst_row_sum_dev == pytest.approx(0.1 * 0.8 * 0.6, abs=1e-15)
+
+
+def test_kernel_invalid_error_survives_pickling():
+    with pytest.raises(KernelInvalidError) as info:
+        evaluate_batch(row_sum_drift_kernel(), np.array([[0.2, 0.8]]))
+    err, back = info.value, pickle.loads(pickle.dumps(info.value))
+    assert str(back) == str(err) and (back.mu == err.mu).all()
+    assert (back.worst_entry, back.worst_row_sum_dev) == (err.worst_entry, err.worst_row_sum_dev)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,41 @@ def test_volatility_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, flags, me
     assert list(tmp_path.iterdir()) == []
 
 
+def test_volatility_prices_and_self_check_exclude_each_other(tmp_path, capsys):
+    args = ["volatility", "--self-check", "--prices", str(make_price_csv(tmp_path / "p.csv")),
+            "--date-stride", "50", "--reps", "1", "--out-prefix", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+
+def test_price_csv_with_byte_order_mark_loads(tmp_path, capsys):
+    plain = make_price_csv(tmp_path / "plain.csv", n=120)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for name in ("plain", "bom"):
+        code, _, _ = run_cli(["stats", "--prices", str(tmp_path / f"{name}.csv"),
+                              "--out", str(tmp_path / f"{name}_stats.csv")], capsys)
+        assert code == 0
+    assert (tmp_path / "bom_stats.csv").read_bytes() == (tmp_path / "plain_stats.csv").read_bytes()
+
+
+def test_model_file_with_byte_order_mark_loads(tmp_path, capsys):
+    from nmcbounds.experiments import EXAMPLE1_P
+    text = json.dumps({"p": 4, "degree": 1, "coeff": [EXAMPLE1_P.reshape(-1).tolist()]})
+    (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        code, _, _ = run_cli(["bounds", "--model", str(tmp_path / f"{name}.json"), "--steps", "3",
+                              "--out-prefix", str(tmp_path / name)], capsys)
+        assert code == 0
+    for suffix in ("_bounds.csv", "_coefficients.json"):
+        assert ((tmp_path / f"bom{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
+
+
 def test_volatility_window_defaults_echoed(tmp_path, capsys):
     prefix = tmp_path / "echo"
     args = ["volatility", "--self-check", "--reps", "1", "--date-stride", "30",
@@ -317,7 +352,7 @@ def test_bounds_rejects_kernel_invalid_kappa(tmp_path, capsys):
     code, _, err = run_cli(["bounds", "--example", "2", "--kappa", "0.24",
                             "--out-prefix", str(prefix)], capsys)
     assert code == 2
-    assert "validation" in err
+    assert "error: kernel invalid at mu: worst entry -4.000e-02, row-sum deviation" in err
     assert not (tmp_path / "bad_bounds.csv").exists()
 
 
@@ -334,7 +369,8 @@ def test_model_failing_between_sample_points_exits_2_up_front(tmp_path, capsys, 
            else ["--out", str(tmp_path / "dip.csv")])
     code, _, err = run_cli([command, "--model", str(model)] + out, capsys)
     assert code == 2
-    assert "error: model fails validation: worst entry -1.000e-08" in err
+    assert err.splitlines()[-1] == ("error: kernel invalid at mu: worst entry -1.000e-08, "
+                                    "row-sum deviation 0.000e+00")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dip.json"]
 
 

@@ -355,7 +355,8 @@ def test_lemma_check_and_meet_curve_equal_parent(chain, seed, n, samples):
     report = lemma_check(P, mu, nu, n, samples, np.random.default_rng(seed))
     parent = parent_lemma_arrays(P, mu, nu, n, samples, np.random.default_rng(seed))
     assert np.stack([report.tv1, report.tv2, report.q_empirical]).tobytes() == parent.tobytes()
-    assert report.pairchain_meet_gap.tobytes() == (report.q_exact - curve).tobytes()
+    gap = overlap_curve(P, mu, nu, n) - curve
+    assert gap.tobytes() == (report.q_exact - curve).tobytes()
     assert report.underpowered == (samples < 1000)
 
 
@@ -901,8 +902,8 @@ def test_lemma_check_equal_starts(p1_matrix):
 
 
 def test_lemma_check_example1(p1_matrix):
-    report = lemma_check(p1_matrix, Distribution([1, 0, 0, 0]),
-                         Distribution([0.25] * 4), 5, 100_000, rng=6)
+    mu0, nu0 = Distribution([1, 0, 0, 0]), Distribution([0.25] * 4)
+    report = lemma_check(p1_matrix, mu0, nu0, 5, 100_000, rng=6)
     assert report.tv1.max() < 0.02
     assert report.tv2.max() < 0.02
     assert np.abs(report.q_empirical - report.q_exact).max() < 0.01
@@ -911,8 +912,22 @@ def test_lemma_check_example1(p1_matrix):
     se = np.sqrt(report.q_exact * (1 - report.q_exact) / 100_000)
     assert (np.diff(report.q_empirical) >= -2 * (se[1:] + se[:-1])).all()
     # the stepwise pair chain systematically lags the overlap
-    assert report.pairchain_meet_gap.min() >= -1e-12
-    assert report.pairchain_meet_gap[1] > 0.01
+    gap = overlap_curve(p1_matrix, mu0, nu0, 5) - pairchain_meet_curve(p1_matrix, mu0, nu0, 5)
+    assert gap.min() >= -1e-12
+    assert gap[1] > 0.01
+
+
+def test_lemma_check_builds_no_pair_matrix(p1_matrix, monkeypatch):
+    mu0, nu0 = Distribution([1, 0, 0, 0]), Distribution([0.25] * 4)
+    expected = lemma_check(p1_matrix, mu0, nu0, 5, 2000, rng=6)
+
+    def no_pair_matrix(Ps):
+        raise RuntimeError("lemma_check built a pair matrix")
+
+    monkeypatch.setattr(coupling, "coupling_matrices", no_pair_matrix)
+    report = lemma_check(p1_matrix, mu0, nu0, 5, 2000, rng=6)
+    assert list(report.rows()) == list(expected.rows())
+    assert report.passed == expected.passed
 
 
 def test_lemma_tolerances_shrink_with_samples():

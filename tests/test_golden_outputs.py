@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from nmcbounds import coupling
 from nmcbounds.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +102,14 @@ def test_cli_output_matches_golden(case, tmp_path, capsys):
             same_value(new, json.loads(golden.read_text(encoding="utf-8")), golden.name)
         else:
             same_csv(out + suffix, golden)
+
+
+def test_coupling_check_builds_no_pair_matrix(tmp_path, capsys, monkeypatch):
+    def no_pair_matrix(Ps):
+        raise RuntimeError("coupling-check built a pair matrix")
+
+    monkeypatch.setattr(coupling, "coupling_matrices", no_pair_matrix)
+    test_cli_output_matches_golden("coupling_check_ex1", tmp_path, capsys)
 
 
 # fields that carry the bracket's radius: r, its width and the curves built
