@@ -29,6 +29,10 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_STATISTICAL = 4
 
+# returns whose std is within this factor of the log prices' rounding unit
+# carry no volatility to measure
+ROUNDING_MARGIN = 1e3
+
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -156,6 +160,15 @@ def _volatility_config(args) -> vol_mod.VolatilityConfig:
         epochs=args.epochs, seed=args.seed, date_stride=args.date_stride)
 
 
+def _require_variation(prices, returns) -> None:
+    """Reject returns that do not rise above the rounding of the log prices
+    they are differences of (a constant path, denoised or not)."""
+    rounding = np.finfo(np.float64).eps * max(1.0, float(np.abs(np.log(prices.close)).max()))
+    if not float(returns.values.std()) > ROUNDING_MARGIN * rounding:
+        raise ValueError("the price path is constant: its returns do not rise above the "
+                         "rounding of the log prices")
+
+
 def cmd_volatility(args) -> int:
     cfg = _volatility_config(args)
     if args.self_check:
@@ -164,11 +177,11 @@ def cmd_volatility(args) -> int:
         # the self-check isolates the indicator from the denoiser: it
         # verifies the structural response to a variance break on the raw
         # fixture returns
-        returns = signal_mod.log_returns(prices)
     else:
-        prices = signal_mod.load_prices(args.prices, args.date_col, args.price_col)
-        den = signal_mod.denoise(prices)
-        returns = signal_mod.log_returns(den.denoised)
+        prices = signal_mod.denoise(
+            signal_mod.load_prices(args.prices, args.date_col, args.price_col)).denoised
+    returns = signal_mod.log_returns(prices)
+    _require_variation(prices, returns)
     tv = vol_mod.tv_volatility(returns, cfg)
     # checked before any file is written, so a failing check leaves no CSV
     check = vol_mod.variance_break_check(tv, returns, boundary - 1) if args.self_check else None

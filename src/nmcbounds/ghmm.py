@@ -194,23 +194,29 @@ def _forward(initial, transition, means, variances, obs2d, out=None):
     return loglik, alpha, scales, b
 
 
-def _posterior(transition, alpha, scales, emissions, beta):
+def _posterior(transition, alpha, scales, emissions, beta, w=None):
     """Scaled backward pass into the (T, K, B) buffer ``beta``; returns the
     state posteriors gamma (T, K, B) and the expected transition counts
-    xi_sum (K, K, B)."""
+    xi_sum (K, K, B).
+
+    Row t of the (T - 1, K, B) buffer ``w`` keeps the backward step's
+    b_t+1 beta_t+1 for xi; ``w`` may be ``emissions[1:]``, since row t + 1
+    of the emissions is read for the last time as that row is written.
+    One is allocated if None."""
     T = alpha.shape[0]
     b = emissions
+    if w is None:
+        w = np.empty((T - 1,) + beta.shape[1:])
     by_target = np.ascontiguousarray(transition.transpose(1, 0, 2))   # [j, i] = a_ij
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        w = b[t + 1] * beta[t + 1]
-        np.divide(_dot_sum(by_target * w[:, None]), scales[t + 1], out=beta[t])
+        np.multiply(b[t + 1], beta[t + 1], out=w[t])
+        np.divide(_dot_sum(by_target * w[t][:, None]), scales[t + 1], out=beta[t])
     gamma = alpha * beta
     gamma /= _state_sum(gamma.swapaxes(0, 1))[:, None]
     if T > 1:
         # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
         # (Rabiner 1989, eq. 37, in the scaled variables)
-        w = b[1:] * beta[1:]
         w /= scales[1:, None]
         xi_sum = np.einsum("tib,tjb->ijb", alpha[:-1], w) * transition
     else:
@@ -296,12 +302,18 @@ def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
     global_var carries each batch item's own observation variance for the
     starvation reset."""
     K = means_old.shape[0]
-    mass = gamma.sum(axis=0)                          # (K, B)
+    if gamma.shape[0] > 1:
+        # a sum over the leading axis adds the rows in sequence, so this is
+        # gamma.sum(axis=0) bit for bit
+        trans_mass = gamma[:-1].sum(axis=0)
+        mass = trans_mass + gamma[-1]                 # (K, B)
+    else:
+        trans_mass = np.ones(gamma.shape[1:])
+        mass = gamma[0].copy()
     starved = mass < STARVATION_MASS
     safe_mass = np.where(starved, 1.0, mass)
 
     initial = gamma[0].copy()
-    trans_mass = gamma[:-1].sum(axis=0) if gamma.shape[0] > 1 else np.ones(mass.shape)
     denom = np.where(trans_mass < STARVATION_MASS, 1.0, trans_mass)
     transition = xi_sum / denom[:, None]
     row = _state_sum(transition.swapaxes(0, 1))[:, None]
@@ -352,7 +364,7 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
         for epoch in range(epochs):
             traces[part, epoch], alpha, scales, b = _forward(
                 initial, transition, means, variances, obs2d, out=work[:2])
-            gamma, xi_sum = _posterior(transition, alpha, scales, b, work[2])
+            gamma, xi_sum = _posterior(transition, alpha, scales, b, work[2], b[1:])
             initial, transition, means, variances, mask = _mstep(
                 gamma, xi_sum, obs2d, means, global_var)
             starved[part, epoch] = mask.T

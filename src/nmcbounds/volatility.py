@@ -18,9 +18,9 @@ becomes the per-date quality flags.  No per-slot generator or model object
 is built.
 
 scipy is imported at its call sites: ``scipy.optimize`` inside
-``fit_garch11`` and ``scipy.signal`` inside ``_variance_path``, so importing
-this module (and the CLI) loads no scipy; a process pays for it at its first
-GARCH fit or variance path.
+``fit_garch11`` and ``scipy.signal`` inside ``_variance_path`` and
+``_garch_terms``, so importing this module (and the CLI) loads no scipy; a
+process pays for it at its first GARCH fit or variance path.
 """
 
 from __future__ import annotations
@@ -165,6 +165,8 @@ class GarchModel:
     beta1: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.omega, self.alpha1, self.beta1)):
+            raise ValueError("GARCH parameters must be finite")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.alpha1 < 0 or self.beta1 < 0:
@@ -204,7 +206,65 @@ def _variance_path(mu, omega, alpha1, beta1, r, h0):
     return np.concatenate(([h0], tail)), e2
 
 
-_RHO_CAP = 1.0 - 1e-7   # keeps the persistence strictly inside the unit interval
+_RHO_CAP = 1.0 - 1e-7    # keeps the persistence strictly inside the unit interval
+_SCORE_TOL = 1e-6        # converged: largest scaled score component
+_DEGENERATE = 1e-8       # returns whose std is below this share of max |r|
+_POLISH_FROM = 1e-4      # the polish starts from search points scored at most this
+_NEWTON_STEPS = 8
+# second derivatives of h that are not zero, as (i, j) in (mu, omega, alpha1, beta1)
+_HESS_PAIRS = ((0, 0), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
+
+
+def _garch_terms(params, r, h0, hessian=False):
+    """The Gaussian NLL of GARCH(1,1) at (mu, omega, alpha1, beta1), its
+    per-observation scores (4, n) and, with ``hessian``, its (4, 4) Hessian;
+    None where the variance path is not finite and positive.
+
+    Differentiating the recursion gives dh_t = d(omega + alpha1 e_{t-1}^2)
+    + h_{t-1} dbeta1 + beta1 dh_{t-1} from dh_0 = 0 (h_0 is fixed per fit),
+    so the four derivative rows run through h's own filter 1 / (1 - beta1
+    z^-1) in one call, and the nonzero second derivatives of h in one more
+    (Fiorentini, Calzolari & Panattoni 1996).
+    """
+    from scipy.signal import lfilter
+
+    mu, omega, alpha1, beta1 = params
+    h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
+    if not np.all(np.isfinite(h)) or h.min() <= 0:
+        return None
+    nll = 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
+    e = r - mu
+    inv_h = 1.0 / h
+    u = e2 * inv_h
+    dh = np.zeros((4, r.shape[0]))
+    dh[0, 1:] = -2.0 * alpha1 * e[:-1]
+    dh[1, 1:] = 1.0
+    dh[2, 1:] = e2[:-1]
+    dh[3, 1:] = h[:-1]
+    dh[:, 1:] = lfilter([1.0], [1.0, -beta1], dh[:, 1:], axis=1)
+    dnll_dh = 0.5 * inv_h * (1.0 - u)
+    scores = dh * dnll_dh
+    scores[0] -= e * inv_h
+    if not hessian:
+        return nll, scores, None
+    d2h = np.zeros((len(_HESS_PAIRS), r.shape[0]))
+    d2h[0, 1:] = 2.0 * alpha1
+    d2h[1, 1:] = -2.0 * e[:-1]
+    d2h[2, 1:] = dh[0, :-1]
+    d2h[3, 1:] = dh[1, :-1]
+    d2h[4, 1:] = dh[2, :-1]
+    d2h[5, 1:] = 2.0 * dh[3, :-1]
+    d2h[:, 1:] = lfilter([1.0], [1.0, -beta1], d2h[:, 1:], axis=1)
+    H = (dh * (0.5 * inv_h * inv_h * (2.0 * u - 1.0))) @ dh.T
+    cross = dh @ (e * inv_h * inv_h)
+    H[0] += cross
+    H[:, 0] += cross
+    H[0, 0] += inv_h.sum()
+    for (i, j), row in zip(_HESS_PAIRS, d2h @ dnll_dh):
+        H[i, j] += row
+        if i != j:
+            H[j, i] += row
+    return nll, scores, H
 
 
 def _sigmoid(x):
@@ -214,97 +274,161 @@ def _sigmoid(x):
     return z / (1.0 + z)
 
 
-def _theta_to_params(theta):
-    """(mu, omega, alpha1, beta1) of an unconstrained search point."""
-    mu, log_omega, s_rho, s_frac = theta
+def _logit(x):
+    return math.log(x / (1.0 - x))
+
+
+def _search_jacobian(sd, omega, rho, frac, capped):
+    """d(mu, omega, alpha1, beta1) / d(mu / sd, log omega, logit rho, logit
+    split); the rho column is zero at the persistence cap."""
+    drho = 0.0 if capped else rho * (1.0 - rho)
+    dfrac = rho * frac * (1.0 - frac)
+    return np.array([[sd, 0.0, 0.0, 0.0],
+                     [0.0, omega, 0.0, 0.0],
+                     [0.0, 0.0, drho * frac, dfrac],
+                     [0.0, 0.0, drho * (1.0 - frac), -dfrac]])
+
+
+def _theta_to_params(theta, sd):
+    """(mu, omega, alpha1, beta1) of a search point theta = (mu / sd, log
+    omega, logit rho, logit split), with rho = alpha1 + beta1 capped at
+    _RHO_CAP and the split alpha1 / rho; also returns rho and the split."""
+    s_mu, log_omega, s_rho, s_frac = theta
     rho = min(_sigmoid(s_rho), _RHO_CAP)
     frac = _sigmoid(s_frac)
-    return mu, math.exp(log_omega), rho * frac, rho * (1.0 - frac)
+    return (float(s_mu * sd), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
 
 
-def _garch_nll(theta, r, h0):
-    h, e2 = _variance_path(*_theta_to_params(theta), r, h0)
-    if h.min() <= 0 or not np.all(np.isfinite(h)):
-        return 1e12
-    return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
+def _garch_nll(theta, r, h0, sd):
+    """NLL per observation and its gradient at a search point."""
+    params, rho, frac = _theta_to_params(theta, sd)
+    terms = _garch_terms(params, r, h0)
+    if terms is None:
+        return 1e12, np.zeros(4)
+    n = r.shape[0]
+    jac = _search_jacobian(sd, params[1], rho, frac, rho >= _RHO_CAP)
+    return terms[0] / n, jac.T @ terms[1].sum(axis=1) / n
 
 
-def fit_garch11(returns) -> GarchFit:
-    """Gaussian quasi-MLE of GARCH(1,1) by Nelder-Mead simplex search.
-
-    Constraints come from the parameterization: omega through exp, the
-    persistence alpha1+beta1 and its split through logistics, so the
-    simplex roams an unconstrained space.  Standard errors use the
-    outer-product-of-gradients estimator at the optimum.
-    """
-    r = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, dtype=np.float64)
-    if r.shape[0] < 50:
-        raise ValueError("need at least 50 observations to fit GARCH(1,1)")
-    var = float(r.var())
-    if var == 0.0:
-        raise ValueError("degenerate returns: zero variance")
-
-    from scipy import optimize
-
-    def logit(x):
-        return math.log(x / (1.0 - x))
-
-    starts = []
-    for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
-        starts.append(np.array([
-            float(r.mean()), math.log(var * (1.0 - rho0)), logit(rho0), logit(frac0)]))
-    best = None
-    for x0 in starts:
-        res = optimize.minimize(
-            _garch_nll, x0, args=(r, var), method="Nelder-Mead",
-            options={"maxiter": 6000, "xatol": 1e-8, "fatol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
-    # polish from the winner
-    res = optimize.minimize(
-        _garch_nll, best.x, args=(r, var), method="Nelder-Mead",
-        options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12})
-    if res.fun > best.fun:
-        res = best
-
-    mu, omega, alpha1, beta1 = _theta_to_params(res.x)
-    alpha1 = max(alpha1, 0.0)
-    beta1 = max(beta1, 0.0)
-    boundary = alpha1 + beta1 > 0.999
-    model = GarchModel(mu, omega, alpha1, beta1)
-
-    se, tstat = _opg_errors(model, r, var)
-    return GarchFit(model, se, tstat, -float(res.fun), boundary, bool(res.success))
+def _free_directions(capped):
+    """Columns spanning the free moves of (mu, omega, alpha1, beta1): all
+    four inside the region; mu, omega and the split at the cap."""
+    if not capped:
+        return np.eye(4)
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                     [0.0, 0.0, _RHO_CAP], [0.0, 0.0, -_RHO_CAP]])
 
 
-def _per_obs_loglik(params, r, h0):
-    mu, omega, alpha1, beta1 = params
-    h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
-    return -0.5 * (np.log(2.0 * math.pi * h) + e2 / h)
+def _inside(params, capped):
+    _, omega, alpha1, beta1 = params
+    return omega > 0 and alpha1 > 0 and beta1 > 0 and (capped or alpha1 + beta1 < _RHO_CAP)
 
 
-def _opg_errors(model: GarchModel, r, h0):
-    params = np.array([model.mu, model.omega, model.alpha1, model.beta1])
-    steps = np.maximum(np.abs(params) * 1e-5, 1e-9)
-    grads = np.empty((r.shape[0], 4))
-    for j in range(4):
-        hi = params.copy()
-        lo = params.copy()
-        hi[j] += steps[j]
-        lo[j] -= steps[j]
-        lo[j] = max(lo[j], 1e-12) if j == 1 else max(lo[j], 0.0) if j in (2, 3) else lo[j]
-        grads[:, j] = (_per_obs_loglik(hi, r, h0) - _per_obs_loglik(lo, r, h0)) / (hi[j] - lo[j])
-    opg = grads.T @ grads
+def _scaled_inverse(A):
+    """A^-1 through the unit-diagonal scaling of A (pinv if singular)."""
+    d = 1.0 / np.sqrt(np.abs(np.diag(A)))
     try:
-        cov = np.linalg.inv(opg)
+        inner = np.linalg.inv(A * d[:, None] * d)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(opg)
+        inner = np.linalg.pinv(A * d[:, None] * d)
+    return inner * d[:, None] * d
+
+
+def _newton_polish(params, capped, r, h0, steps):
+    """Newton steps on the score over the free parameters, which pin the
+    optimum to rounding where the search stops at its gradient tolerance.
+    A full step is taken while the Newton decrement g' H^-1 g shrinks, the
+    step stays inside the region and the NLL does not rise; the first
+    failure ends the polish.  Returns the params and their (nll, scores, H).
+    """
+    free = _free_directions(capped)
+    terms = _garch_terms(params, r, h0, hessian=True)
+    decrement = math.inf
+    for _ in range(steps):
+        nll, scores, H = terms
+        grad = free.T @ scores.sum(axis=1)
+        hess = free.T @ H @ free
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            break
+        step = -_scaled_inverse(hess) @ grad
+        if not -grad @ step < decrement:
+            break
+        decrement = -grad @ step
+        trial = tuple(float(v) for v in np.asarray(params) + free @ step)
+        if not _inside(trial, capped):
+            break
+        trial_terms = _garch_terms(trial, r, h0, hessian=True)
+        if trial_terms is None or trial_terms[0] > nll:
+            break
+        params, terms = trial, trial_terms
+    return params, terms
+
+
+def _sandwich_errors(params, capped, scores, H):
+    """Bollerslev-Wooldridge standard errors, the diagonal of H^-1 G H^-1
+    with G the outer product of the per-observation scores, over the free
+    parameters; at the cap alpha1 and beta1 are not free and get NaN."""
+    free = _free_directions(capped)
+    hinv = _scaled_inverse(free.T @ H @ free)
+    s = free.T @ scores
+    cov = hinv @ (s @ s.T) @ hinv
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if capped:
+        se = np.concatenate((se[:2], [math.nan, math.nan]))
     names = ("mu", "omega", "alpha1", "beta1")
-    std_errors = dict(zip(names, se))
+    std_errors = dict(zip(names, se.tolist()))
     t_stats = {n: (params[i] / se[i] if se[i] > 0 else math.nan)
                for i, n in enumerate(names)}
     return std_errors, t_stats
+
+
+def fit_garch11(returns) -> GarchFit:
+    """Gaussian quasi-MLE of GARCH(1,1) by an exact-gradient search.
+
+    Constraints come from the parameterization: omega through exp, the
+    persistence alpha1 + beta1 (capped at 1 - 1e-7) and its split through
+    logistics.  BFGS on the analytic score runs from three starts; the best
+    end point is polished by Newton steps on the free parameters (all four
+    inside the region, mu, omega and the split at the cap).  ``converged``
+    says the score in the search coordinates (mean over observations, mu in
+    units of the returns' std) is at most _SCORE_TOL in every free
+    component at the returned point.  Standard errors are Bollerslev and
+    Wooldridge's sandwich H^-1 G H^-1 from the analytic scores and Hessian;
+    at the cap those of alpha1 and beta1 are NaN.
+    """
+    r = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, dtype=np.float64)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("returns must be finite")
+    if r.shape[0] < 50:
+        raise ValueError("need at least 50 observations to fit GARCH(1,1)")
+    var = float(r.var())
+    sd = math.sqrt(var)
+    if not sd > _DEGENERATE * float(np.abs(r).max()):
+        raise ValueError("degenerate returns: no variation on the scale of the returns")
+
+    from scipy import optimize
+
+    best = None
+    for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
+        x0 = np.array([float(r.mean()) / sd, math.log(var * (1.0 - rho0)),
+                       _logit(rho0), _logit(frac0)])
+        res = optimize.minimize(_garch_nll, x0, args=(r, var, sd), jac=True, method="BFGS",
+                                options={"gtol": _SCORE_TOL / 10})
+        if best is None or res.fun < best.fun:
+            best = res
+    params, rho, _ = _theta_to_params(best.x, sd)
+    capped = rho >= _RHO_CAP
+    steps = _NEWTON_STEPS if np.abs(best.jac).max() <= _POLISH_FROM else 0
+    params, (nll, scores, H) = _newton_polish(params, capped, r, var, steps)
+
+    mu, omega, alpha1, beta1 = params
+    rho = alpha1 + beta1
+    jac = _search_jacobian(sd, omega, rho, alpha1 / rho if rho > 0 else 0.0, capped)
+    converged = bool(np.abs(jac.T @ scores.sum(axis=1)).max() / r.shape[0] <= _SCORE_TOL)
+    se, tstat = _sandwich_errors(params, capped, scores, H)
+    return GarchFit(GarchModel(mu, omega, alpha1, beta1), se, tstat, -nll, rho > 0.999, converged)
 
 
 def garch_conditional_vol(model: GarchModel, returns) -> np.ndarray:

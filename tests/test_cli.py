@@ -273,6 +273,24 @@ def test_volatility_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, flags, me
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("level", [100.0, 1.0, 2e-3])
+def test_volatility_constant_price_path_exits_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                               level):
+    # the denoised returns of a constant path are rounding noise around 0;
+    # without the check they fitted alpha1 = 0.50 with t = 6.1
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an EM fit ran")
+
+    monkeypatch.setattr("nmcbounds.volatility.fit_window_batch", no_fit)
+    prices = make_price_csv(tmp_path / "flat.csv", n=300, constant=level)
+    code, stdout, err = run_cli(["volatility", "--prices", str(prices),
+                                 "--out-prefix", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "error: the price path is constant" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == [prices]
+
+
 def test_volatility_prices_and_self_check_exclude_each_other(tmp_path, capsys):
     args = ["volatility", "--self-check", "--prices", str(make_price_csv(tmp_path / "p.csv")),
             "--date-stride", "50", "--reps", "1", "--out-prefix", str(tmp_path / "x")]

@@ -2,11 +2,11 @@
 
 Each case runs one CLI command and compares every file it writes with the
 recorded one: CSV headers, JSON keys, row counts and text fields exactly,
-numbers within 1e-12 relative.  A different BLAS moves a number in its last
-bits and passes; a change in an algorithm moves it further and fails.  The
-files were written by the commands below (the output path aside) and are
-regenerated only together with a CHANGES.md entry saying which output moved
-and why.  ``two_regime_prices.csv`` is the input of the price cases:
+numbers within 1e-12 relative, and NaN only where the file has NaN.  A
+different BLAS moves a number in its last bits and passes; a change in an
+algorithm moves it further and fails.  The files were written by the
+commands below (the output path aside) and are regenerated only together
+with a CHANGES.md entry saying which output moved and why.  ``two_regime_prices.csv`` is the input of the price cases:
 ``volatility.two_regime_prices(5, 300, 300)`` written with ``repr`` floats.
 
 ``p16_model.json`` is the linear p = 16 chain of the CI's console-script
@@ -58,7 +58,10 @@ def same_value(new, old, where):
         assert new == old, where
     elif isinstance(old, (int, float)):
         assert not isinstance(new, bool) and isinstance(new, (int, float)), where
-        assert math.isclose(new, old, rel_tol=REL, abs_tol=0.0), f"{where}: {new!r} vs {old!r}"
+        if math.isnan(old):             # a value the output declares undefined
+            assert math.isnan(new), f"{where}: {new!r} vs nan"
+        else:
+            assert math.isclose(new, old, rel_tol=REL, abs_tol=0.0), f"{where}: {new!r} vs {old!r}"
     elif isinstance(old, list):
         assert isinstance(new, list) and len(new) == len(old), where
         for i, (a, b) in enumerate(zip(new, old)):

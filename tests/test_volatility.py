@@ -1,3 +1,8 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,11 +11,12 @@ from hypothesis import strategies as st
 from nmcbounds.coupling import coupling_radii
 from nmcbounds.errors import AlignmentError
 from nmcbounds.rng import derive_seed
-from nmcbounds.signal import ReturnSeries, log_returns
+from nmcbounds.signal import PriceSeries, ReturnSeries, denoise, log_returns
 from nmcbounds.volatility import (
     GarchModel,
     VolatilityConfig,
     _fit_seed,
+    _garch_terms,
     _slot_keys,
     comparison_table,
     fit_garch11,
@@ -240,6 +246,183 @@ def test_garch_converged_reads_the_returned_search(monkeypatch):
 def test_garch_needs_data():
     with pytest.raises(ValueError):
         fit_garch11(returns_from(np.zeros(10) + 1e-6))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_garch_rejects_non_finite_returns(bad):
+    r = simulate_garch(0.0, 5e-6, 0.10, 0.85, 200, seed=3)
+    r[17] = bad
+    with pytest.raises(ValueError, match="returns must be finite"):
+        fit_garch11(r)
+
+
+@pytest.mark.parametrize("field", ["mu", "omega", "alpha1", "beta1"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_garch_model_rejects_non_finite_parameters(field, bad):
+    params = dict(mu=0.0, omega=1e-6, alpha1=0.1, beta1=0.8)
+    with pytest.raises(ValueError, match="finite"):
+        GarchModel(**{**params, field: bad})
+
+
+@pytest.mark.parametrize("r", [np.zeros(300), np.full(300, 1e-3), np.full(300, -2.0),
+                               1e-3 + 1e-19 * np.resize([1.0, -1.0, 0.0], 300)],
+                         ids=["zeros", "constant", "negative-constant", "rounding-noise"])
+def test_garch_rejects_returns_without_variation_on_their_scale(r):
+    # 1e-3 repeated has a floating-point variance of about 5e-38, not 0
+    with pytest.raises(ValueError, match="degenerate returns"):
+        fit_garch11(r)
+
+
+def test_garch_at_the_persistence_cap_reports_undefined_errors_as_nan():
+    fit = fit_garch11(log_returns(two_regime_prices(seed=5, n_low=300, n_high=300)))
+    assert fit.converged and fit.boundary_flag
+    assert fit.model.alpha1 + fit.model.beta1 == pytest.approx(1.0 - 1e-7, abs=1e-15)
+    for name in ("alpha1", "beta1"):
+        assert math.isnan(fit.std_errors[name]) and math.isnan(fit.t_stats[name])
+    for name in ("mu", "omega"):
+        assert fit.std_errors[name] > 0 and math.isfinite(fit.t_stats[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20), st.floats(0.05, 0.98), st.floats(0.02, 0.98),
+       st.floats(-0.5, 0.5), st.floats(0.3, 3.0), st.booleans())
+def test_garch_score_and_hessian_match_central_differences(seed, rho, frac, mu_sd,
+                                                           omega_ratio, near_cap):
+    # derivatives along log parameters (mu in units of the returns' std), so
+    # every component is on the scale of the NLL
+    r = simulate_garch(2e-4, 2e-6, 0.09, 0.89, 300, seed)
+    var = float(r.var())
+    if near_cap:
+        rho = 1.0 - 1e-7 * (1.0 + 9.0 * frac)
+    params = np.array([mu_sd * math.sqrt(var), var * (1.0 - rho) * omega_ratio,
+                       rho * frac, rho * (1.0 - frac)])
+    scale = np.array([math.sqrt(var), params[1], params[2], params[3]])
+    nll, scores, H = _garch_terms(tuple(params), r, var, hessian=True)
+    grad = scores.sum(axis=1)
+    hess = H * scale[:, None] * scale
+    assert np.isfinite(nll)
+    # a step of 1e-6 keeps the truncation error of the beta1 derivative
+    # small near the cap, where h sums beta1^k over the whole path
+    delta = 1e-6
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = delta * scale[i]
+        hi, lo = _garch_terms(tuple(params + step), r, var), _garch_terms(tuple(params - step), r, var)
+        fd_grad = (hi[0] - lo[0]) / (2 * delta)
+        assert fd_grad == pytest.approx(grad[i] * scale[i], rel=1e-5, abs=1e-4)
+        fd_hess = (hi[1].sum(axis=1) - lo[1].sum(axis=1)) * scale / (2 * delta)
+        assert np.allclose(fd_hess, hess[i], rtol=1e-5, atol=1e-6 * np.abs(hess).max())
+
+
+def nelder_mead_loglik(r):
+    """Log-likelihood at the optimum of the former fit, kept frozen as an
+    oracle: four Nelder-Mead searches (three starts, then a polish from the
+    best) on the Gaussian NLL in (mu, log omega, logit rho, logit split),
+    rho = alpha1 + beta1 capped at 1 - 1e-7."""
+    from scipy import optimize
+    from scipy.signal import lfilter
+
+    h0 = float(r.var())
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+    def nll(theta):
+        mu, log_omega, s_rho, s_frac = theta
+        rho = min(sigmoid(s_rho), 1.0 - 1e-7)
+        alpha1, beta1 = rho * sigmoid(s_frac), rho * (1.0 - sigmoid(s_frac))
+        e2 = (r - mu) ** 2
+        tail = lfilter([1.0], [1.0, -beta1], math.exp(log_omega) + alpha1 * e2[:-1],
+                       zi=[beta1 * h0])[0]
+        h = np.concatenate(([h0], tail))
+        if h.min() <= 0 or not np.all(np.isfinite(h)):
+            return 1e12
+        return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
+
+    def logit(x):
+        return math.log(x / (1.0 - x))
+
+    best = None
+    for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
+        x0 = np.array([float(r.mean()), math.log(h0 * (1.0 - rho0)), logit(rho0), logit(frac0)])
+        res = optimize.minimize(nll, x0, method="Nelder-Mead",
+                                options={"maxiter": 6000, "xatol": 1e-8, "fatol": 1e-10})
+        if best is None or res.fun < best.fun:
+            best = res
+    res = optimize.minimize(nll, best.x, method="Nelder-Mead",
+                            options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12})
+    return -min(res.fun, best.fun)
+
+
+def criterion_11_series():
+    """The GARCH path and the white noise of acceptance criterion 11."""
+    gen = np.random.default_rng(31)
+    r = np.empty(3000)
+    h = 5e-6 / (1 - 0.95)
+    for t in range(3000):
+        r[t] = math.sqrt(h) * gen.standard_normal()
+        h = 5e-6 + 0.10 * r[t] ** 2 + 0.85 * h
+    return r, gen.normal(0.0, 0.02, 3000)
+
+
+def benchmark_garch_prices(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    dates, prices = module.garch_prices(seed)
+    return PriceSeries(tuple(dates), prices)
+
+
+@pytest.mark.parametrize("which", ["criterion_11", "white_noise", "two_regime_raw",
+                                   "two_regime_denoised", "benchmark_seed_11_denoised"])
+def test_garch_fit_is_no_worse_than_the_nelder_mead_oracle(which):
+    if which in ("criterion_11", "white_noise"):
+        r = criterion_11_series()[which == "white_noise"]
+    elif which.startswith("two_regime"):
+        prices = two_regime_prices(seed=5, n_low=300, n_high=300)
+        r = log_returns(denoise(prices).denoised if which.endswith("denoised") else prices).values
+    else:
+        r = log_returns(denoise(benchmark_garch_prices(11)).denoised).values
+    fit = fit_garch11(r)
+    oracle = nelder_mead_loglik(r)
+    assert fit.converged
+    assert fit.loglik >= oracle - 1e-9 * abs(oracle)
+
+
+def garch_paths(seed, n_paths, n, t_df=None):
+    """(n_paths, n) GARCH(1,1) returns with the benchmark's parameters and
+    unit-variance Gaussian or Student-t innovations."""
+    gen = np.random.default_rng(seed)
+    mu, omega, alpha1, beta1 = 2e-4, 2e-6, 0.09, 0.89
+    if t_df is None:
+        z = gen.standard_normal((n, n_paths))
+    else:
+        z = gen.standard_t(t_df, (n, n_paths)) * math.sqrt((t_df - 2) / t_df)
+    h = np.full(n_paths, omega / (1 - alpha1 - beta1))
+    eps = np.zeros(n_paths)
+    r = np.empty((n, n_paths))
+    for t in range(n):
+        h = omega + alpha1 * eps * eps + beta1 * h
+        eps = np.sqrt(h) * z[t]
+        r[t] = mu + eps
+    return r.T
+
+
+@pytest.mark.parametrize("t_df, lo, hi", [(None, 0.90, 0.99), (5, 0.80, 1.0)],
+                         ids=["gaussian", "student-t5"])
+def test_garch_sandwich_errors_cover_the_true_parameters(t_df, lo, hi):
+    # 95% intervals from the quasi-MLE sandwich; with fat tails the
+    # outer-product errors covered alpha1 and beta1 in only about 58% of
+    # paths.  60 paths give a coverage estimate with a std of about 0.03.
+    covered = {"alpha1": 0, "beta1": 0}
+    for r in garch_paths(0, 60, 1500, t_df):
+        fit = fit_garch11(r)
+        for name, true in (("alpha1", 0.09), ("beta1", 0.89)):
+            covered[name] += abs(getattr(fit.model, name) - true) <= 1.96 * fit.std_errors[name]
+    for name, count in covered.items():
+        assert lo <= count / 60 <= hi, (name, count)
 
 
 # ---------------------------------------------------------------------------
