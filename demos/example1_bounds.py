@@ -3,7 +3,6 @@ bounds, the coupling-matrix spectral-radius bound, and how both compare to
 the true TV distances of exactly propagated flows."""
 
 from nmcbounds import (
-    BoundConfig,
     StochasticMatrix,
     build_coupling_matrix,
     builtin_example,
@@ -34,7 +33,7 @@ for n in (1, 2, 3, 4):
     print(f"  n={n}: {2 * 0.75 * (est.r + est.eps) ** n:.4f}")
 
 print("\nFull report (all curves) vs the true distances of 1000 random starts:")
-report = full_report(K, 10, BoundConfig(mc_samples=500), seed=0)
+report = full_report(K, 10, mc_samples=500, seed=0)
 env = tv_envelope(K, trials=1000, steps=10, rng=0)
 print(f"  gamma = {report.gamma:.4f}, delta = {report.delta:.4f}")
 header = f"{'n':>3} {'true max':>10} {'md':>8} {'spectral':>9} {'combined':>9}"

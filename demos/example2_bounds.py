@@ -4,14 +4,15 @@ Markov-Dobrushin curve, and the comparison table exports to CSV."""
 import os
 import tempfile
 
-from nmcbounds import builtin_example, compare_bounds, export_report
+from nmcbounds import build_coupling_matrix, builtin_example, compare_bounds, export_report
 
 K = builtin_example(2, kappa=0.1)
 table, report = compare_bounds(K, steps=10, trials=500, seed=42)
+d = build_coupling_matrix(K.linear_part).dim
 
 print("5-state perturbed chain, kappa = 0.1")
 print(f"alpha_1 = {report.alpha[0]:.4f}, r(M) = {report.r:.6f} "
-      f"(20x20 coupling matrix)")
+      f"({d}x{d} coupling matrix)")
 print()
 print("  ".join(f"{c:>10}" for c in table.columns))
 for row in table.rows:

@@ -27,7 +27,6 @@ from .coupling import (
     split_densities,
 )
 from .bounds import (
-    BoundConfig,
     BoundReport,
     delta_estimate,
     full_report,

@@ -343,13 +343,6 @@ K_RANGE = (1, 2, 3, 4)      # the k of the k-step coefficients and curves
 
 
 @dataclass
-class BoundConfig:
-    """Knobs for full_report; the default mirrors the published experiments."""
-
-    mc_samples: int = 2000
-
-
-@dataclass
 class BoundReport:
     """All coefficients plus the named per-step bound curves."""
 
@@ -362,7 +355,6 @@ class BoundReport:
     r: float
     eps: float
     curves: dict = field(default_factory=dict)   # name -> array over n = 1..n_max
-    k_range: tuple = K_RANGE
     n_max: int = 0
     seed: int | None = None
     mc_samples: int = 0
@@ -379,7 +371,7 @@ class BoundReport:
             "delta": float(self.delta),
             "spectral_radius": float(self.r),
             "eps": float(self.eps),
-            "k_range": list(self.k_range),
+            "k_range": list(K_RANGE),
             "n_max": int(self.n_max),
             "seed": self.seed,
             "mc_samples": int(self.mc_samples),
@@ -394,22 +386,15 @@ class BoundReport:
             rows.append([i + 1] + [float(self.curves[c][i]) for c in sorted(self.curves)])
         return names, rows
 
-    def to_json(self, path) -> None:
-        """Coefficients plus run metadata."""
-        import json
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.coefficients_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = None,
+def full_report(K: PolynomialKernel, n_max: int, mc_samples: int = 2000,
                 seed: int | None = None) -> BoundReport:
     """Compute every coefficient and bound curve for one kernel.
 
     The alpha/lambda estimates target the linear part exactly (that is the
     published comparison) with the nonlinear infimum reported alongside;
     on a nonlinear kernel the sampled alpha_k and lambda_k of all k share
-    one draw of ``config.mc_samples`` pairs from a generator seeded with
+    one draw of ``mc_samples`` pairs from a generator seeded with
     ``seed`` (`_sampled_kstep`), and gamma is exact.  The spectral
     curve is built from the spectral radius of the linear part's pair
     operator (``coupling_radii``).
@@ -417,8 +402,7 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cfg = config or BoundConfig()
-    if cfg.mc_samples < 0:      # a linear kernel draws nothing, so check here
+    if mc_samples < 0:      # a linear kernel draws nothing, so check here
         raise ValueError("samples must be >= 0")
     rng = as_generator(seed)
     p = K.p
@@ -427,7 +411,7 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
     P_lin = StochasticMatrix(K.coeff[0])
     alpha = [md_alpha(P_lin, k).value for k in K_RANGE]
     if K.degree > 1:
-        alphas, lams = _sampled_kstep(K, max(K_RANGE), cfg.mc_samples, rng)
+        alphas, lams = _sampled_kstep(K, max(K_RANGE), mc_samples, rng)
         alpha_nl = [alphas[k - 1].value for k in K_RANGE]
         lam = [lams[k - 1].value for k in K_RANGE]
     else:
@@ -468,6 +452,6 @@ def full_report(K: PolynomialKernel, n_max: int, config: BoundConfig | None = No
 
     return BoundReport(
         p=p, alpha=alpha, alpha_nonlinear=alpha_nl, lam=lam, gamma=gamma,
-        delta=delta, r=r, eps=eps, curves=curves, k_range=K_RANGE,
-        n_max=n_max, seed=seed, mc_samples=cfg.mc_samples, flags=flags,
+        delta=delta, r=r, eps=eps, curves=curves,
+        n_max=n_max, seed=seed, mc_samples=mc_samples, flags=flags,
     )

@@ -22,16 +22,13 @@ from . import volatility as vol_mod
 from .chain import Distribution, PolynomialKernel, load_model, require_valid
 from .coupling import lemma_check
 from .errors import NmcError, NonconvergenceError
-from .experiments import ComparisonTable, builtin_example, compare_bounds, export_report
+from .experiments import (ComparisonTable, builtin_example, compare_bounds, export_report,
+                          write_atomic)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_STATISTICAL = 4
-
-# returns whose std is within this factor of the log prices' rounding unit
-# carry no volatility to measure
-ROUNDING_MARGIN = 1e3
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
@@ -58,12 +55,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_counts(args) -> None:
-    """Reject bad ``--steps`` (and ``--trials`` where the command has it)
-    before the model is loaded or any work runs."""
+    """Reject bad ``--steps`` (and ``--trials`` or ``--samples`` where the
+    command has them) before the model is loaded or any work runs."""
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
-    if getattr(args, "trials", 1) < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    for flag in ("trials", "samples"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
 
 def cmd_bounds(args) -> int:
@@ -72,7 +70,8 @@ def cmd_bounds(args) -> int:
     report = bounds_mod.full_report(kernel, args.steps, seed=args.seed)
     names, rows = report.curve_table()
     export_report(ComparisonTable(names, rows), f"{args.out_prefix}_bounds.csv")
-    report.to_json(f"{args.out_prefix}_coefficients.json")
+    write_atomic(f"{args.out_prefix}_coefficients.json", lambda fh: fh.write(
+        json.dumps(report.coefficients_dict(), indent=2, sort_keys=True) + "\n"))
     show = min(4, args.steps)
     print("bound curves, n = 1..%d" % show)
     print("  ".join(f"{c:>18}" for c in names))
@@ -91,6 +90,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_coupling_check(args) -> int:
+    _check_counts(args)
     kernel = _resolve_kernel(args)
     P = kernel.linear_part
     mu0 = Distribution.point(P.p, 0)
@@ -111,10 +111,10 @@ def cmd_coupling_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_STATISTICAL
 
 
-def _stats_rows(label: str, series) -> list:
+def _stats_row(label: str, series, flat: bool) -> list:
     st = signal_mod.descriptive_stats(series)
-    if st.degenerate:
-        # constant series: tests are undefined, row carries the flags
+    if flat:
+        # no variation above rounding: tests are undefined, row carries the flags
         return [label, st.mean, st.std, math.nan, math.nan,
                 math.nan, "degenerate", math.nan, "degenerate"]
     ks = signal_mod.ks_test(series)
@@ -131,9 +131,11 @@ def cmd_stats(args) -> int:
     columns = ["type", "mean", "std", "skewness", "kurtosis",
                "ks_stat", "ks_stars", "lb_q", "lb_stars"]
     rows = [
-        _stats_rows("X", raw_returns),
-        _stats_rows("X*", den_returns),
-        _stats_rows("noise", den.noise),
+        _stats_row("X", raw_returns,
+                   signal_mod.is_flat(raw_returns.values, prices.close, log=True)),
+        _stats_row("X*", den_returns,
+                   signal_mod.is_flat(den_returns.values, den.denoised.close, log=True)),
+        _stats_row("noise", den.noise, signal_mod.is_flat(den.noise, prices.close)),
     ]
     table = ComparisonTable(columns, rows)
     export_report(table, args.out)
@@ -160,15 +162,6 @@ def _volatility_config(args) -> vol_mod.VolatilityConfig:
         epochs=args.epochs, seed=args.seed, date_stride=args.date_stride)
 
 
-def _require_variation(prices, returns) -> None:
-    """Reject returns that do not rise above the rounding of the log prices
-    they are differences of (a constant path, denoised or not)."""
-    rounding = np.finfo(np.float64).eps * max(1.0, float(np.abs(np.log(prices.close)).max()))
-    if not float(returns.values.std()) > ROUNDING_MARGIN * rounding:
-        raise ValueError("the price path is constant: its returns do not rise above the "
-                         "rounding of the log prices")
-
-
 def cmd_volatility(args) -> int:
     cfg = _volatility_config(args)
     if args.self_check:
@@ -181,7 +174,10 @@ def cmd_volatility(args) -> int:
         prices = signal_mod.denoise(
             signal_mod.load_prices(args.prices, args.date_col, args.price_col)).denoised
     returns = signal_mod.log_returns(prices)
-    _require_variation(prices, returns)
+    if signal_mod.is_flat(returns.values, prices.close, log=True):
+        # a constant path, denoised or not
+        raise ValueError("the price path is constant: its returns do not rise above the "
+                         "rounding of the log prices")
     tv = vol_mod.tv_volatility(returns, cfg)
     # checked before any file is written, so a failing check leaves no CSV
     check = vol_mod.variance_break_check(tv, returns, boundary - 1) if args.self_check else None

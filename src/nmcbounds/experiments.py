@@ -145,21 +145,26 @@ def _format_cell(v) -> str:
     return format(float(v), ".15g")
 
 
-def export_report(table: ComparisonTable, path) -> None:
-    """Write a table as UTF-8 CSV: header row, 15-significant-digit values,
-    LF endings.  Writes via a temp file so failures leave nothing behind."""
+def write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a UTF-8, LF-ending temp file beside ``path`` and
+    move it into place, so a failure leaves nothing behind."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"directory does not exist: {directory}")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def export_report(table: ComparisonTable, path) -> None:
+    """Write a table as CSV through `write_atomic`: header row,
+    15-significant-digit values."""
+    write_atomic(path, lambda fh: fh.writelines(
+        ",".join(map(_format_cell, row)) + "\n" for row in [table.columns, *table.rows]))
 

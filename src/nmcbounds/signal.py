@@ -227,6 +227,28 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     return ReturnSeries(prices.dates[1:], values)
 
 
+def _unit_scaled(v):
+    """(v - mean) / scale and the scale, v's largest absolute deviation (0 if
+    v is constant): powers of the first cannot overflow at any level of v."""
+    c = v - v.mean()
+    scale = float(np.abs(c).max())
+    return (c / scale if scale > 0.0 else c), scale
+
+
+# a series whose std is within this factor of the rounding unit of the
+# numbers it is computed from carries no variation to measure
+ROUNDING_MARGIN = 1e3
+
+
+def is_flat(values, source, log: bool = False) -> bool:
+    """Whether ``values``, computed from ``source``, do not rise above its
+    rounding: std(values) <= ROUNDING_MARGIN eps max |source|, or with max(1,
+    max |log source|) for differences of logs (rounding moves a log by eps)."""
+    level = max(1.0, float(np.abs(np.log(source)).max())) if log else float(np.abs(source).max())
+    u, scale = _unit_scaled(values)
+    return not scale * float(u.std()) > ROUNDING_MARGIN * np.finfo(np.float64).eps * level
+
+
 @dataclass(frozen=True)
 class DescriptiveStats:
     mean: float
@@ -242,14 +264,13 @@ def descriptive_stats(x) -> DescriptiveStats:
     if v.shape[0] < 4:
         raise ValueError("need at least 4 observations")
     mean = float(v.mean())
-    c = v - mean
-    m2 = float((c ** 2).mean())
-    std = float(v.std(ddof=1))
-    if m2 == 0.0:
+    u, scale = _unit_scaled(v)
+    if scale == 0.0:
         return DescriptiveStats(mean, 0.0, math.nan, math.nan, degenerate=True)
-    skew = float((c ** 3).mean() / m2 ** 1.5)
-    kurt = float((c ** 4).mean() / m2 ** 2 - 3.0)
-    return DescriptiveStats(mean, std, skew, kurt)
+    m2 = float((u ** 2).mean())
+    skew = float((u ** 3).mean() / m2 ** 1.5)
+    kurt = float((u ** 4).mean() / m2 ** 2 - 3.0)
+    return DescriptiveStats(mean, scale * float(u.std(ddof=1)), skew, kurt)
 
 
 def significance_stars(p_value: float) -> str:
@@ -281,13 +302,12 @@ def ks_test(x) -> KsResult:
     n = v.shape[0]
     if n < 8:
         raise ValueError("need at least 8 observations")
-    mean = v.mean()
-    std = v.std(ddof=1)
-    if std == 0.0:
+    u, scale = _unit_scaled(v)
+    if scale == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
     from scipy import special
 
-    z = np.sort((v - mean) / std)
+    z = np.sort(u / u.std(ddof=1))
     cdf = special.ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()
@@ -314,13 +334,13 @@ def ljung_box(x) -> LjungBoxResult:
     n = v.shape[0]
     if n <= LJUNG_BOX_LAGS + 1:
         raise ValueError(f"need more than {LJUNG_BOX_LAGS + 1} observations")
-    c = v - v.mean()
-    denom = float((c ** 2).sum())
-    if denom == 0.0:
+    u, scale = _unit_scaled(v)
+    if scale == 0.0:
         raise ValueError("degenerate sample: zero variance")
+    denom = float((u ** 2).sum())
     q = 0.0
     for k in range(1, LJUNG_BOX_LAGS + 1):
-        rho = float((c[k:] * c[:-k]).sum()) / denom
+        rho = float((u[k:] * u[:-k]).sum()) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
     from scipy import special

@@ -17,10 +17,10 @@ coupling operator bounds the fitted transition stack; the starvation mask
 becomes the per-date quality flags.  No per-slot generator or model object
 is built.
 
-scipy is imported at its call sites: ``scipy.optimize`` inside
-``fit_garch11`` and ``scipy.signal`` inside ``_variance_path`` and
-``_garch_terms``, so importing this module (and the CLI) loads no scipy; a
-process pays for it at its first GARCH fit or variance path.
+scipy is imported at its call sites: ``scipy.optimize`` and ``special`` in
+``fit_garch11``, ``special`` in ``_theta_to_params`` and ``signal`` in
+``_variance_path`` and ``_garch_terms``, so importing this module (and the
+CLI) loads no scipy; a process pays at its first GARCH fit or variance path.
 """
 
 from __future__ import annotations
@@ -196,11 +196,9 @@ class GarchFit:
 def _variance_path(mu, omega, alpha1, beta1, r, h0):
     """h_t = omega + alpha1 e_{t-1}^2 + beta1 h_{t-1}, from h_0 = h0 (the
     sample variance of r, computed once per fit by the caller)."""
-    e2 = (r - mu) ** 2
-    if r.shape[0] == 1:
-        return np.array([h0]), e2
     from scipy.signal import lfilter
 
+    e2 = (r - mu) ** 2
     x = omega + alpha1 * e2[:-1]
     tail = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * h0])[0]
     return np.concatenate(([h0], tail)), e2
@@ -267,17 +265,6 @@ def _garch_terms(params, r, h0, hessian=False):
     return nll, scores, H
 
 
-def _sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def _logit(x):
-    return math.log(x / (1.0 - x))
-
-
 def _search_jacobian(sd, omega, rho, frac, capped):
     """d(mu, omega, alpha1, beta1) / d(mu / sd, log omega, logit rho, logit
     split); the rho column is zero at the persistence cap."""
@@ -293,9 +280,11 @@ def _theta_to_params(theta, sd):
     """(mu, omega, alpha1, beta1) of a search point theta = (mu / sd, log
     omega, logit rho, logit split), with rho = alpha1 + beta1 capped at
     _RHO_CAP and the split alpha1 / rho; also returns rho and the split."""
+    from scipy.special import expit
+
     s_mu, log_omega, s_rho, s_frac = theta
-    rho = min(_sigmoid(s_rho), _RHO_CAP)
-    frac = _sigmoid(s_frac)
+    rho = min(expit(s_rho), _RHO_CAP)
+    frac = expit(s_frac)
     return (float(s_mu * sd), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
 
 
@@ -409,11 +398,12 @@ def fit_garch11(returns) -> GarchFit:
         raise ValueError("degenerate returns: no variation on the scale of the returns")
 
     from scipy import optimize
+    from scipy.special import logit
 
     best = None
     for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
         x0 = np.array([float(r.mean()) / sd, math.log(var * (1.0 - rho0)),
-                       _logit(rho0), _logit(frac0)])
+                       logit(rho0), logit(frac0)])
         res = optimize.minimize(_garch_nll, x0, args=(r, var, sd), jac=True, method="BFGS",
                                 options={"gtol": _SCORE_TOL / 10})
         if best is None or res.fun < best.fun:

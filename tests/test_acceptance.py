@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nmcbounds.bounds import BoundConfig, full_report, md_alpha, likelihood_ratio_moments, initial_distance_bound, initial_distance_bruteforce, perturbation_bound
+from nmcbounds.bounds import full_report, md_alpha, likelihood_ratio_moments, initial_distance_bound, initial_distance_bruteforce, perturbation_bound
 from nmcbounds.chain import Distribution, StochasticMatrix, flow_batch, stationary
 from nmcbounds.coupling import build_coupling_matrix, lemma_check, spectral_radius
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
@@ -61,7 +61,7 @@ def test_criterion_02_example1_spectral_bounds():
 
 def test_criterion_03_example2_ordering():
     K = builtin_example(2, 0.1)
-    rep = full_report(K, 10, BoundConfig(mc_samples=100), seed=0)
+    rep = full_report(K, 10, mc_samples=100, seed=0)
     below = rep.curves["spectral"] < rep.curves["md"]
     ok = bool(below.all())
     report(3, ok, f"spectral < md(k=1) for all n<=10: margins "
@@ -75,7 +75,7 @@ def test_criterion_04_domination():
     ok = True
     for example_id, kappa in itertools.product((1, 2), (0.1, 0.2)):
         K = builtin_example(example_id, kappa)
-        rep = full_report(K, 30, BoundConfig(mc_samples=100), seed=1)
+        rep = full_report(K, 30, mc_samples=100, seed=1)
         pi = stationary(K).distribution
         draws = gen.standard_exponential((1000, K.p))
         draws /= draws.sum(axis=1, keepdims=True)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.bounds import (
-    BoundConfig,
     delta_estimate,
     full_report,
     gamma_estimate,
@@ -431,7 +430,7 @@ def test_full_report_at_p40_never_holds_a_dense_pair_matrix():
 @pytest.fixture(scope="module")
 def ex1_report():
     K = builtin_example(1, 0.1)
-    return full_report(K, 10, BoundConfig(mc_samples=200), seed=0)
+    return full_report(K, 10, mc_samples=200, seed=0)
 
 
 def test_full_report_spectral_values(ex1_report):
@@ -454,7 +453,7 @@ def test_full_report_curves_monotone(ex1_report):
 
 def test_full_report_example2_ordering():
     K = builtin_example(2, 0.1)
-    report = full_report(K, 10, BoundConfig(mc_samples=100), seed=1)
+    report = full_report(K, 10, mc_samples=100, seed=1)
     pure_md = md_bound_curve(report.alpha[0], 0.0, 10)
     assert np.allclose(report.curves["md"], pure_md)
     assert (report.curves["spectral"] < report.curves["md"]).all()
@@ -463,7 +462,7 @@ def test_full_report_example2_ordering():
 
 def test_full_report_flags_infinite_gamma():
     K = builtin_example(2, 0.2)
-    report = full_report(K, 5, BoundConfig(mc_samples=100), seed=2)
+    report = full_report(K, 5, mc_samples=100, seed=2)
     assert math.isinf(report.gamma)
     assert any("gamma" in f for f in report.flags)
     doc = report.coefficients_dict()
@@ -472,7 +471,7 @@ def test_full_report_flags_infinite_gamma():
 
 def test_full_report_rank_one_all_zero():
     K = PolynomialKernel.linear(np.tile([0.25, 0.25, 0.25, 0.25], (4, 1)))
-    report = full_report(K, 5, BoundConfig(mc_samples=10), seed=3)
+    report = full_report(K, 5, mc_samples=10, seed=3)
     assert (report.curves["spectral"] == 0.0).all()
     assert (report.curves["md"] == 0.0).all()
 
@@ -487,7 +486,7 @@ def test_domination_small_scale():
     gen = np.random.default_rng(9)
     for example_id, kappa in ((1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2)):
         K = builtin_example(example_id, kappa)
-        report = full_report(K, 30, BoundConfig(mc_samples=50), seed=4)
+        report = full_report(K, 30, mc_samples=50, seed=4)
         pi = stat(K).distribution
         draws = gen.standard_exponential((200, K.p))
         draws /= draws.sum(axis=1, keepdims=True)
@@ -574,7 +573,7 @@ def test_report_coefficients_share_one_sample(example):
     # standalone sampler gives on a fresh generator with the report's seed
     K = builtin_example(*example)
     samples, seed = 150, 7
-    report = full_report(K, 5, BoundConfig(mc_samples=samples), seed=seed)
+    report = full_report(K, 5, mc_samples=samples, seed=seed)
     for k in (1, 2, 3, 4):
         assert report.alpha_nonlinear[k - 1] == md_alpha(K, k, samples, np.random.default_rng(seed)).value
         assert report.lam[k - 1] == lipschitz_lambda(K, k, samples, np.random.default_rng(seed)).value
@@ -605,7 +604,7 @@ def test_negative_sample_counts_fail_before_any_draw(ex1_k01):
         assert gen.bit_generator.state == state
     for K in (ex1_k01, PolynomialKernel.linear(EXAMPLE1_P)):     # a linear kernel draws nothing
         with pytest.raises(ValueError, match="samples must be >= 0"):
-            full_report(K, 3, BoundConfig(mc_samples=-5))
+            full_report(K, 3, mc_samples=-5)
 
 
 def test_zero_samples_keep_the_vertex_pairs(ex1_k01):
@@ -614,7 +613,7 @@ def test_zero_samples_keep_the_vertex_pairs(ex1_k01):
     assert md_alpha(ex1_k01, 2, 0, gen).samples == 12
     assert lipschitz_lambda(ex1_k01, 2, 0, gen).samples == 12
     assert gen.bit_generator.state == state
-    report = full_report(ex1_k01, 3, BoundConfig(mc_samples=0), seed=0)
+    report = full_report(ex1_k01, 3, mc_samples=0, seed=0)
     assert report.alpha_nonlinear[0] == 0.6 and report.lam[0] == pytest.approx(0.1, abs=1e-9)
 
 
@@ -644,7 +643,7 @@ PINNED_MC200_SEED0 = {
 
 @pytest.mark.parametrize("example", sorted(PINNED_MC200_SEED0))
 def test_full_report_sampled_coefficients_pinned(example):
-    report = full_report(builtin_example(*example), 10, BoundConfig(mc_samples=200), seed=0)
+    report = full_report(builtin_example(*example), 10, mc_samples=200, seed=0)
     pinned = PINNED_MC200_SEED0[example]
     assert report.alpha_nonlinear == pinned["alpha_nonlinear"]
     assert report.lam == pinned["lam"]
@@ -659,7 +658,7 @@ def test_full_report_lets_unexpected_errors_through(monkeypatch):
 
     monkeypatch.setattr(bounds_mod, "delta_estimate", broken)
     with pytest.raises(TypeError, match="bug inside"):
-        full_report(builtin_example(1, 0.1), 5, BoundConfig(mc_samples=10), seed=0)
+        full_report(builtin_example(1, 0.1), 5, mc_samples=10, seed=0)
 
 
 def test_md_alpha_and_lambda_count_evaluated_pairs():

@@ -89,6 +89,17 @@ def test_bounds_zero_steps_writes_empty_curves(tmp_path, capsys):
     assert (tmp_path / "zero_coefficients.json").exists()
 
 
+def test_failed_coefficients_dump_leaves_no_file(tmp_path, monkeypatch):
+    def failing_dump(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nmcbounds.bounds.BoundReport, "coefficients_dict", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        main(["bounds", "--example", "1", "--steps", "2", "--out-prefix", str(tmp_path / "cut")])
+    assert not (tmp_path / "cut_coefficients.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cut_bounds.csv"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     out = tmp_path / "sim_none.csv"
@@ -103,6 +114,8 @@ def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     ["simulate", "--trials", "0"],
     ["simulate", "--steps", "-1"],
     ["bounds", "--steps", "-3"],
+    ["coupling-check", "--samples", "0"],
+    ["coupling-check", "--steps", "-1"],
 ])
 def test_bad_counts_are_rejected_before_the_report(tmp_path, capsys, monkeypatch, argv):
     # the counts are checked before the model is resolved, so no report work runs
@@ -112,8 +125,8 @@ def test_bad_counts_are_rejected_before_the_report(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(nmcbounds.bounds, "full_report", never)
     monkeypatch.setattr(nmcbounds.experiments, "full_report", never)
     monkeypatch.setattr(nmcbounds.cli, "_resolve_kernel", never)
-    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "simulate" else [
-        "--out-prefix", str(tmp_path / "x")]
+    out = ["--out-prefix", str(tmp_path / "x")] if argv[0] == "bounds" else [
+        "--out", str(tmp_path / "x.csv")]
     code, _, err = run_cli(argv[:1] + ["--example", "1"] + argv[1:] + out, capsys)
     assert code == 2
     assert "error: --" in err
@@ -177,7 +190,8 @@ def test_coupling_check_rejects_samples_below_one(tmp_path, capsys, samples):
     code, _, err = run_cli(["coupling-check", "--example", "1", "--samples", samples,
                             "--out", str(out)], capsys)
     assert code == 2
-    assert "error: samples must be >= 1" in err and "underpowered" not in err
+    assert f"error: --samples must be >= 1, got {samples}" in err
+    assert "underpowered" not in err
     assert not out.exists()
 
 
@@ -196,12 +210,38 @@ def test_stats_synthetic_walk(tmp_path, capsys):
 
 
 def test_stats_constant_prices_degenerate_exit0(tmp_path, capsys):
-    prices = make_price_csv(tmp_path / "flat.csv", n=100, constant=50.0)
-    out = tmp_path / "stats.csv"
-    code, _, _ = run_cli(["stats", "--prices", str(prices), "--out", str(out)], capsys)
-    assert code == 0
-    text = out.read_text(encoding="utf-8")
-    assert "degenerate" in text
+    # the denoised returns and the noise of a constant path are rounding
+    # noise, which KS and Ljung-Box would call highly significant
+    for level in (50.0, 100.0, 1.0, 2e-3):
+        prices = make_price_csv(tmp_path / "flat.csv", n=100, constant=level)
+        out = tmp_path / "stats.csv"
+        code, _, _ = run_cli(["stats", "--prices", str(prices), "--out", str(out)], capsys)
+        assert code == 0
+        table = read_report(out)
+        assert [row[0] for row in table.rows] == ["X", "X*", "noise"]
+        for row in table.rows:
+            assert math.isnan(row[5]) and math.isnan(row[7]), (level, row)
+            assert row[6] == row[8] == "degenerate", (level, row)
+
+
+def test_stats_on_prices_near_the_float_limit(tmp_path, capsys):
+    # the noise moments near 1e300 would overflow unscaled, and the
+    # RuntimeWarning is an error under the test settings; scaling the prices
+    # by 1e300 must scale the noise row's mean and std and keep the rest
+    rows = {}
+    for level in (1.0, 1e300):
+        path = tmp_path / f"p{level:g}.csv"
+        path.write_text("date,adj_close\n" + "".join(
+            f"2020-01-{i + 1:02d},{level * (1 + i % 2)!r}\n" for i in range(31)),
+            encoding="utf-8")
+        out = tmp_path / f"s{level:g}.csv"
+        code, _, _ = run_cli(["stats", "--prices", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        rows[level] = read_report(out).rows[2]
+    small, huge = rows[1.0], rows[1e300]
+    assert huge[0] == "noise" and huge[6] != "degenerate" and huge[8] != "degenerate"
+    assert huge[1:3] == pytest.approx([1e300 * v for v in small[1:3]], rel=1e-9)
+    assert huge[3:] == pytest.approx(small[3:], rel=1e-9)
 
 
 def test_stats_missing_file_exit2(tmp_path, capsys):

@@ -192,6 +192,17 @@ def test_stats_normal_sample_kurtosis():
     assert abs(st.excess_kurtosis) < 0.1
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_statistics_are_scale_free_at_the_float_limits(scale):
+    x = np.random.default_rng(8).standard_normal(200)
+    st, big = descriptive_stats(x), descriptive_stats(scale * x)
+    assert big.std == pytest.approx(scale * st.std, rel=1e-12)
+    assert (big.skewness, big.excess_kurtosis) == pytest.approx(
+        (st.skewness, st.excess_kurtosis), rel=1e-12)
+    assert ks_test(scale * x).statistic == pytest.approx(ks_test(x).statistic, rel=1e-12)
+    assert ljung_box(scale * x).q_stat == pytest.approx(ljung_box(x).q_stat, rel=1e-12)
+
+
 def test_stats_degenerate_flag():
     st = descriptive_stats(np.full(10, 3.3))
     assert st.degenerate and st.std == 0.0
