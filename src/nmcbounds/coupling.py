@@ -9,12 +9,15 @@ sub-stochastic matrix whose spectral radius sets the geometric rate of
 convergence in total variation.  It commutes with swapping the two
 chains, so it is kept on unordered pairs, d = p(p - 1)/2.
 
-The construction has one split and one sampler: ``split_densities`` alone
-forms the overlap and residual laws, and ``_draw_split`` makes every joint
-draw, one pair at a time for ``sample_coupled_pair`` and
-``simulate_coupled_chain``, a whole sample per step for ``lemma_check``.
+The construction has one split, one sampler and one law engine.
+``_split`` alone forms the overlap, the residuals, the overlap mass and
+the dead rule of two laws along their last axis: of one pair in
+``split_densities``, of every state pair of a stack in ``_residual_rows``.
+``_draw_split`` makes every joint draw, one pair at a time for
+``sample_coupled_pair`` and ``simulate_coupled_chain``, a whole sample per
+step for ``lemma_check``.  The exact laws come from ``chain.flow_batch``.
 
-The coupling operator is batch-first.  ``_residual_rows`` alone forms the
+The coupling operator is batch-first.  ``_residual_rows`` forms the
 residual rows r1, r2 and the mass 1 - kappa of every pair of a (B, p, p)
 stack of transition matrices; ``coupling_matrices`` builds the dense pair
 matrices from them, and ``coupling_radii`` estimates the pair matrices'
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, _check_stochastic, _clean_probs
+from .chain import (Distribution, PolynomialKernel, StochasticMatrix, _check_stochastic,
+                    _clean_probs, flow_batch)
 from .errors import DimensionMismatchError
 from .rng import as_generator
 
@@ -62,6 +66,14 @@ class SplitLaws:
     q: float
 
 
+def _split(a: np.ndarray, b: np.ndarray):
+    """Split of laws a, b along their last axis: the residuals a - m, b - m,
+    the overlap m = min(a, b), its mass q and the dead mask q >= 1 - _ONE_TOL."""
+    m = np.minimum(a, b)
+    q = m.sum(axis=-1)
+    return a - m, b - m, m, q, q >= 1.0 - _ONE_TOL
+
+
 def split_densities(mu: Distribution, nu: Distribution) -> SplitLaws:
     """Residual laws (mu - min)/ (1-q), (nu - min)/(1-q) and overlap law min/q.
 
@@ -70,14 +82,12 @@ def split_densities(mu: Distribution, nu: Distribution) -> SplitLaws:
     """
     if mu.p != nu.p:
         raise DimensionMismatchError(f"dimension mismatch: {mu.p} vs {nu.p}")
-    m = np.minimum(mu.probs, nu.probs)
-    q = float(m.sum())
-    if q >= 1.0 - _ONE_TOL:
+    r1, r2, m, q, dead = _split(mu.probs, nu.probs)
+    q = float(q)
+    if dead:
         return SplitLaws(mu, mu, mu, 1.0)
     if q <= 0.0:
         return SplitLaws(mu, nu, mu, 0.0)
-    r1 = mu.probs - m
-    r2 = nu.probs - m
     return SplitLaws(
         Distribution(r1 / r1.sum()),
         Distribution(r2 / r2.sum()),
@@ -180,11 +190,8 @@ def _residual_rows(Ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatchError("need a (B, p, p) stack of transition matrices")
     _check_stochastic(Ps)
     iu, ju = np.triu_indices(Ps.shape[1], 1)
-    rows1, rows2 = Ps[:, iu], Ps[:, ju]             # (B, d, p)
-    m = np.minimum(rows1, rows2)
-    k = m.sum(axis=-1)
-    dead = k >= 1.0 - _ONE_TOL
-    return rows1 - m, rows2 - m, np.where(dead, 1.0, 1.0 - k), dead
+    r1, r2, _, k, dead = _split(Ps[:, iu], Ps[:, ju])       # (B, d, p) rows
+    return r1, r2, np.where(dead, 1.0, 1.0 - k), dead
 
 
 def coupling_matrices(Ps) -> np.ndarray:
@@ -412,20 +419,10 @@ def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:
 # statistical validation of the coupled construction
 
 
-def exact_laws(P: StochasticMatrix, mu0: Distribution, n: int) -> np.ndarray:
-    """Exact marginal laws mu_0..mu_n as an (n+1, p) array."""
-    out = np.empty((n + 1, P.p))
-    out[0] = mu0.probs
-    for t in range(n):
-        out[t + 1] = out[t] @ P.entries
-    return out
-
-
 def overlap_curve(P: StochasticMatrix, mu0: Distribution, nu0: Distribution, n: int) -> np.ndarray:
     """q_t = overlap of the exact laws at t = 0..n (nondecreasing)."""
-    law1 = exact_laws(P, mu0, n)
-    law2 = exact_laws(P, nu0, n)
-    return np.minimum(law1, law2).sum(axis=1)
+    laws = flow_batch(PolynomialKernel.linear(P), np.stack([mu0.probs, nu0.probs]), n)
+    return _split(laws[:, 0], laws[:, 1])[3]
 
 
 def pairchain_meet_curve(P: StochasticMatrix, mu0: Distribution, nu0: Distribution, n: int) -> np.ndarray:
@@ -513,32 +510,21 @@ def lemma_check(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)
-    p = P.p
 
-    law1 = exact_laws(P, mu0, n)
-    law2 = exact_laws(P, nu0, n)
-    q_exact = np.minimum(law1, law2).sum(axis=1)
-
-    tv1 = np.empty(n + 1)
-    tv2 = np.empty(n + 1)
+    laws = flow_batch(PolynomialKernel.linear(P), np.stack([mu0.probs, nu0.probs]), n)
+    q_exact = _split(laws[:, 0], laws[:, 1])[3]
+    tv = np.empty((n + 1, 2))           # the TV of each marginal, (tv1, tv2)
     q_emp = np.empty(n + 1)
     for t in range(n + 1):
-        laws = split_densities(_clean_probs(law1[t]), _clean_probs(law2[t]))
-        x1, x2, _ = _draw_split(laws, samples, rng)
-        e1 = np.bincount(x1, minlength=p) / samples
-        e2 = np.bincount(x2, minlength=p) / samples
-        tv1[t] = np.abs(e1 - law1[t]).sum()
-        tv2[t] = np.abs(e2 - law2[t]).sum()
+        split = split_densities(_clean_probs(laws[t, 0]), _clean_probs(laws[t, 1]))
+        x1, x2, _ = _draw_split(split, samples, rng)
+        counts = np.stack([np.bincount(x1, minlength=P.p), np.bincount(x2, minlength=P.p)])
+        tv[t] = np.abs(counts / samples - laws[t]).sum(axis=1)
         q_emp[t] = float((x1 == x2).mean())
 
-    tv_tol, q_tol = lemma_tolerances(p, samples)
-    passed = bool(
-        tv1.max() <= tv_tol
-        and tv2.max() <= tv_tol
-        and np.abs(q_emp - q_exact).max() <= q_tol
-    )
+    tv_tol, q_tol = lemma_tolerances(P.p, samples)
     return LemmaCheckReport(
-        steps=np.arange(n + 1), tv1=tv1, tv2=tv2, q_exact=q_exact,
-        q_empirical=q_emp, passed=passed,
+        steps=np.arange(n + 1), tv1=tv[:, 0], tv2=tv[:, 1], q_exact=q_exact, q_empirical=q_emp,
+        passed=bool(tv.max() <= tv_tol and np.abs(q_emp - q_exact).max() <= q_tol),
         underpowered=samples < 1000,
     )

@@ -3,7 +3,9 @@
 The wavelet transform ships its own 16-tap Daubechies filter (8 vanishing
 moments) embedded as constants.  It is periodized: a circular transform
 whose odd-length levels are zero-padded.  The map is orthonormal, so
-reconstruction is exact and coefficient energy equals signal energy.
+reconstruction is exact and coefficient energy equals signal energy.  Each
+level is a sum over the 16 taps on strided slices of a wrapped copy, in tap
+order and with no BLAS call, so no BLAS kernel changes the denoised prices.
 
 scipy is imported at its call sites, ``scipy.special`` inside ``ks_test``
 and ``ljung_box``, so importing this module (and the CLI) loads no scipy.
@@ -148,21 +150,24 @@ def _auto_levels(n: int) -> int:
 
 
 def _dwt_level(x):
-    n = x.shape[0]
-    if n % 2:
+    if x.shape[0] % 2:
         x = np.append(x, 0.0)
     n2 = x.shape[0]
-    idx = (2 * np.arange(n2 // 2)[:, None] + np.arange(DB8_DEC_LO.shape[0])[None, :]) % n2
-    seg = x[idx]
-    return seg @ DB8_DEC_LO, seg @ DB8_DEC_HI
+    wrapped = np.concatenate((x, x[:DB8_DEC_LO.shape[0]]))
+    a, d = np.zeros((2, n2 // 2))
+    for j, (lo, hi) in enumerate(zip(DB8_DEC_LO, DB8_DEC_HI)):
+        a += lo * wrapped[j:j + n2:2]
+        d += hi * wrapped[j:j + n2:2]
+    return a, d
 
 
 def _idwt_level(a, d, n_orig):
     n2 = 2 * a.shape[0]
-    idx = (2 * np.arange(a.shape[0])[:, None] + np.arange(DB8_DEC_LO.shape[0])[None, :]) % n2
-    x = np.zeros(n2)
-    np.add.at(x, idx, a[:, None] * DB8_DEC_LO[None, :] + d[:, None] * DB8_DEC_HI[None, :])
-    return x[:n_orig]
+    wrapped = np.zeros(n2 + DB8_DEC_LO.shape[0])
+    for j, (lo, hi) in enumerate(zip(DB8_DEC_LO, DB8_DEC_HI)):
+        wrapped[j:j + n2:2] += lo * a + hi * d
+    wrapped[:wrapped.shape[0] - n2] += wrapped[n2:]         # fold the wrapped tail back
+    return wrapped[:n_orig]
 
 
 def dwt(x) -> WaveletPyramid:

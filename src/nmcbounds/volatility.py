@@ -327,7 +327,9 @@ def _newton_polish(params, capped, r, h0, steps):
     """Newton steps on the score over the free parameters, which pin the
     optimum to rounding where the search stops at its gradient tolerance.
     A full step is taken while the Newton decrement g' H^-1 g shrinks, the
-    step stays inside the region and the NLL does not rise; the first
+    step stays inside the region and the NLL does not rise by more than the
+    rounding of a sum of n terms, n eps |nll| (Higham 2002, 4.2); near the
+    optimum the decrement is far below one ulp of the NLL.  The first
     failure ends the polish.  Returns the params and their (nll, scores, H).
     """
     free = _free_directions(capped)
@@ -349,7 +351,7 @@ def _newton_polish(params, capped, r, h0, steps):
         if not _inside(trial, capped):
             break
         trial_terms = _garch_terms(trial, r, h0, hessian=True)
-        if trial_terms is None or trial_terms[0] > nll:
+        if trial_terms is None or trial_terms[0] - nll > r.shape[0] * np.finfo(float).eps * abs(nll):
             break
         params, terms = trial, trial_terms
     return params, terms

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from nmcbounds import coupling
 from nmcbounds.bounds import full_report
-from nmcbounds.chain import Distribution, StochasticMatrix, _clean_probs, load_model
+from nmcbounds.chain import (Distribution, PolynomialKernel, StochasticMatrix, _clean_probs,
+                             flow_batch, load_model)
 from nmcbounds.coupling import (
     SplitLaws,
     build_coupling_matrix,
     coupling_matrices,
     coupling_radii,
-    exact_laws,
     lemma_check,
     lemma_tolerances,
     overlap_curve,
@@ -280,7 +280,8 @@ def parent_pairchain_meet_curve(P, mu0, nu0, n):
 
 def parent_lemma_arrays(P, mu0, nu0, n, samples, rng):
     """tv1, tv2 and q_empirical of lemma_check with the draw written inline."""
-    law1, law2 = exact_laws(P, mu0, n), exact_laws(P, nu0, n)
+    laws = flow_batch(PolynomialKernel.linear(P), np.stack([mu0.probs, nu0.probs]), n)
+    law1, law2 = laws[:, 0], laws[:, 1]
     out = np.empty((3, n + 1))
     for t in range(n + 1):
         laws = split_densities(_clean_probs(law1[t]), _clean_probs(law2[t]))
@@ -358,6 +359,30 @@ def test_lemma_check_and_meet_curve_equal_parent(chain, seed, n, samples):
     gap = overlap_curve(P, mu, nu, n) - curve
     assert gap.tobytes() == (report.q_exact - curve).tobytes()
     assert report.underpowered == (samples < 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_chains)
+def test_split_densities_and_residual_rows_are_one_split(chain):
+    # the one-pair face and the stack face of the split, on the same rows:
+    # the same mass, residuals and dead rule, bit for bit
+    P, _, _ = chain
+    rows = np.stack([P.row(x).probs for x in range(P.p)])
+    r1, r2, one_minus_k, dead = (a[0] for a in coupling._residual_rows(rows[None]))
+    for i, (a, b) in enumerate(zip(*np.triu_indices(P.p, 1))):
+        laws = split_densities(P.row(a), P.row(b))
+        assert dead[i] == (laws.q == 1.0)
+        if dead[i]:
+            assert one_minus_k[i] == 1.0
+            continue
+        assert one_minus_k[i] == 1.0 - laws.q
+        if laws.q == 0.0:           # disjoint rows: the residuals are the rows
+            assert (r1[i] == rows[a]).all() and (r2[i] == rows[b]).all()
+            assert (laws.eta1.probs == rows[a]).all() and (laws.eta2.probs == rows[b]).all()
+        else:
+            assert (laws.eta1.probs == r1[i] / r1[i].sum()).all()
+            assert (laws.eta2.probs == r2[i] / r2[i].sum()).all()
+            assert (laws.xi.probs == np.minimum(rows[a], rows[b]) / laws.q).all()
 
 
 # ---------------------------------------------------------------------------

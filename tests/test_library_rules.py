@@ -96,7 +96,6 @@ SURFACE_ALLOWLIST = {
     ("bounds", "likelihood_ratio_moments"): "criterion 8 API",
     ("ghmm", "fit_baum_welch"): "criterion 10 API",
     ("ghmm", "sample_ghmm"): "criterion 10 API",
-    ("chain", "flow_batch"): "public face of the kernel flow engine",
     ("chain", "evaluate_kernel"): "rebound by name in perfbench/spans.py",
     ("bounds", "lipschitz_lambda"): "rebound by name in perfbench/spans.py; scalar face of "
                                      "the sampled k-step core",

@@ -283,6 +283,26 @@ def test_garch_at_the_persistence_cap_reports_undefined_errors_as_nan():
         assert fit.std_errors[name] > 0 and math.isfinite(fit.t_stats[name])
 
 
+@pytest.mark.parametrize("seed, denoised", [(0, False), (3, False), (6, False), (5, True)],
+                         ids=["raw-0", "raw-3", "raw-6", "golden-input-denoised"])
+def test_garch_fit_follows_a_one_ulp_change_of_one_return(seed, denoised):
+    # near the optimum the Newton decrement is far below one ulp of the NLL,
+    # so a polish that refuses steps on the NLL's rounding returns the
+    # search's end point, which depends on the last bits of the input
+    prices = two_regime_prices(seed, n_low=300, n_high=300)
+    r = log_returns(denoise(prices).denoised if denoised else prices).values
+
+    def params(x):
+        m = fit_garch11(x).model
+        return np.array([m.mu, m.omega, m.alpha1, m.beta1])
+
+    base = params(r)
+    for i in np.linspace(0, r.shape[0] - 1, 6).astype(int):
+        x = r.copy()
+        x[i] = np.nextafter(x[i], np.inf)
+        assert (np.abs(params(x) - base) <= 1e-12 * np.abs(base)).all(), i
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 20), st.floats(0.05, 0.98), st.floats(0.02, 0.98),
        st.floats(-0.5, 0.5), st.floats(0.3, 3.0), st.booleans())
