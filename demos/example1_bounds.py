@@ -27,7 +27,7 @@ for k in range(1, 5):
 M = build_coupling_matrix(P)
 est = spectral_radius(M)
 print(f"\nCoupling matrix over unordered state pairs is {M.dim}x{M.dim}; "
-      f"spectral radius r = {est.r:.6f} (residual {est.eps:.1e})")
+      f"spectral radius r = {est.r:.6f} (bracket width {est.eps:.1e})")
 print("Spectral-radius bound 2(1-1/4)(r+eps)^n:")
 for n in (1, 2, 3, 4):
     print(f"  n={n}: {2 * 0.75 * (est.r + est.eps) ** n:.4f}")

@@ -20,19 +20,14 @@ step for ``lemma_check``.  The exact laws come from ``chain.flow_batch``.
 The coupling operator is batch-first.  ``_residual_rows`` forms the
 residual rows r1, r2 and the mass 1 - kappa of every pair of a (B, p, p)
 stack of transition matrices; ``coupling_matrices`` builds the dense pair
-matrices from them, and ``coupling_radii`` estimates the pair matrices'
-spectral radii, the one entry point of ``bounds`` and ``volatility``.  It
-picks its path from d.  Below ``_BRACKET_MIN_DIM`` = 55 (p <= 10) the
-whole stack runs the Gelfand iteration on the dense matrices, 20 dense
-squarings at 2 d^3 flops each.  From there on each item runs a certified
-Collatz-Wielandt bracket by power iteration on the matrix-free operator
-``_pair_matvec``: one (d, p) x (p, p) product and a row-wise dot product
-per step, 2 d p^2 flops on O(d p) memory, with no (d, d) array; the dense
-matrix is built only for an item whose bracket falls back to Gelfand.  On
-both paths r + eps bounds rho from above; on the bracket path [r - eps, r]
-is a certified bracket.  It is the only radius engine:
-``build_coupling_matrix`` and ``spectral_radius`` are its one-chain
-wrappers.
+matrices from them.  ``coupling_radii``, the one radius engine behind
+``bounds``, ``volatility`` and the one-chain wrappers
+``build_coupling_matrix`` and ``spectral_radius``, brackets each pair
+matrix's spectral radius by one certified Collatz-Wielandt iteration,
+``_perron_brackets``: on the dense matrices from LAPACK's Perron vectors
+below ``_BRACKET_MIN_DIM`` = 55 (p <= 10), from there on from the uniform
+start on the matrix-free ``_pair_matvec`` (2 d p^2 flops and O(d p)
+memory per step, no (d, d) array).
 """
 
 from __future__ import annotations
@@ -43,15 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (Distribution, PolynomialKernel, StochasticMatrix, _check_stochastic,
-                    _clean_probs, flow_batch)
+                    _clean_probs, _state_sum, flow_batch)
 from .errors import DimensionMismatchError
 from .rng import as_generator
 
 _ONE_TOL = 1e-12    # row overlaps / overlap masses this close to 1 are treated as 1
 LEMMA_DELTA = 1e-6      # lemma_check: false-alarm probability of each tolerance check
-_SQUARINGS = 20         # Gelfand powers M^(2^k), k = 1..20
-_BRACKET_MIN_DIM = 55   # coupling_radii: smallest d that takes the bracket path (p >= 11)
-_BRACKET_RTOL = 1e-12   # the bracket closes when hi - lo <= _BRACKET_RTOL * hi
+_BRACKET_MIN_DIM = 55   # coupling_radii: smallest d that runs matrix-free (p >= 11)
+_BRACKET_RTOL = 1e-12   # the bracket closes when lo >= (1 - _BRACKET_RTOL) hi
 _BRACKET_BUDGET = 20    # bracket steps per row of Q: 10 p(p - 1), as measured on ordered pairs
 _NEGLIGIBLE = 1e-8      # iterate entries below this share of the largest leave the lower end
 
@@ -256,163 +250,163 @@ def build_coupling_matrix(P: StochasticMatrix) -> CouplingMatrix:
     return CouplingMatrix(P)
 
 
-def _max_row_sums(A: np.ndarray) -> np.ndarray:
-    return A.sum(axis=-1).max(axis=-1)
-
-
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
+    """One chain's bracket rho in [r - eps, r]; ``squarings`` always reads 0."""
+
     r: float
     eps: float
-    squarings: int
+    squarings: int = 0
 
 
 @dataclass(frozen=True)
 class SpectralRadii:
-    """Per-item estimates of a stack: r + eps bounds rho from above on both
-    paths; ``squarings`` is 0 for an item the bracket closed."""
+    """Per-item certified brackets of a stack: rho in [r - eps, r]."""
 
     r: np.ndarray
     eps: np.ndarray
-    squarings: np.ndarray
 
 
-def _gelfand(Ms: np.ndarray) -> SpectralRadii:
-    """Gelfand estimates r_k = ||M^(2^k)||^(1/2^k), k <= ``_SQUARINGS``, of a
-    (B, d, d) stack by repeated squaring, all items advancing together.
+def _perron_brackets(matvec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified brackets lo <= rho(M_b) <= hi of B nonnegative d x d
+    operators from strictly positive start iterates x (B, d), no entry
+    above 1; ``matvec(x, items)`` applies the operators ``items`` to the
+    rows of x.
 
-    Powers are renormalized after every squaring (the log scale is carried
-    separately) so the iteration cannot under- or overflow.  The sequence
-    is nonincreasing; ``eps`` is the final decrement, an upper bound on
-    how unconverged the estimate still is in practice.  An item whose
-    power vanishes stops there with r = eps = 0.
+    Power iteration x <- (M + I) x / sum, batched over the items still
+    open.  Collatz-Wielandt (Horn & Johnson, Matrix Analysis, ch. 8):
+    hi = max_i (M x)_i / x_i for x > 0, and lo = min of (M x')_i / x'_i
+    over the support of any nonnegative x' != 0; x' is x with its
+    negligible entries zeroed, so that reducible M close.  An entry that
+    underflows to 0 gives an inf or nan ratio, which fmin and fmax skip.
+    An item closes when lo >= (1 - ``_BRACKET_RTOL``) hi.  One still open
+    after ``_BRACKET_BUDGET`` * d steps keeps its last bracket, or gets
+    [0, 0] when a 0/1 power of its support pattern, stepped by the same
+    matvec, vanishes within d steps: then M is nilpotent (for
+    ``_pair_matvec``, barring the underflow of a product of residuals).
+
+    Both ends are widened by gamma_(d+4) (Higham 2002, 3.1): d + 1
+    roundings cover a dense matvec and the quotient, and cover the 2p + 2
+    of ``_pair_matvec`` and the quotient for p >= 6; three more cover the
+    widening.  What is certified is rho of the operator the matvec computes
+    in exact arithmetic.  Each item's arithmetic is its own, so its bracket
+    does not depend on the rest of the batch.
     """
-    B = Ms.shape[0]
-    squarings = np.zeros(B, dtype=int)
-    norm0 = _max_row_sums(Ms)
-    live = np.flatnonzero(norm0 != 0.0)
-    A = Ms[live] / norm0[live, None, None]
-    log_scale = np.log(norm0[live])
-    prev = cur = norm0[live]            # the last two estimates of the live items
-    for k in range(1, _SQUARINGS + 1):
-        if live.size == 0:
-            break
-        A = A @ A
-        c = _max_row_sums(A)
-        if not np.all(np.isfinite(c)):
-            raise FloatingPointError("non-finite intermediate in spectral radius iteration")
-        squarings[live] = k
-        vanished = c == 0.0
-        if vanished.any():      # these keep r = eps = 0
-            live, A, c, log_scale, cur = (a[~vanished] for a in (live, A, c, log_scale, cur))
-        A /= c[:, None, None]
-        log_scale = 2.0 * log_scale + np.log(c)
-        prev, cur = cur, np.exp(log_scale / 2**k)
-    r = np.zeros(B)
-    eps = np.zeros(B)
-    r[live] = cur
-    eps[live] = np.maximum(0.0, prev - cur)
-    return SpectralRadii(r, eps, squarings)
+    B, d = x.shape
+    lo, hi = np.zeros(B), np.full(B, np.inf)
+    closed = np.zeros(B, dtype=bool)
+    live = np.arange(B)                 # the open items; x, lo_live, hi_live hold their rows
+    lo_live, hi_live, x_min = lo.copy(), hi.copy(), x.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BRACKET_BUDGET * d):
+            y = matvec(x, live)
+            ratio = y / x
+            hi_live = np.fmin(hi_live, np.maximum.reduce(ratio, 1))
+            lo_live = np.fmax(lo_live, np.minimum.reduce(ratio, 1))
+            wide = lo_live < (1.0 - _BRACKET_RTOL) * hi_live
+            # no entry of x exceeds 1, so a row with x_min > _NEGLIGIBLE has none negligible
+            if not np.logical_and.reduce(wide & (x_min > _NEGLIGIBLE)):
+                floor = _NEGLIGIBLE * x.max(axis=1, keepdims=True)
+                trim = wide & (x_min <= floor[:, 0])
+                if trim.any():
+                    keep = x[trim] > floor[trim]
+                    z = matvec(np.where(keep, x[trim], 0.0), live[trim])
+                    lo_live[trim] = np.fmax(lo_live[trim], np.where(keep, z / x[trim], np.inf).min(axis=1))
+                    wide = lo_live < (1.0 - _BRACKET_RTOL) * hi_live
+                done = live[~wide]
+                lo[done], hi[done], closed[done] = lo_live[~wide], hi_live[~wide], True
+                live, x, y, lo_live, hi_live = live[wide], x[wide], y[wide], lo_live[wide], hi_live[wide]
+                if live.size == 0:
+                    break
+            y += x
+            y /= np.add.reduce(y, 1, keepdims=True)
+            x, x_min = y, np.minimum.reduce(y, 1)
+    lo[live], hi[live] = lo_live, hi_live
+    stalled = np.flatnonzero(~closed)
+    if stalled.size:
+        pattern = np.ones((stalled.size, d))
+        for _ in range(d):
+            pattern = (matvec(pattern, stalled) > 0.0).astype(np.float64)
+        nilpotent = stalled[~pattern.any(axis=1)]
+        lo[nilpotent] = hi[nilpotent] = 0.0
+    u = (d + 4) * np.finfo(np.float64).eps / 2
+    gamma = u / (1.0 - u)
+    return lo * (1.0 - gamma), hi * (1.0 + gamma)
 
 
-def _perron_bracket(matvec, d: int) -> tuple[float, float] | None:
-    """Certified bracket lo <= rho(M) <= hi of one nonnegative d x d
-    operator given by its matvec x -> M x, or None when it does not close
-    within the budget.
+def _dense_radii(Ms: np.ndarray) -> SpectralRadii:
+    """Brackets of a (B, d, d) stack of nonnegative matrices, each started
+    from LAPACK's Perron vector x = |Re v|, v the eigenvector of the
+    eigenvalue lambda with the largest real part, which is rho.
 
-    Power iteration x <- (M + I) x / sum from the uniform start, one
-    matvec y = M x per step.  Collatz-Wielandt (Horn & Johnson, Matrix
-    Analysis, ch. 8): hi = max_i y_i / x_i on the strictly positive
-    iterate, and lo = min of (M x')_i / x'_i over the support of any
-    nonnegative x' != 0.
-    Taking x' as x with its negligible entries zeroed lets reducible M
-    close, where the decaying entries pin min_i y_i / x_i to a smaller
-    class's radius.  Both ends are widened by gamma_(d+4) (Higham 2002,
-    3.1): d + 1 roundings cover a dense nonnegative matvec and the
-    quotient, and cover the 2p + 2 of ``_pair_matvec`` and the quotient
-    for p >= 6; three more units cover rounding the widening itself.
-    What is certified is rho of the operator the matvec computes in exact
-    arithmetic: of the computed M for a dense matvec, and of the operator
-    given by the computed r1, r2 and 1 - kappa for ``_pair_matvec``.
+    v is accurate to about u max|v| in every entry, so a small entry is
+    recomputed by its row of the eigen-equation, x_i = (sum_{j != i} M_ij
+    x_j) / (lambda - M_ii), where that is the better conditioned:
+    x_i lambda < (lambda - M_ii) max x.  Entries below ``_NEGLIGIBLE``^2 of
+    the largest are lifted to that share.  The start sets only how soon an
+    item closes.  The matvec is an explicit sum over the state axis
+    (``chain._state_sum``), so neither the BLAS kernel nor the batch moves
+    it.
     """
-    x = np.full(d, 1.0 / d)
-    x_min = x[0]
-    lo, hi = 0.0, np.inf
-    for _ in range(_BRACKET_BUDGET * d):
-        y = matvec(x)
-        ratio = y / x
-        hi = min(hi, float(ratio.max()))
-        lo = max(lo, float(ratio.min()))
-        if hi - lo > _BRACKET_RTOL * hi:
-            floor = _NEGLIGIBLE * x.max()
-            if not x_min > floor:           # some entries are negligible
-                keep = x > floor
-                lo = max(lo, float((matvec(np.where(keep, x, 0.0))[keep] / x[keep]).min()))
-        if hi - lo <= _BRACKET_RTOL * hi < np.inf:      # closed, on a finite hi
-            u = (d + 4) * np.finfo(np.float64).eps / 2
-            gamma = u / (1.0 - u)
-            return lo * (1.0 - gamma), hi * (1.0 + gamma)
-        x = y + x
-        x /= x.sum()
-        x_min = x.min()
-        if not x_min > 0.0:         # underflow (or a non-finite M): give up
-            return None
-    return None
+    cols = np.moveaxis(Ms, -1, 0)       # cols[j, b] is column j of item b
+
+    def matvec(x, items):
+        return _state_sum(cols[:, items] * x.T[:, :, None])
+
+    w, v = np.linalg.eig(Ms)
+    top = np.argmax(w.real, axis=-1)[:, None]
+    lam = np.take_along_axis(w.real, top, axis=-1)
+    x = np.abs(np.take_along_axis(v.real, top[:, :, None], axis=-1)[..., 0])
+    diag = np.diagonal(Ms, axis1=-2, axis2=-1)
+    gap = lam - diag
+    complete = (gap > 0.0) & (x * lam < gap * x.max(axis=-1, keepdims=True))
+    x = np.where(complete, (matvec(x, np.arange(len(x))) - diag * x) / np.where(complete, gap, 1.0), x)
+    x = np.maximum(x, _NEGLIGIBLE**2 * x.max(axis=-1, keepdims=True))
+    lo, hi = _perron_brackets(matvec, x / x.sum(axis=-1, keepdims=True))
+    return SpectralRadii(hi, hi - lo)
 
 
 def coupling_radii(Ps) -> SpectralRadii:
-    """Spectral radii of the pair matrices (``coupling_matrices``) of a
-    (B, p, p) stack of transition matrices, d = p(p - 1)/2, by one of two
-    paths chosen from d.
+    """Certified brackets rho in [r - eps, r] of the spectral radii of the
+    pair matrices (``coupling_matrices``) of a (B, p, p) stack of
+    transition matrices, d = p(p - 1)/2: r = hi, eps = hi - lo of
+    ``_perron_brackets``.
 
-    Below ``_BRACKET_MIN_DIM`` every item runs the Gelfand iteration
-    (``_gelfand``, up to the power 2^20) on its dense pair matrix: r is the
-    last estimate, which can only overshoot rho (by about 2e-7 relative),
-    and eps the last decrement, a measure of how unconverged r still is
-    rather than a certificate.  From the cutover on, each item runs the
-    Collatz-Wielandt bracket (``_perron_bracket``) on ``_pair_matvec``,
-    which holds only the item's residual rows: r = hi and eps = hi - lo,
-    with lo <= rho <= hi certified to 1e-12 relative; squarings reads 0.
-    It certifies rho of the operator given by the computed r1, r2 and
-    1 - kappa, whose entries are within two roundings of the dense
-    matrix's.  An item whose bracket does not close within
-    ``_BRACKET_BUDGET`` * d steps or whose iterate loses strict positivity
-    falls back to Gelfand on its dense pair matrix, the only one built on
-    this path.  On both paths r + eps bounds rho from above, and
-    r = eps = 0 when the operator is 0.
+    Below ``_BRACKET_MIN_DIM`` the stack steps on its dense pair matrices
+    from LAPACK's Perron vectors (``_dense_radii``), so most items close in
+    one step.  From there on each item steps from the uniform start on
+    ``_pair_matvec``, which certifies rho of the operator given by the
+    computed r1, r2 and 1 - kappa, entries within two roundings of the
+    dense matrix's.  A closed bracket is 1e-12 relative wide plus the
+    rounding allowance; an item that stalls (pair eigenvalues crowding the
+    circle of radius rho, as on a near-permutation chain) reports its last,
+    wider bracket.
 
     The cutover (between p = 10 and p = 11) comes from sweeps over
     Dirichlet(0.3) chains on a 2-core x86 VM with OpenBLAS, 8 chains one
-    per call, medians of 3, three sweeps.  With the matrix-free bracket,
-    8 chains take 4.9-7.1 ms by Gelfand and 14.5-20.8 ms by the bracket at
-    p = 10, 5.6-7.8 and 18.8-19.7 ms at p = 11, 10.4-10.6 and 16.5-20.9 ms
-    at p = 13, 17.3-17.6 and 12.3-18.2 ms at p = 15, and 21.7-24.4 and
-    14.4-18.7 ms at p = 16.  Time alone would now cut over near p = 15.
-    The cutover stays where the dense bracket on ordered pairs first won
-    (p = 11: 19.6-31.9 ms by Gelfand, 17.6-18.0 ms by the bracket), so that
-    p = 11..14 keep a certified bracket, for at most about 1.5 ms more per
-    chain.
+    per call, medians of 5, three sweeps.  The eig-seeded dense bracket
+    took 4.1-6.6 ms at p = 8, 7.7-12.7 ms at p = 10, 13.5-15.9 ms at
+    p = 11, 15.9-24.8 ms at p = 12 and 73.7-96.6 ms at p = 16 (eig and each
+    dense step grow as d^3 and d^2); the matrix-free bracket took 15.1-30.1,
+    14.1-22.2, 20.5-30.7, 13.5-14.6 and 14.7-31.1 ms.  Time alone would cut
+    over between p = 11 and p = 12; the cutover stays where it was, at most
+    about 1 ms per chain from the faster path at p = 11.
     """
     Ps = np.asarray(Ps, dtype=np.float64)
     p = Ps.shape[-1] if Ps.ndim == 3 else 0
     d = p * (p - 1) // 2
     if d < _BRACKET_MIN_DIM:
-        return _gelfand(coupling_matrices(Ps))
-    brackets = [_perron_bracket(_pair_matvec(*item), d) for item in zip(*_residual_rows(Ps))]
-    fallback = [i for i, b in enumerate(brackets) if b is None]
-    r = np.array([0.0 if b is None else b[1] for b in brackets])
-    eps = np.array([0.0 if b is None else b[1] - b[0] for b in brackets])
-    squarings = np.zeros(len(brackets), dtype=int)
-    if fallback:
-        gelfand = _gelfand(coupling_matrices(Ps[fallback]))
-        r[fallback], eps[fallback], squarings[fallback] = gelfand.r, gelfand.eps, gelfand.squarings
-    return SpectralRadii(r, eps, squarings)
+        return _dense_radii(coupling_matrices(Ps))
+    start = np.full((1, d), 1.0 / d)
+    ops = [_pair_matvec(*item) for item in zip(*_residual_rows(Ps))]
+    lo, hi = np.array([_perron_brackets(lambda x, _: op(x)[None], start) for op in ops])[..., 0].T
+    return SpectralRadii(hi, hi - lo)
 
 
 def spectral_radius(M: CouplingMatrix) -> SpectralRadiusEstimate:
     """Spectral radius of one chain's pair matrix (see ``coupling_radii``)."""
     est = coupling_radii(M.transition.entries[None])
-    return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]), int(est.squarings[0]))
+    return SpectralRadiusEstimate(float(est.r[0]), float(est.eps[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,18 @@ def ex1_k02() -> PolynomialKernel:
     return builtin_example(1, 0.2)
 
 
+# degenerate 3-state chains: all rows equal (M = 0, which closes at once);
+# rows 1 and 2 equal, so every pair reaches a kappa = 1 pair in one step
+# (M @ M = 0: M is nilpotent, so the bracket never closes and the support
+# pattern certifies rho = 0); rows 0 and 1 equal (two kappa = 1 rows next to
+# live ones)
+DEGENERATE_CHAINS = (
+    np.tile([0.2, 0.3, 0.5], (3, 1)),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.1, 0.2, 0.7]]),
+)
+
+
 def random_distributions(p, count, seed):
     gen = np.random.default_rng(seed)
     draws = gen.standard_exponential((count, p))

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.bounds import (
@@ -34,7 +35,7 @@ from nmcbounds import bounds as bounds_mod
 from nmcbounds.errors import InfiniteGammaError, KernelInvalidError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 
-from conftest import bowl_kernel
+from conftest import DEGENERATE_CHAINS, bowl_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,9 @@ def bernstein_kernel(gen, p, degree, floor, concentration):
     for k in range(n + 1):
         for j in range(k, n + 1):
             coeff[j] += math.comb(n, k) * math.comb(n - k, j - k) * (-1) ** (j - k) * Q[k]
+    # the power-basis sums leave a few ulps on the higher rows' zero sums,
+    # which PolynomialKernel.certified rejects; make them exactly 0
+    coeff[1:, :, -1] = -coeff[1:, :, :-1].sum(axis=-1)
     return PolynomialKernel(tuple(coeff))
 
 
@@ -469,11 +473,20 @@ def test_full_report_flags_infinite_gamma():
     assert doc["gamma"] is None and doc["gamma_infinite"]
 
 
-def test_full_report_rank_one_all_zero():
-    K = PolynomialKernel.linear(np.tile([0.25, 0.25, 0.25, 0.25], (4, 1)))
-    report = full_report(K, 5, mc_samples=10, seed=3)
+@pytest.mark.parametrize("P, meets_at_once", [
+    pytest.param(np.tile([0.25, 0.25, 0.25, 0.25], (4, 1)), True, id="rank one"),
+    pytest.param(DEGENERATE_CHAINS[1], False, id="nilpotent pair matrix"),
+])
+def test_full_report_rank_one_all_zero(P, meets_at_once):
+    # rank one: every pair meets in one step, so md and spectral read 0.
+    # DEGENERATE_CHAINS[1] has alpha_1 = 0, but every pair meets within two
+    # steps: its pair matrix is nilpotent, so r = eps = 0 and spectral reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # md degenerates to 2 at alpha_1 = 0
+        report = full_report(PolynomialKernel.linear(P), 5, mc_samples=10, seed=3)
+    assert (report.r, report.eps) == (0.0, 0.0)
     assert (report.curves["spectral"] == 0.0).all()
-    assert (report.curves["md"] == 0.0).all()
+    assert (report.curves["md"] == 0.0).all() == meets_at_once
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +566,7 @@ def assert_matches_frozen(K, k, samples, seed):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 3),
        k=st.integers(1, 4), samples=st.sampled_from([0, 1, 37]))
+@example(seed=317, p=2, degree=3, k=1, samples=0)   # power-basis row sums a few ulps off 0
 def test_samplers_equal_their_separate_flows(seed, p, degree, k, samples):
     K = bernstein_kernel(np.random.default_rng(seed), p, degree, 0.2 / p, 0.5)
     assert K.certified

@@ -25,7 +25,7 @@ from nmcbounds.coupling import (
     split_densities,
 )
 from nmcbounds.errors import DimensionMismatchError
-from conftest import random_distributions
+from conftest import DEGENERATE_CHAINS, random_distributions
 
 
 def overlap(P, a, b):
@@ -40,7 +40,7 @@ def pairs(M):
 
 def max_row_sum(M):
     """Max row sum, the induced infinity-norm of the nonnegative array M."""
-    return float(coupling._max_row_sums(M))
+    return float(M.sum(axis=-1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -443,59 +443,29 @@ def fold(M, p):
     return M[np.ix_(up, up)] + M[np.ix_(up, down)]
 
 
-def loop_spectral_radius(M):
-    """One-matrix Gelfand iteration (r, eps, squarings), the scalar loop
-    the batched iteration replaced."""
-    norm0 = float(M.sum(axis=1).max())
-    if norm0 == 0.0:
-        return 0.0, 0.0, 0
-    A = M / norm0
-    log_scale = np.log(norm0)
-    estimates = [norm0]
-    for k in range(1, 21):
-        A = A @ A
-        c = float(A.sum(axis=1).max())
-        if c == 0.0:
-            return 0.0, 0.0, k
-        A /= c
-        log_scale = 2.0 * log_scale + np.log(c)
-        estimates.append(float(np.exp(log_scale / 2**k)))
-    eps = max(0.0, estimates[-2] - estimates[-1]) if len(estimates) > 1 else 0.0
-    return estimates[-1], eps, k
-
-
 def dirichlet_chain(gen, p, a=0.3):
     P = gen.dirichlet(np.full(p, a), size=p)
     return P / P.sum(axis=1, keepdims=True)
 
 
-# degenerate 3-state chains: all rows equal (M = 0, norm0 = 0); rows 1 and 2
-# equal, so every pair reaches a kappa = 1 pair in one step (M @ M = 0, the
-# c == 0 exit); rows 0 and 1 equal (two kappa = 1 rows next to live ones)
-DEGENERATE_CHAINS = (
-    np.tile([0.2, 0.3, 0.5], (3, 1)),
-    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-    np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.1, 0.2, 0.7]]),
-)
-
-
 def test_degenerate_chains_take_the_early_exits():
     est = coupling_radii(np.stack(DEGENERATE_CHAINS))
-    assert est.squarings.tolist() == [0, 1, 20]
     assert est.r[:2].tolist() == [0.0, 0.0] and est.eps[:2].tolist() == [0.0, 0.0]
     assert est.r[2] > 0.0
 
 
-# every p whose pair matrix (d = p(p - 1)/2) takes the Gelfand path, and the
-# smallest that takes the bracket
-GELFAND_P_MAX = max(p for p in range(2, 100) if p * (p - 1) // 2 < coupling._BRACKET_MIN_DIM)
-BRACKET_P_MIN = GELFAND_P_MAX + 1
+# every p whose pair matrix (d = p(p - 1)/2) takes the dense eig-seeded path,
+# and the smallest that runs matrix-free
+DENSE_P_MAX = max(p for p in range(2, 100) if p * (p - 1) // 2 < coupling._BRACKET_MIN_DIM)
+BRACKET_P_MIN = DENSE_P_MAX + 1
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, GELFAND_P_MAX), st.integers(1, 12),
+@given(st.integers(0, 2**32 - 1), st.integers(2, DENSE_P_MAX), st.integers(1, 12),
        st.sets(st.integers(0, 11), max_size=4))
 def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at):
+    # each item of a batch is its matrix alone: the loop's pair matrix and
+    # the one-chain radius, bit for bit
     gen = np.random.default_rng(seed)
     stack = [dirichlet_chain(gen, p) for _ in range(B)]
     if p == 3:
@@ -505,10 +475,10 @@ def test_batched_bound_equals_per_matrix_loop(seed, p, B, degenerate_at):
     est = coupling_radii(np.stack(stack))
     for i, P in enumerate(stack):
         assert Ms[i].tobytes() == fold(loop_coupling_matrix(P), p).tobytes()
-        expected = loop_spectral_radius(Ms[i])
-        assert (est.r[i], est.eps[i], est.squarings[i]) == expected
-        single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
-        assert (single.r, single.eps, single.squarings) == expected
+        M = build_coupling_matrix(StochasticMatrix(P))
+        single = spectral_radius(M)
+        assert (single.r, single.eps) == (est.r[i], est.eps[i])
+        assert_spectral_path(M, est.r[i], est.eps[i])
 
 
 def oracle_bracket(M, rtol=1e-12, max_iter=20000):
@@ -529,21 +499,39 @@ def oracle_bracket(M, rtol=1e-12, max_iter=20000):
     return lo, hi
 
 
-def assert_spectral_path(CM, r, eps, squarings):
-    """A bracket item (squarings 0) holds max|eig(M)| in [r - eps, r] within
-    1e-9 relative and agrees with the oracle iteration; a fallback item is
-    the Gelfand loop bit for bit.  Both stay below the max row sum."""
+def closed(r, eps):
+    """Whether a reported bracket closed: its width is at most 2e-12 r (the
+    closing gap plus the rounding allowance); a stalled one is wider."""
+    return eps <= 2e-12 * r
+
+
+def assert_spectral_path(CM, r, eps):
+    """[r - eps, r] holds max|eig(M)| within 1e-9 relative, and r = 0 only
+    for a nilpotent M (whose LAPACK eigenvalues carry no relative
+    accuracy); a closed bracket agrees with the oracle iteration.  r stays
+    below the max row sum."""
     M = CM.entries
-    if squarings:
-        assert (r, eps, squarings) == loop_spectral_radius(M)
+    assert 0.0 <= eps <= r
+    if r == 0.0:
+        assert not np.linalg.matrix_power(M, M.shape[0]).any()
     else:
-        assert 0.0 <= eps <= 2e-12 * r
         eig = float(np.abs(np.linalg.eigvals(M)).max())
         assert r - eps <= eig * (1.0 + 1e-9) and eig <= r * (1.0 + 1e-9)
+    if closed(r, eps):
         lo, hi = oracle_bracket(M)
-        if hi - lo <= 1e-12 * hi:          # the plain oracle closes unless M is reducible
-            assert hi <= r * (1.0 + 1e-9) and r <= lo * (1.0 + 1e-4)
+        # the plain oracle closes unless M is reducible; it steps on M + I, so
+        # its ends carry an absolute error of a few ulps of 1
+        if hi - lo <= 1e-12 * hi:
+            assert hi <= r * (1.0 + 1e-9) + 8 * EPS and r <= lo * (1.0 + 1e-4) + 8 * EPS
     assert r <= max_row_sum(M) + 1e-12
+
+
+def near_permutation(gen, p):
+    """Row x puts 1 - e_x on pi(x) and spreads e_x in [1e-4, 1e-2] evenly."""
+    e = gen.uniform(1e-4, 1e-2, p)
+    P = np.repeat((e / (p - 1))[:, None], p, axis=1)
+    P[np.arange(p), gen.permutation(p)] = 1.0 - e
+    return P
 
 
 def fixed_chain(kind, p):
@@ -551,13 +539,10 @@ def fixed_chain(kind, p):
     a zero row of M), block-diagonal (closed classes of pairs), all rows
     equal (M = 0), and a near-permutation (row x puts 1 - e_x on pi(x) and
     spreads e_x in [1e-4, 1e-2]), whose pair eigenvalues crowd the circle
-    of radius rho, so its bracket does not close and it falls back."""
+    of radius rho, so its matrix-free bracket stalls."""
     gen = np.random.default_rng(p)
     if kind == "near-permutation":
-        e = gen.uniform(1e-4, 1e-2, p)
-        P = np.repeat((e / (p - 1))[:, None], p, axis=1)
-        P[np.arange(p), gen.permutation(p)] = 1.0 - e
-        return P
+        return near_permutation(gen, p)
     if kind == "all rows equal":
         return np.tile(gen.dirichlet(np.full(p, 0.3)), (p, 1))
     P = dirichlet_chain(gen, p)
@@ -570,29 +555,35 @@ def fixed_chain(kind, p):
     return P
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 24),
-       st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24),
+       st.sampled_from([0.05, 0.3, 1.0, "near-permutation"]))
 def test_bracket_holds_the_spectral_radius(seed, p, a):
-    P = dirichlet_chain(np.random.default_rng(seed), p, a)
+    # both paths: dense and eig-seeded for p <= DENSE_P_MAX, matrix-free
+    # above; Dirichlet(a) rows, or a near-permutation chain
+    gen = np.random.default_rng(seed)
+    P = near_permutation(gen, p) if a == "near-permutation" else dirichlet_chain(gen, p, a)
     M = build_coupling_matrix(StochasticMatrix(P))
     est = coupling_radii(P[None])
-    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
+    assert_spectral_path(M, est.r[0], est.eps[0])
     single = spectral_radius(M)
-    assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
+    assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], 0)
 
 
+# ``stalled``: the bracket steps per row of Q an item spends without
+# closing, the whole budget on the near-permutation chain and none on the
+# chains that close
 @pytest.mark.parametrize("p", [BRACKET_P_MIN, 20])
-@pytest.mark.parametrize("kind, squarings", [
+@pytest.mark.parametrize("kind, stalled", [
     ("two equal rows", 0), ("block-diagonal", 0), ("all rows equal", 0),
-    ("near-permutation", 20),
+    ("near-permutation", coupling._BRACKET_BUDGET),
 ])
-def test_bracket_on_fixed_chains(kind, squarings, p):
+def test_bracket_on_fixed_chains(kind, stalled, p):
     P = fixed_chain(kind, p)
     M = build_coupling_matrix(StochasticMatrix(P))
     est = coupling_radii(P[None])
-    assert est.squarings[0] == squarings
-    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
+    assert closed(est.r[0], est.eps[0]) == (stalled == 0)
+    assert_spectral_path(M, est.r[0], est.eps[0])
     if kind == "all rows equal":
         assert (est.r[0], est.eps[0]) == (0.0, 0.0)
 
@@ -607,25 +598,10 @@ def test_bracket_holds_a_closed_form_radius():
     for a, b, c, dd in ([0.5, 0.2, 0.1, 0.3], [0.05, 0.6, 0.3, 0.2], [0.7, 0.01, 0.25, 0.4]):
         M = np.kron(np.array([[a, b], [c, dd]]), np.full((n, n), 1.0 / n))
         rho = (a + dd) / 2 + np.sqrt(((a - dd) / 2) ** 2 + b * c)
-        bracket = coupling._perron_bracket(M.__matmul__, M.shape[0])
-        assert bracket is not None
-        r, eps = bracket[1], bracket[1] - bracket[0]
+        est = coupling._dense_radii(M[None])
+        r, eps = est.r[0], est.eps[0]
+        assert closed(r, eps)
         assert r - eps <= rho * (1 + 4 * EPS) and rho * (1 - 4 * EPS) <= r
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3))
-def test_bracket_budget_fallback_is_the_gelfand_loop(seed, p, B):
-    gen = np.random.default_rng(seed)
-    Ps = np.stack([dirichlet_chain(gen, p) for _ in range(B)])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
-        est = coupling_radii(Ps)
-        singles = [spectral_radius(build_coupling_matrix(StochasticMatrix(P))) for P in Ps]
-    for i, M in enumerate(coupling_matrices(Ps)):
-        expected = loop_spectral_radius(M)
-        assert (est.r[i], est.eps[i], est.squarings[i]) == expected
-        assert (singles[i].r, singles[i].eps, singles[i].squarings) == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -760,54 +736,30 @@ def test_pair_matvec_is_within_its_rounding_bound(P, seed, with_zeros):
 def test_matrix_free_bracket_holds_the_spectral_radius(P):
     M = build_coupling_matrix(StochasticMatrix(P))
     est = coupling_radii(P[None])
-    assert_spectral_path(M, est.r[0], est.eps[0], est.squarings[0])
-    dense = coupling._perron_bracket(M.entries.__matmul__, M.dim)
-    if est.squarings[0] == 0 and dense is not None:
+    assert_spectral_path(M, est.r[0], est.eps[0])
+    dense = coupling._dense_radii(M.entries[None])
+    if closed(est.r[0], est.eps[0]) and closed(dense.r[0], dense.eps[0]):
         # two certified brackets of operators within a few roundings of each other
-        w = max(est.eps[0], dense[1] - dense[0]) + 8 * EPS * est.r[0]
-        assert abs(est.r[0] - dense[1]) <= w
-
-
-@pytest.mark.parametrize("p", [BRACKET_P_MIN, 16])
-def test_matrix_free_fallback_is_gelfand_of_the_dense_matrix(p):
-    P = fixed_chain("near-permutation", p)
-    est = coupling_radii(P[None])
-    expected = coupling._gelfand(coupling_matrices(P[None]))
-    assert est.squarings[0] == 20
-    for field in ("r", "eps", "squarings"):
-        assert getattr(est, field).tobytes() == getattr(expected, field).tobytes()
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(BRACKET_P_MIN, 14), st.integers(1, 3))
-def test_matrix_free_budget_fallback_is_gelfand_bit_for_bit(seed, p, B):
-    gen = np.random.default_rng(seed)
-    Ps = np.stack([dirichlet_chain(gen, p) for _ in range(B)])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling, "_BRACKET_BUDGET", 0)     # no bracket step: every item falls back
-        est = coupling_radii(Ps)
-    expected = coupling._gelfand(coupling_matrices(Ps))
-    for field in ("r", "eps", "squarings"):
-        assert getattr(est, field).tobytes() == getattr(expected, field).tobytes()
+        w = max(est.eps[0], dense.eps[0]) + 8 * EPS * est.r[0]
+        assert abs(est.r[0] - dense.r[0]) <= w
 
 
 def test_matrix_free_mixed_stack_equals_its_items():
-    # bracket, fallback and all-dead items in one stack, each as if alone
+    # closed, stalled and all-dead items in one stack, each as if alone
     p = BRACKET_P_MIN
     gen = np.random.default_rng(5)
     chains = np.stack([dirichlet_chain(gen, p), fixed_chain("near-permutation", p),
                        fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)])
     est = coupling_radii(chains)
-    assert est.squarings.tolist() == [0, 20, 0, 0]
+    assert [closed(r, eps) for r, eps in zip(est.r, est.eps)] == [True, False, True, True]
     assert (est.r[2], est.eps[2]) == (0.0, 0.0)
     for i, P in enumerate(chains):
         alone = coupling_radii(P[None])
-        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r[0], alone.eps[0],
-                                                            alone.squarings[0])
+        assert (est.r[i], est.eps[i]) == (alone.r[0], alone.eps[0])
 
 
 def test_mixed_stack_equals_its_items():
-    # bracket, fallback and M = 0 items in one stack, in either order, each
+    # closed, stalled and M = 0 items in one stack, in either order, each
     # as the one-chain spectral_radius of its pair matrix gives it
     p = BRACKET_P_MIN
     gen = np.random.default_rng(5)
@@ -815,12 +767,12 @@ def test_mixed_stack_equals_its_items():
                        fixed_chain("all rows equal", p), dirichlet_chain(gen, p, 0.05)])
     est = coupling_radii(chains)
     rev = coupling_radii(chains[::-1])
-    assert est.squarings.tolist() == [0, 20, 0, 0]
+    assert [closed(r, eps) for r, eps in zip(est.r, est.eps)] == [True, False, True, True]
     for i, P in enumerate(chains):
         alone = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
-        assert (est.r[i], est.eps[i], est.squarings[i]) == (alone.r, alone.eps, alone.squarings)
+        assert (est.r[i], est.eps[i]) == (alone.r, alone.eps)
         j = len(chains) - 1 - i
-        assert (rev.r[j], rev.eps[j], rev.squarings[j]) == (alone.r, alone.eps, alone.squarings)
+        assert (rev.r[j], rev.eps[j]) == (alone.r, alone.eps)
 
 
 @pytest.mark.parametrize("P", [dirichlet_chain(np.random.default_rng(p), p) for p in (4, 10, 11, 16)]
@@ -828,7 +780,7 @@ def test_mixed_stack_equals_its_items():
 def test_one_radius_per_chain(P):
     single = spectral_radius(build_coupling_matrix(StochasticMatrix(P)))
     est = coupling_radii(P[None])
-    assert (single.r, single.eps, single.squarings) == (est.r[0], est.eps[0], est.squarings[0])
+    assert (single.r, single.eps) == (est.r[0], est.eps[0])
 
 
 def test_report_radius_is_the_one_chain_radius():
@@ -868,19 +820,19 @@ def test_batched_coupling_rejects_bad_shapes():
 # ---------------------------------------------------------------------------
 # spectral radius and max-row-sum norm; the diagonal, zero and random
 # sub-stochastic matrices are no pair matrices of a chain, so they run the
-# generic Gelfand core
+# generic dense eig-seeded bracket
 
 
 def test_spectral_radius_diagonal():
     M = np.diag([0.3, 0.1, 0.2])
-    est = coupling._gelfand(M[None])
+    est = coupling._dense_radii(M[None])
     assert est.r[0] == pytest.approx(0.3, abs=1e-9)
     assert max_row_sum(M) == pytest.approx(0.3)
 
 
 def test_spectral_radius_zero_matrix():
     M = np.zeros((3, 3))
-    est = coupling._gelfand(M[None])
+    est = coupling._dense_radii(M[None])
     assert est.r[0] == 0.0 and est.eps[0] == 0.0
     assert max_row_sum(M) == 0.0
 
@@ -909,7 +861,7 @@ def test_spectral_radius_random_substochastic(seed, p):
     d = p * (p - 1) // 2
     arr = gen.random((d, d))
     arr *= gen.random() / arr.sum(axis=1, keepdims=True)  # row sums < 1
-    est = coupling._gelfand(arr[None])
+    est = coupling._dense_radii(arr[None])
     assert est.r[0] <= max_row_sum(arr) + 1e-12
     eig = float(np.abs(np.linalg.eigvals(arr)).max())
     assert est.r[0] == pytest.approx(eig, abs=1e-5)
