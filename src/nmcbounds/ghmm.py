@@ -131,40 +131,50 @@ class GhmmStack:
         return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
 
 
-def _chain_sum(rows):
-    """((r0 + r1) + r2) + ... over the leading axis; a new array, except
-    that a single row is returned as it is."""
+def _chain_sum(rows, out):
+    """((r0 + r1) + r2) + ... over the leading axis, into ``out``."""
     if len(rows) == 1:
-        return rows[0]
-    total = rows[0] + rows[1]
+        np.copyto(out, rows[0])
+    else:
+        np.add(rows[0], rows[1], out=out)
     for row in rows[2:]:
-        total += row
-    return total
+        out += row
+    return out
 
 
-def _dot_sum(rows):
+def _dot_sum(rows, out, spare):
     """Sum over the leading axis in the order of einsum's contiguous dot
     product: two lanes, even and odd terms, each a chain that takes whole
     blocks of eight from the top down (6, 4, 2, 0 and 7, 5, 3, 1) and the
-    remainder upward; then even lane + odd lane."""
+    remainder upward; then even lane + odd lane.  The even lane goes into
+    ``out``, the odd one into ``spare``."""
     n = len(rows)
     full = n - n % 8
     even = [rows[i + j] for i in range(0, full, 8) for j in (6, 4, 2, 0)]
     odd = [rows[i + j] for i in range(0, full, 8) for j in (7, 5, 3, 1)]
-    total = _chain_sum(even + [rows[j] for j in range(full, n, 2)])
+    _chain_sum(even + [rows[j] for j in range(full, n, 2)], out)
     if n > 1:
-        total += _chain_sum(odd + [rows[j] for j in range(full + 1, n, 2)])
-    return total
+        out += _chain_sum(odd + [rows[j] for j in range(full + 1, n, 2)], spare)
+    return out
 
 
-def _emissions(obs2d, means, variances, out=None):
-    """Gaussian densities, shape (T, K, B); floored to avoid hard zeros.
+def _squared_deviations(obs2d, means, out):
+    """(obs - means)^2 into the (T, K, B) buffer ``out``.
 
     obs2d is (T, B), one column per batch model (columns may be broadcast
-    views of a shared sequence); means and variances are (K, B)."""
-    diff = obs2d[:, None, :] - means
-    b = np.multiply(diff, -0.5, out=out)
-    b *= diff
+    views of a shared sequence); means are (K, B)."""
+    diff = np.subtract(obs2d[:, None, :], means, out=out)
+    return np.multiply(diff, diff, out=diff)
+
+
+def _emissions(sq, variances):
+    """Gaussian densities, shape (T, K, B), in place from the squared
+    deviations ``sq``; floored to avoid hard zeros.
+
+    (d d)(-0.5) equals (d (-0.5)) d bit for bit, since scaling by a power
+    of two is exact, except where d d underflows; there exp(-x / v) is 1.0
+    either way, as v >= VARIANCE_FLOOR."""
+    b = np.multiply(sq, -0.5, out=sq)
     b /= variances
     np.exp(b, out=b)
     b /= np.sqrt(2.0 * math.pi * variances)
@@ -176,17 +186,23 @@ def _forward(initial, transition, means, variances, obs2d, out=None):
 
     Returns (loglik (B,), alpha (T, K, B), scales (T, B), emissions
     (T, K, B)); ``out`` optionally holds the (emissions, alpha) buffers to
-    fill.  Each model's log-likelihood sums its scales as one contiguous
-    row, in the same order whatever the batch size.
+    fill.  With ``means`` None, ``out[0]`` already holds the squared
+    deviations of the current means, as ``_mstep`` leaves them.  Each
+    model's log-likelihood sums its scales as one contiguous row, in the
+    same order whatever the batch size.
     """
     T = obs2d.shape[0]
-    emissions, alpha = np.empty((2, T) + means.shape) if out is None else out
-    b = _emissions(obs2d, means, variances, out=emissions)
+    emissions, alpha = np.empty((2, T) + variances.shape) if out is None else out
+    if means is not None:
+        _squared_deviations(obs2d, means, emissions)
+    b = _emissions(emissions, variances)
     scales = np.empty(obs2d.shape)
+    prod = np.empty(transition.shape)
     a = initial * b[0]
     for t in range(T):
         if t:
-            a = _chain_sum(alpha[t - 1][:, None] * transition)   # sum_i alpha_i a_ij
+            np.multiply(alpha[t - 1][:, None], transition, out=prod)
+            _chain_sum(prod, a)                                     # sum_i alpha_i a_ij
             a *= b[t]
         scales[t] = _state_sum(a)
         np.divide(a, scales[t], out=alpha[t])
@@ -196,8 +212,8 @@ def _forward(initial, transition, means, variances, obs2d, out=None):
 
 def _posterior(transition, alpha, scales, emissions, beta, w=None):
     """Scaled backward pass into the (T, K, B) buffer ``beta``; returns the
-    state posteriors gamma (T, K, B) and the expected transition counts
-    xi_sum (K, K, B).
+    state posteriors gamma (T, K, B), written over beta, and the expected
+    transition counts xi_sum (K, K, B).
 
     Row t of the (T - 1, K, B) buffer ``w`` keeps the backward step's
     b_t+1 beta_t+1 for xi; ``w`` may be ``emissions[1:]``, since row t + 1
@@ -208,11 +224,15 @@ def _posterior(transition, alpha, scales, emissions, beta, w=None):
     if w is None:
         w = np.empty((T - 1,) + beta.shape[1:])
     by_target = np.ascontiguousarray(transition.transpose(1, 0, 2))   # [j, i] = a_ij
+    prod = np.empty(by_target.shape)
+    spare = np.empty(beta.shape[1:])
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         np.multiply(b[t + 1], beta[t + 1], out=w[t])
-        np.divide(_dot_sum(by_target * w[t][:, None]), scales[t + 1], out=beta[t])
-    gamma = alpha * beta
+        np.multiply(by_target, w[t][:, None], out=prod)
+        _dot_sum(prod, beta[t], spare)                   # sum_j a_ij w_j
+        beta[t] /= scales[t + 1]
+    gamma = np.multiply(alpha, beta, out=beta)
     gamma /= _state_sum(gamma.swapaxes(0, 1))[:, None]
     if T > 1:
         # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
@@ -294,10 +314,11 @@ class BaumWelchFit:
     starvation_flags: list        # (epoch, state) pairs that needed a reset
 
 
-def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
+def _mstep(gamma, xi_sum, obs2d, means_old, global_var, sq):
     """One batched M-step on state-major arrays; returns the updated
     (K, B) initial, (K, K, B) transition, (K, B) means and variances, and
-    the (K, B) starvation mask.
+    the (K, B) starvation mask, and leaves the squared deviations from the
+    updated means in the (T, K, B) buffer ``sq`` for the next emissions.
 
     global_var carries each batch item's own observation variance for the
     starvation reset."""
@@ -321,8 +342,7 @@ def _mstep(gamma, xi_sum, obs2d, means_old, global_var):
 
     means = np.einsum("tkb,tb->kb", gamma, obs2d) / safe_mass
     means = np.where(starved, means_old, means)
-    diff = obs2d[:, None, :] - means
-    variances = np.einsum("tkb,tkb->kb", gamma, diff * diff) / safe_mass
+    variances = np.einsum("tkb,tkb->kb", gamma, _squared_deviations(obs2d, means, sq)) / safe_mass
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
     # starved states: variance back to that item's global variance, row uniform
@@ -360,16 +380,18 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
         initial, transition, means, variances = (
             np.ascontiguousarray(np.moveaxis(getattr(inits, name)[part], 0, -1))
             for name in _PARAMS)
-        work = np.empty((3,) + obs2d.shape[:1] + means.shape)  # emissions, alpha, beta
+        # emissions (first the squared deviations), alpha, beta (then gamma)
+        work = np.empty((3,) + obs2d.shape[:1] + means.shape)
+        _squared_deviations(obs2d, means, work[0])
         for epoch in range(epochs):
             traces[part, epoch], alpha, scales, b = _forward(
-                initial, transition, means, variances, obs2d, out=work[:2])
+                initial, transition, None, variances, obs2d, out=work[:2])
             gamma, xi_sum = _posterior(transition, alpha, scales, b, work[2], b[1:])
             initial, transition, means, variances, mask = _mstep(
-                gamma, xi_sum, obs2d, means, global_var)
+                gamma, xi_sum, obs2d, means, global_var, work[0])
             starved[part, epoch] = mask.T
         # the last pass feeds only the trace, so it runs forward only
-        traces[part, epochs] = _forward(initial, transition, means, variances, obs2d,
+        traces[part, epochs] = _forward(initial, transition, None, variances, obs2d,
                                         out=work[:2])[0]
         for dst, arr in zip(fitted, (initial, transition, means, variances)):
             dst[part] = np.moveaxis(arr, -1, 0)

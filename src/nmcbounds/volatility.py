@@ -17,10 +17,12 @@ coupling operator bounds the fitted transition stack; the starvation mask
 becomes the per-date quality flags.  No per-slot generator or model object
 is built.
 
-scipy is imported at its call sites: ``scipy.optimize`` and ``special`` in
-``fit_garch11``, ``special`` in ``_theta_to_params`` and ``signal`` in
-``_variance_path`` and ``_garch_terms``, so importing this module (and the
-CLI) loads no scipy; a process pays at its first GARCH fit or variance path.
+The GARCH(1,1) baseline needs no scipy: its variance path and derivative
+rows run through one first-order recursion (``_ar1``, recursive doubling),
+its search is a short BFGS with Armijo backtracking (``_bfgs``), and its
+logistic and logit are ``math`` one-liners.  So neither importing this
+module nor running ``volatility`` loads any scipy module; those three
+pieces cost more memory and start-up time than the indicator itself.
 """
 
 from __future__ import annotations
@@ -193,15 +195,36 @@ class GarchFit:
         return out
 
 
+def _ar1(x, beta):
+    """y_t = x_t + beta y_{t-1} along the last axis, from y_{-1} = 0, in
+    place in x (which is returned).
+
+    Recursive doubling (Kogge & Stone 1973): after the pass with lag k,
+    y_t holds sum_{j < 2k} beta^j x_{t-j}, so ceil(log2 n) whole-array
+    passes replace the n-step loop.  The sums form a tree, not a chain, and
+    each lag's coefficient beta^k is one ``pow``, not repeated squaring,
+    so its error does not grow with k.  Overflow leaves inf or nan, as a C loop
+    would, for the caller's finiteness check.
+    """
+    beta = float(beta)
+    k, n = 1, x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            c = beta ** k
+            if c == 0.0:
+                break
+            x[..., k:] += c * x[..., :-k]
+            k *= 2
+    return x
+
+
 def _variance_path(mu, omega, alpha1, beta1, r, h0):
     """h_t = omega + alpha1 e_{t-1}^2 + beta1 h_{t-1}, from h_0 = h0 (the
     sample variance of r, computed once per fit by the caller)."""
-    from scipy.signal import lfilter
-
     e2 = (r - mu) ** 2
     x = omega + alpha1 * e2[:-1]
-    tail = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * h0])[0]
-    return np.concatenate(([h0], tail)), e2
+    x[:1] += beta1 * h0
+    return np.concatenate(([h0], _ar1(x, beta1))), e2
 
 
 _RHO_CAP = 1.0 - 1e-7    # keeps the persistence strictly inside the unit interval
@@ -209,6 +232,7 @@ _SCORE_TOL = 1e-6        # converged: largest scaled score component
 _DEGENERATE = 1e-8       # returns whose std is below this share of max |r|
 _POLISH_FROM = 1e-4      # the polish starts from search points scored at most this
 _NEWTON_STEPS = 8
+_SEARCH_STEPS = 800      # BFGS steps per start, 200 per parameter
 # second derivatives of h that are not zero, as (i, j) in (mu, omega, alpha1, beta1)
 _HESS_PAIRS = ((0, 0), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
 
@@ -216,21 +240,23 @@ _HESS_PAIRS = ((0, 0), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
 def _garch_terms(params, r, h0, hessian=False):
     """The Gaussian NLL of GARCH(1,1) at (mu, omega, alpha1, beta1), its
     per-observation scores (4, n) and, with ``hessian``, its (4, 4) Hessian;
-    None where the variance path is not finite and positive.
+    None where the variance path is not finite and positive or the NLL
+    overflows.
 
     Differentiating the recursion gives dh_t = d(omega + alpha1 e_{t-1}^2)
     + h_{t-1} dbeta1 + beta1 dh_{t-1} from dh_0 = 0 (h_0 is fixed per fit),
-    so the four derivative rows run through h's own filter 1 / (1 - beta1
-    z^-1) in one call, and the nonzero second derivatives of h in one more
+    so the four derivative rows run through h's own recursion (``_ar1``) in
+    one call, and the nonzero second derivatives of h in one more
     (Fiorentini, Calzolari & Panattoni 1996).
     """
-    from scipy.signal import lfilter
-
     mu, omega, alpha1, beta1 = params
     h, e2 = _variance_path(mu, omega, alpha1, beta1, r, h0)
     if not np.all(np.isfinite(h)) or h.min() <= 0:
         return None
-    nll = 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
+    with np.errstate(over="ignore"):
+        nll = 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e2 / h))
+    if not math.isfinite(nll):
+        return None
     e = r - mu
     inv_h = 1.0 / h
     u = e2 * inv_h
@@ -239,7 +265,7 @@ def _garch_terms(params, r, h0, hessian=False):
     dh[1, 1:] = 1.0
     dh[2, 1:] = e2[:-1]
     dh[3, 1:] = h[:-1]
-    dh[:, 1:] = lfilter([1.0], [1.0, -beta1], dh[:, 1:], axis=1)
+    _ar1(dh[:, 1:], beta1)
     dnll_dh = 0.5 * inv_h * (1.0 - u)
     scores = dh * dnll_dh
     scores[0] -= e * inv_h
@@ -252,7 +278,7 @@ def _garch_terms(params, r, h0, hessian=False):
     d2h[3, 1:] = dh[1, :-1]
     d2h[4, 1:] = dh[2, :-1]
     d2h[5, 1:] = 2.0 * dh[3, :-1]
-    d2h[:, 1:] = lfilter([1.0], [1.0, -beta1], d2h[:, 1:], axis=1)
+    _ar1(d2h[:, 1:], beta1)
     H = (dh * (0.5 * inv_h * inv_h * (2.0 * u - 1.0))) @ dh.T
     cross = dh @ (e * inv_h * inv_h)
     H[0] += cross
@@ -276,27 +302,82 @@ def _search_jacobian(sd, omega, rho, frac, capped):
                      [0.0, 0.0, drho * (1.0 - frac), -dfrac]])
 
 
+# the logistic and its inverse; the branch keeps math.exp from overflowing
+def _expit(x):
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def _logit(p):
+    return math.log(p / (1.0 - p))
+
+
 def _theta_to_params(theta, sd):
     """(mu, omega, alpha1, beta1) of a search point theta = (mu / sd, log
     omega, logit rho, logit split), with rho = alpha1 + beta1 capped at
-    _RHO_CAP and the split alpha1 / rho; also returns rho and the split."""
-    from scipy.special import expit
-
+    _RHO_CAP and the split alpha1 / rho; also returns rho and the split.
+    Raises OverflowError where omega is not a finite float."""
     s_mu, log_omega, s_rho, s_frac = theta
-    rho = min(expit(s_rho), _RHO_CAP)
-    frac = expit(s_frac)
+    rho = min(_expit(s_rho), _RHO_CAP)
+    frac = _expit(s_frac)
     return (float(s_mu * sd), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
 
 
 def _garch_nll(theta, r, h0, sd):
-    """NLL per observation and its gradient at a search point."""
-    params, rho, frac = _theta_to_params(theta, sd)
+    """NLL per observation and its gradient at a search point; a penalty
+    of 1e12 with a zero gradient where omega, the variance path or the NLL
+    is not finite."""
+    try:
+        params, rho, frac = _theta_to_params(theta, sd)
+    except OverflowError:
+        return 1e12, np.zeros(4)
     terms = _garch_terms(params, r, h0)
     if terms is None:
         return 1e12, np.zeros(4)
     n = r.shape[0]
     jac = _search_jacobian(sd, params[1], rho, frac, rho >= _RHO_CAP)
     return terms[0] / n, jac.T @ terms[1].sum(axis=1) / n
+
+
+def _bfgs(fun, x, args):
+    """Minimize fun(x, *args) -> (f, gradient) by BFGS with Armijo
+    backtracking (c1 = 1e-4; Nocedal & Wright 2006, Alg. 6.1) from the
+    unit inverse Hessian; returns (x, f, gradient) at the last accepted
+    point.  Stops when the largest gradient component is at most
+    _SCORE_TOL / 10, after _SEARCH_STEPS steps, when rounding leaves no
+    descent direction, or when backtracking no longer moves x.  The first
+    trial step of each line search extrapolates the last decrease,
+    t = min(1, 2.02 (f - f_prev) / g'p) (N&W 3.5), with f_prev = f + |g| / 2
+    at the start, so the first step is at most 1.01 long whatever the
+    gradient's scale.  The update is skipped when s'y <= 0.
+    """
+    f, g = fun(x, *args)
+    hinv = np.eye(x.size)
+    f_prev = f + float(np.linalg.norm(g)) / 2
+    for _ in range(_SEARCH_STEPS):
+        if np.abs(g).max() <= _SCORE_TOL / 10:
+            break
+        p = -(hinv @ g)
+        slope = float(g @ p)
+        if not slope < 0:
+            break
+        t = min(1.0, 2.02 * (f - f_prev) / slope)
+        if not t > 0:
+            t = 1.0
+        while True:
+            x_new = x + t * p
+            if np.array_equal(x_new, x):
+                return x, f, g
+            f_new, g_new = fun(x_new, *args)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            hinv = v @ hinv @ v.T + np.outer(s, s) / sy
+        f_prev, x, f, g = f, x_new, f_new, g_new
+    return x, f, g
 
 
 def _free_directions(capped):
@@ -399,20 +480,17 @@ def fit_garch11(returns) -> GarchFit:
     if not sd > _DEGENERATE * float(np.abs(r).max()):
         raise ValueError("degenerate returns: no variation on the scale of the returns")
 
-    from scipy import optimize
-    from scipy.special import logit
-
     best = None
     for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
         x0 = np.array([float(r.mean()) / sd, math.log(var * (1.0 - rho0)),
-                       logit(rho0), logit(frac0)])
-        res = optimize.minimize(_garch_nll, x0, args=(r, var, sd), jac=True, method="BFGS",
-                                options={"gtol": _SCORE_TOL / 10})
-        if best is None or res.fun < best.fun:
-            best = res
-    params, rho, _ = _theta_to_params(best.x, sd)
+                       _logit(rho0), _logit(frac0)])
+        end = _bfgs(_garch_nll, x0, (r, var, sd))
+        if best is None or end[1] < best[1]:
+            best = end
+    x, _, grad = best
+    params, rho, _ = _theta_to_params(x, sd)
     capped = rho >= _RHO_CAP
-    steps = _NEWTON_STEPS if np.abs(best.jac).max() <= _POLISH_FROM else 0
+    steps = _NEWTON_STEPS if np.abs(grad).max() <= _POLISH_FROM else 0
     params, (nll, scores, H) = _newton_polish(params, capped, r, var, steps)
 
     mu, omega, alpha1, beta1 = params

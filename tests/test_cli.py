@@ -470,10 +470,10 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import nmcbounds, nmcbounds.cli
-seen = {"import": scipy_modules()}
+seen = [["import", scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
     code = nmcbounds.cli.main(argv)
-    seen[argv[0]] = [code, scipy_modules()]
+    seen.append([" ".join(argv[:2]), code, scipy_modules()])
 print(json.dumps(seen))
 """
 
@@ -494,11 +494,17 @@ def test_cold_start_loads_no_scipy(tmp_path):
         ["coupling-check", "--example", "1", "--samples", "2000", "--steps", "2",
          "--out", str(tmp_path / "cc.csv")],
     ]
+    prices = make_price_csv(tmp_path / "prices.csv", n=300, seed=5)
+    for source in (["--self-check"], ["--prices", str(prices)]):
+        commands.append(["volatility", *source, "--reps", "1", "--window-min", "60",
+                         "--window-max", "60", "--date-stride", "30",
+                         "--out-prefix", str(tmp_path / source[0][2:])])
     proc = run_cold(["-c", COLD_RUN, json.dumps(commands)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [], "bounds": [0, []], "simulate": [0, []],
-                    "coupling-check": [0, []]}
+    assert seen == [["import", []], ["bounds --example", 0, []], ["simulate --example", 0, []],
+                    ["coupling-check --example", 0, []], ["volatility --self-check", 0, []],
+                    ["volatility --prices", 0, []]]
 
 
 @pytest.mark.parametrize("command", ["stats", "volatility"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nmcbounds import volatility
 from nmcbounds.coupling import coupling_radii
 from nmcbounds.errors import AlignmentError
 from nmcbounds.rng import derive_seed
@@ -15,7 +16,10 @@ from nmcbounds.signal import PriceSeries, ReturnSeries, denoise, log_returns
 from nmcbounds.volatility import (
     GarchModel,
     VolatilityConfig,
+    _ar1,
+    _bfgs,
     _fit_seed,
+    _garch_nll,
     _garch_terms,
     _slot_keys,
     comparison_table,
@@ -233,14 +237,57 @@ def test_garch_zero_returns_fixed_point():
 def test_garch_converged_reads_the_returned_search(monkeypatch):
     r = returns_from(simulate_garch(0.0, 5e-6, 0.10, 0.85, 500, seed=3))
     assert fit_garch11(r).converged is True
-    import scipy.optimize
-    minimize = scipy.optimize.minimize
-
-    def capped(*args, options, **kwargs):
-        return minimize(*args, options={**options, "maxiter": 5}, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", capped)
+    monkeypatch.setattr(volatility, "_SEARCH_STEPS", 5)
     assert fit_garch11(r).converged is False
+
+
+def test_garch_search_objective_penalizes_an_omega_beyond_float_range():
+    r = simulate_garch(0.0, 5e-6, 0.10, 0.85, 200, seed=3)
+    var = float(r.var())
+    for theta in ([0.0, 800.0, 2.0, 0.0], [0.0, 709.0, 2.0, 0.0]):
+        f, g = _garch_nll(np.array(theta), r, var, math.sqrt(var))
+        assert f == 1e12 and not g.any()
+
+
+def test_bfgs_reaches_the_score_tolerance_on_rosenbrock():
+    def rosenbrock(x):
+        a, b = x
+        return (1 - a) ** 2 + 100 * (b - a * a) ** 2, np.array(
+            [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+
+    x, f, g = _bfgs(rosenbrock, np.array([-1.2, 1.0]), ())
+    assert np.abs(g).max() <= 1e-7 and f < 1e-14
+    assert np.allclose(x, 1.0, atol=1e-6)
+
+
+def ar1_loop(x, beta):
+    """y_t = x_t + beta y_{t-1}, one step at a time in extended precision."""
+    x = x.astype(np.longdouble)
+    y = np.empty_like(x)
+    acc = np.zeros(x.shape[:-1], dtype=np.longdouble)
+    for t in range(x.shape[-1]):
+        acc = x[..., t] + np.longdouble(beta) * acc
+        y[..., t] = acc
+    return y
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-300, 1e-3, 0.5, 0.9, 1.0 - 1e-7])
+@pytest.mark.parametrize("rows, n", [(1, 1), (1, 2), (6, 5), (1, 129), (6, 1000), (1, 3000)])
+def test_ar1_matches_the_sequential_recursion(rows, n, beta):
+    # the first row is positive, like a variance path; the others signed,
+    # like the derivative rows.  Each lag's coefficient beta^k is one pow,
+    # so the error stays a few eps of the sum of |terms| at n = 3000 and
+    # beta = 1 - 1e-7, where repeated squaring would give 87 eps.
+    from scipy.signal import lfilter
+
+    x = np.random.default_rng([rows, n]).standard_normal((rows, n))
+    x[0] = np.abs(x[0])
+    exact = ar1_loop(x, beta)
+    bound = 64 * np.finfo(float).eps * ar1_loop(np.abs(x), beta)
+    y = _ar1(x.copy(), beta)
+    assert (np.abs(y - exact) <= bound).all()
+    oracle = lfilter([1.0], [1.0, -beta], x, axis=-1)
+    assert (np.abs(y - oracle) <= bound).all()
 
 
 def test_garch_needs_data():
