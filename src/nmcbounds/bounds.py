@@ -27,6 +27,7 @@ import numpy as np
 from .chain import (
     PolynomialKernel,
     StochasticMatrix,
+    _batch_product,
     _critical_points,
     _flat_dirichlet,
     _flow_steps,
@@ -95,7 +96,7 @@ def _sampled_kstep(K: PolynomialKernel, k_max: int, samples: int, rng):
     alphas, lams = [], []
     prod = None
     for P, _ in _flow_steps(K, np.concatenate([mus, nus]), k_max):
-        prod = P if prod is None else np.matmul(prod, P)
+        prod = P if prod is None else _batch_product(prod, P)
         A, B = prod[:n_pairs], prod[n_pairs:]
         best = 1.0
         for x in range(K.p):

@@ -29,8 +29,10 @@ sums it was first written with, so flows stay bit-identical to that form:
   order, which is the same chain below 8 terms (`_state_sum`).
 
 The uncertified path (`_flow_steps`, which forms and checks P_mu) stays
-item-major, and `_flows` transposes at its edge.  ``tests/test_chain.py``
-pins the engine against a frozen copy of the item-major form.
+item-major, with its products as chains over the middle state
+(`_batch_product`), and `_flows` transposes at its edge.
+``tests/test_chain.py`` pins the engine against a frozen copy of the
+item-major form.
 """
 
 from __future__ import annotations
@@ -377,8 +379,22 @@ def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
     """
     for _ in range(n):
         P = evaluate_batch(K, _clean_rows(mus))
-        mus = np.matmul(mus[:, None, :], P)[:, 0, :]
+        mus = _batch_product(mus[:, None, :], P)[:, 0, :]
         yield P, mus
+
+
+def _batch_product(a, P):
+    """a @ P per item of a (B, m, p) and a (B, p, p) stack, summed over the
+    middle state as a chain, ((a_0 P_0 + a_1 P_1) + a_2 P_2) + ..., in
+    elementwise arithmetic: a matmul rounds as the machine's BLAS kernel
+    does, and this rounds alike on every CPU build.  The passes run on
+    batch-last copies, so each one loops along B rather than along p."""
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
+    P = np.ascontiguousarray(P.transpose(1, 2, 0))
+    out = a[:, :1] * P[None, 0]
+    for x in range(1, P.shape[0]):
+        out += a[:, x, None] * P[None, x]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _free_steps(K: PolynomialKernel, cols: np.ndarray, n: int):

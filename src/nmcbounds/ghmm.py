@@ -181,22 +181,18 @@ def _emissions(sq, variances):
     return np.maximum(b, EMISSION_FLOOR, out=b)
 
 
-def _forward(initial, transition, means, variances, obs2d, out=None):
+def _forward(initial, transition, variances, emissions, alpha):
     """Scaled forward pass for a batch of state-major models.
 
-    Returns (loglik (B,), alpha (T, K, B), scales (T, B), emissions
-    (T, K, B)); ``out`` optionally holds the (emissions, alpha) buffers to
-    fill.  With ``means`` None, ``out[0]`` already holds the squared
-    deviations of the current means, as ``_mstep`` leaves them.  Each
-    model's log-likelihood sums its scales as one contiguous row, in the
-    same order whatever the batch size.
+    ``emissions`` holds the squared deviations of the current means, as
+    ``_mstep`` leaves them, and becomes the emission densities; ``alpha``
+    is filled.  Both are (T, K, B).  Returns (loglik (B,), alpha, scales
+    (T, B), emissions).  Each model's log-likelihood sums its scales as one
+    contiguous row, in the same order whatever the batch size.
     """
-    T = obs2d.shape[0]
-    emissions, alpha = np.empty((2, T) + variances.shape) if out is None else out
-    if means is not None:
-        _squared_deviations(obs2d, means, emissions)
+    T = emissions.shape[0]
     b = _emissions(emissions, variances)
-    scales = np.empty(obs2d.shape)
+    scales = np.empty((T,) + variances.shape[1:])
     prod = np.empty(transition.shape)
     a = initial * b[0]
     for t in range(T):
@@ -210,19 +206,16 @@ def _forward(initial, transition, means, variances, obs2d, out=None):
     return loglik, alpha, scales, b
 
 
-def _posterior(transition, alpha, scales, emissions, beta, w=None):
+def _posterior(transition, alpha, scales, emissions, beta, w):
     """Scaled backward pass into the (T, K, B) buffer ``beta``; returns the
     state posteriors gamma (T, K, B), written over beta, and the expected
     transition counts xi_sum (K, K, B).
 
     Row t of the (T - 1, K, B) buffer ``w`` keeps the backward step's
     b_t+1 beta_t+1 for xi; ``w`` may be ``emissions[1:]``, since row t + 1
-    of the emissions is read for the last time as that row is written.
-    One is allocated if None."""
+    of the emissions is read for the last time as that row is written."""
     T = alpha.shape[0]
     b = emissions
-    if w is None:
-        w = np.empty((T - 1,) + beta.shape[1:])
     by_target = np.ascontiguousarray(transition.transpose(1, 0, 2))   # [j, i] = a_ij
     prod = np.empty(by_target.shape)
     spare = np.empty(beta.shape[1:])
@@ -385,14 +378,13 @@ def fit_window_batch(windows, inits: GhmmStack, epochs: int):
         _squared_deviations(obs2d, means, work[0])
         for epoch in range(epochs):
             traces[part, epoch], alpha, scales, b = _forward(
-                initial, transition, None, variances, obs2d, out=work[:2])
+                initial, transition, variances, *work[:2])
             gamma, xi_sum = _posterior(transition, alpha, scales, b, work[2], b[1:])
             initial, transition, means, variances, mask = _mstep(
                 gamma, xi_sum, obs2d, means, global_var, work[0])
             starved[part, epoch] = mask.T
         # the last pass feeds only the trace, so it runs forward only
-        traces[part, epochs] = _forward(initial, transition, None, variances, obs2d,
-                                        out=work[:2])[0]
+        traces[part, epochs] = _forward(initial, transition, variances, *work[:2])[0]
         for dst, arr in zip(fitted, (initial, transition, means, variances)):
             dst[part] = np.moveaxis(arr, -1, 0)
     return GhmmStack(*fitted), traces, starved

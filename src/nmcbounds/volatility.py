@@ -19,10 +19,11 @@ is built.
 
 The GARCH(1,1) baseline needs no scipy: its variance path and derivative
 rows run through one first-order recursion (``_ar1``, recursive doubling),
-its search is a short BFGS with Armijo backtracking (``_bfgs``), and its
-logistic and logit are ``math`` one-liners.  So neither importing this
-module nor running ``volatility`` loads any scipy module; those three
-pieces cost more memory and start-up time than the indicator itself.
+one safeguarded Newton search on the analytic Hessian (``_newton``) both
+finds and polishes the fit, and its logistic and logit are ``math``
+one-liners.  So neither importing this module nor running ``volatility``
+loads any scipy module, which would cost more memory and start-up time
+than the indicator itself.
 """
 
 from __future__ import annotations
@@ -230,9 +231,7 @@ def _variance_path(mu, omega, alpha1, beta1, r, h0):
 _RHO_CAP = 1.0 - 1e-7    # keeps the persistence strictly inside the unit interval
 _SCORE_TOL = 1e-6        # converged: largest scaled score component
 _DEGENERATE = 1e-8       # returns whose std is below this share of max |r|
-_POLISH_FROM = 1e-4      # the polish starts from search points scored at most this
-_NEWTON_STEPS = 8
-_SEARCH_STEPS = 800      # BFGS steps per start, 200 per parameter
+_SEARCH_STEPS = 400      # Newton steps per start, 100 per parameter
 # second derivatives of h that are not zero, as (i, j) in (mu, omega, alpha1, beta1)
 _HESS_PAIRS = ((0, 0), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
 
@@ -291,17 +290,6 @@ def _garch_terms(params, r, h0, hessian=False):
     return nll, scores, H
 
 
-def _search_jacobian(sd, omega, rho, frac, capped):
-    """d(mu, omega, alpha1, beta1) / d(mu / sd, log omega, logit rho, logit
-    split); the rho column is zero at the persistence cap."""
-    drho = 0.0 if capped else rho * (1.0 - rho)
-    dfrac = rho * frac * (1.0 - frac)
-    return np.array([[sd, 0.0, 0.0, 0.0],
-                     [0.0, omega, 0.0, 0.0],
-                     [0.0, 0.0, drho * frac, dfrac],
-                     [0.0, 0.0, drho * (1.0 - frac), -dfrac]])
-
-
 # the logistic and its inverse; the branch keeps math.exp from overflowing
 def _expit(x):
     return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
@@ -322,76 +310,45 @@ def _theta_to_params(theta, sd):
     return (float(s_mu * sd), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
 
 
-def _garch_nll(theta, r, h0, sd):
-    """NLL per observation and its gradient at a search point; a penalty
-    of 1e12 with a zero gradient where omega, the variance path or the NLL
-    is not finite."""
+def _search_terms(theta, r, h0, sd):
+    """Mean NLL per observation and its gradient and Hessian at a search
+    point theta = (mu / sd, log omega, logit rho, logit split); None where
+    omega is not a finite float or ``_garch_terms`` returns None.
+
+    The Hessian is (J' H J + sum_i g_i d2p_i) / n, with J, H and g the
+    Jacobian, NLL Hessian and NLL gradient of p = (mu, omega, alpha1,
+    beta1).  The nonzero d2p_i are omega'' = omega, rho'' = rho'(1 - 2 rho),
+    f'' = f'(1 - 2 f) of the split f and the mixed rho' f' of alpha1 = rho f
+    and beta1 = rho (1 - f).  At the persistence cap rho' = rho'' = 0 and
+    logit rho gets a unit row and column, so the search leaves it alone.
+    """
     try:
         params, rho, frac = _theta_to_params(theta, sd)
     except OverflowError:
-        return 1e12, np.zeros(4)
-    terms = _garch_terms(params, r, h0)
+        return None
+    terms = _garch_terms(params, r, h0, hessian=True)
     if terms is None:
-        return 1e12, np.zeros(4)
+        return None
+    nll, scores, H = terms
+    capped = rho >= _RHO_CAP
+    drho = 0.0 if capped else rho * (1.0 - rho)
+    dfrac = frac * (1.0 - frac)
+    jac = np.array([[sd, 0.0, 0.0, 0.0],
+                    [0.0, params[1], 0.0, 0.0],
+                    [0.0, 0.0, drho * frac, rho * dfrac],
+                    [0.0, 0.0, drho * (1.0 - frac), -rho * dfrac]])
+    g = scores.sum(axis=1)
+    hess = jac.T @ H @ jac
+    hess[1, 1] += g[1] * params[1]
+    hess[2, 2] += drho * (1.0 - 2.0 * rho) * (g[2] * frac + g[3] * (1.0 - frac))
+    hess[2, 3] += drho * dfrac * (g[2] - g[3])
+    hess[3, 2] = hess[2, 3]
+    hess[3, 3] += rho * dfrac * (1.0 - 2.0 * frac) * (g[2] - g[3])
     n = r.shape[0]
-    jac = _search_jacobian(sd, params[1], rho, frac, rho >= _RHO_CAP)
-    return terms[0] / n, jac.T @ terms[1].sum(axis=1) / n
-
-
-def _bfgs(fun, x, args):
-    """Minimize fun(x, *args) -> (f, gradient) by BFGS with Armijo
-    backtracking (c1 = 1e-4; Nocedal & Wright 2006, Alg. 6.1) from the
-    unit inverse Hessian; returns (x, f, gradient) at the last accepted
-    point.  Stops when the largest gradient component is at most
-    _SCORE_TOL / 10, after _SEARCH_STEPS steps, when rounding leaves no
-    descent direction, or when backtracking no longer moves x.  The first
-    trial step of each line search extrapolates the last decrease,
-    t = min(1, 2.02 (f - f_prev) / g'p) (N&W 3.5), with f_prev = f + |g| / 2
-    at the start, so the first step is at most 1.01 long whatever the
-    gradient's scale.  The update is skipped when s'y <= 0.
-    """
-    f, g = fun(x, *args)
-    hinv = np.eye(x.size)
-    f_prev = f + float(np.linalg.norm(g)) / 2
-    for _ in range(_SEARCH_STEPS):
-        if np.abs(g).max() <= _SCORE_TOL / 10:
-            break
-        p = -(hinv @ g)
-        slope = float(g @ p)
-        if not slope < 0:
-            break
-        t = min(1.0, 2.02 * (f - f_prev) / slope)
-        if not t > 0:
-            t = 1.0
-        while True:
-            x_new = x + t * p
-            if np.array_equal(x_new, x):
-                return x, f, g
-            f_new, g_new = fun(x_new, *args)
-            if f_new <= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > 0:
-            v = np.eye(x.size) - np.outer(s, y) / sy
-            hinv = v @ hinv @ v.T + np.outer(s, s) / sy
-        f_prev, x, f, g = f, x_new, f_new, g_new
-    return x, f, g
-
-
-def _free_directions(capped):
-    """Columns spanning the free moves of (mu, omega, alpha1, beta1): all
-    four inside the region; mu, omega and the split at the cap."""
-    if not capped:
-        return np.eye(4)
-    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                     [0.0, 0.0, _RHO_CAP], [0.0, 0.0, -_RHO_CAP]])
-
-
-def _inside(params, capped):
-    _, omega, alpha1, beta1 = params
-    return omega > 0 and alpha1 > 0 and beta1 > 0 and (capped or alpha1 + beta1 < _RHO_CAP)
+    hess /= n
+    if capped:
+        hess[2, 2] = 1.0
+    return nll / n, jac.T @ g / n, hess
 
 
 def _scaled_inverse(A):
@@ -404,45 +361,64 @@ def _scaled_inverse(A):
     return inner * d[:, None] * d
 
 
-def _newton_polish(params, capped, r, h0, steps):
-    """Newton steps on the score over the free parameters, which pin the
-    optimum to rounding where the search stops at its gradient tolerance.
-    A full step is taken while the Newton decrement g' H^-1 g shrinks, the
-    step stays inside the region and the NLL does not rise by more than the
-    rounding of a sum of n terms, n eps |nll| (Higham 2002, 4.2); near the
-    optimum the decrement is far below one ulp of the NLL.  The first
-    failure ends the polish.  Returns the params and their (nll, scores, H).
+def _newton(theta, r, h0, sd):
+    """Minimize the mean NLL from the search point theta by Newton steps;
+    returns (theta, nll, gradient) at the last accepted point.
+
+    A Hessian that is not positive definite is shifted by tau I (Nocedal &
+    Wright 2006, Alg. 3.3), tau from 1e-12 of its largest diagonal entry
+    (the Hessian's own rounding) and growing tenfold; a larger floor turns
+    steps along a weak negative curvature into crawls of g / tau.  Steps
+    backtrack to Armijo's condition (c1 = 1e-4, Alg. 3.1) with the rounding
+    slack of an n-term sum, n eps |nll| (Higham 2002, 4.2).  Once the
+    gradient is at most _SCORE_TOL / 10 and unshifted, the search stops when
+    the Newton decrement g' H^-1 g stops shrinking, which pins the optimum
+    to rounding.  It also stops when rounding leaves no descent direction,
+    when a trial point equals the current one, and after _SEARCH_STEPS
+    steps.
     """
-    free = _free_directions(capped)
-    terms = _garch_terms(params, r, h0, hessian=True)
+    f, g, hess = _search_terms(theta, r, h0, sd)
+    slack = r.shape[0] * np.finfo(float).eps
     decrement = math.inf
-    for _ in range(steps):
-        nll, scores, H = terms
-        grad = free.T @ scores.sum(axis=1)
-        hess = free.T @ H @ free
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
+    for _ in range(_SEARCH_STEPS):
+        shifted, tau = hess, 0.0
+        while True:
+            try:
+                np.linalg.cholesky(shifted)
+                break
+            except np.linalg.LinAlgError:
+                tau = 10.0 * tau if tau else 1e-12 * np.abs(np.diag(hess)).max()
+                shifted = hess + tau * np.eye(4)
+        step = -_scaled_inverse(shifted) @ g
+        slope = float(g @ step)
+        if not slope < 0:
             break
-        step = -_scaled_inverse(hess) @ grad
-        if not -grad @ step < decrement:
-            break
-        decrement = -grad @ step
-        trial = tuple(float(v) for v in np.asarray(params) + free @ step)
-        if not _inside(trial, capped):
-            break
-        trial_terms = _garch_terms(trial, r, h0, hessian=True)
-        if trial_terms is None or trial_terms[0] - nll > r.shape[0] * np.finfo(float).eps * abs(nll):
-            break
-        params, terms = trial, trial_terms
-    return params, terms
+        if tau == 0 and np.abs(g).max() <= _SCORE_TOL / 10:
+            if not -slope < decrement:
+                break
+            decrement = -slope
+        t = 1.0
+        while True:
+            trial = theta + t * step
+            if np.array_equal(trial, theta):
+                return theta, f, g
+            terms = _search_terms(trial, r, h0, sd)
+            if terms is not None and terms[0] <= f + 1e-4 * t * slope + slack * abs(f):
+                break
+            t *= 0.5
+        theta, (f, g, hess) = trial, terms
+    return theta, f, g
 
 
 def _sandwich_errors(params, capped, scores, H):
     """Bollerslev-Wooldridge standard errors, the diagonal of H^-1 G H^-1
     with G the outer product of the per-observation scores, over the free
-    parameters; at the cap alpha1 and beta1 are not free and get NaN."""
-    free = _free_directions(capped)
+    moves of the parameters: all four inside the region; mu, omega and the
+    split at the cap, where alpha1 and beta1 get NaN."""
+    free = np.eye(4)
+    if capped:
+        free = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, _RHO_CAP], [0.0, 0.0, -_RHO_CAP]])
     hinv = _scaled_inverse(free.T @ H @ free)
     s = free.T @ scores
     cov = hinv @ (s @ s.T) @ hinv
@@ -457,18 +433,18 @@ def _sandwich_errors(params, capped, scores, H):
 
 
 def fit_garch11(returns) -> GarchFit:
-    """Gaussian quasi-MLE of GARCH(1,1) by an exact-gradient search.
+    """Gaussian quasi-MLE of GARCH(1,1) by a Newton search on the exact
+    Hessian.
 
     Constraints come from the parameterization: omega through exp, the
     persistence alpha1 + beta1 (capped at 1 - 1e-7) and its split through
-    logistics.  BFGS on the analytic score runs from three starts; the best
-    end point is polished by Newton steps on the free parameters (all four
-    inside the region, mu, omega and the split at the cap).  ``converged``
-    says the score in the search coordinates (mean over observations, mu in
-    units of the returns' std) is at most _SCORE_TOL in every free
-    component at the returned point.  Standard errors are Bollerslev and
-    Wooldridge's sandwich H^-1 G H^-1 from the analytic scores and Hessian;
-    at the cap those of alpha1 and beta1 are NaN.
+    logistics.  The search (``_newton``) runs from three starts and the
+    lowest end point is the fit; at the cap it moves mu, omega and the
+    split only.  ``converged`` says the search's gradient (mean over
+    observations, mu in units of the returns' std) is at most _SCORE_TOL in
+    every component at the returned point.  Standard errors are Bollerslev
+    and Wooldridge's sandwich H^-1 G H^-1 from the analytic scores and
+    Hessian; at the cap those of alpha1 and beta1 are NaN.
     """
     r = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, dtype=np.float64)
     if not np.all(np.isfinite(r)):
@@ -484,21 +460,18 @@ def fit_garch11(returns) -> GarchFit:
     for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
         x0 = np.array([float(r.mean()) / sd, math.log(var * (1.0 - rho0)),
                        _logit(rho0), _logit(frac0)])
-        end = _bfgs(_garch_nll, x0, (r, var, sd))
+        end = _newton(x0, r, var, sd)
         if best is None or end[1] < best[1]:
             best = end
     x, _, grad = best
     params, rho, _ = _theta_to_params(x, sd)
     capped = rho >= _RHO_CAP
-    steps = _NEWTON_STEPS if np.abs(grad).max() <= _POLISH_FROM else 0
-    params, (nll, scores, H) = _newton_polish(params, capped, r, var, steps)
-
-    mu, omega, alpha1, beta1 = params
-    rho = alpha1 + beta1
-    jac = _search_jacobian(sd, omega, rho, alpha1 / rho if rho > 0 else 0.0, capped)
-    converged = bool(np.abs(jac.T @ scores.sum(axis=1)).max() / r.shape[0] <= _SCORE_TOL)
+    nll, scores, H = _garch_terms(params, r, var, hessian=True)
+    converged = bool(np.abs(grad).max() <= _SCORE_TOL)
     se, tstat = _sandwich_errors(params, capped, scores, H)
-    return GarchFit(GarchModel(mu, omega, alpha1, beta1), se, tstat, -nll, rho > 0.999, converged)
+    mu, omega, alpha1, beta1 = params
+    return GarchFit(GarchModel(mu, omega, alpha1, beta1), se, tstat, -nll,
+                    alpha1 + beta1 > 0.999, converged)
 
 
 def garch_conditional_vol(model: GarchModel, returns) -> np.ndarray:

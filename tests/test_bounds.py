@@ -522,9 +522,15 @@ def frozen_pairs(p, samples, rng):
 
 
 def frozen_products(K, mus, k):
+    """The k-step products, each summed over the middle state in order."""
     prod = None
     for P, _ in _flow_steps(K, mus, k):
-        prod = P if prod is None else np.matmul(prod, P)
+        if prod is not None:
+            nxt = prod[:, :, :1] * P[:, None, 0]
+            for x in range(1, K.p):
+                nxt += prod[:, :, x, None] * P[:, None, x]
+            P = nxt
+        prod = P
     return prod
 
 
@@ -636,21 +642,23 @@ def test_zero_samples_keep_the_vertex_pairs(ex1_k01):
 
 
 # every k of a report reads one pair sample and one flow, and the engine
-# keeps the evaluation and flow arithmetic, so these hold with ==.
+# keeps the evaluation and flow arithmetic, so these hold with ==.  The flow
+# steps and k-step products are chains over the middle state, not matmuls,
+# so they hold on every BLAS kernel.
 # delta comes from the matrix-free fixed-point search of certified kernels,
 # which moved it in the last bits (0.017993031436055767 and
 # 0.03778032396366732 on the checked path)
 PINNED_MC200_SEED0 = {
     (1, 0.1): dict(
-        alpha_nonlinear=[0.6, 0.8500000000000001, 0.9450000000000001, 0.9800000000000002],
-        lam=[0.10000000000000013, 0.02299220362762092, 0.0047966299434065215,
-             0.001096547533243081],
+        alpha_nonlinear=[0.6, 0.8500000000000001, 0.9450000000000001, 0.98],
+        lam=[0.10000000000000013, 0.02299220362762088, 0.0047966299434065215,
+             0.0010965475332428332],
         gamma=0.33333333333333326, delta=0.017993031436055712),
     (2, 0.2): dict(
-        alpha_nonlinear=[0.30000000000000004, 0.6480000000000001, 0.8429184000000002,
+        alpha_nonlinear=[0.30000000000000004, 0.648, 0.8429184000000002,
                          0.9268558553544963],
-        lam=[0.20000000000000032, 0.14600000000000002, 0.07166960000000004,
-             0.033920925200512014],
+        lam=[0.20000000000000032, 0.14600000000000002, 0.0716696000000001,
+             0.03392092520051203],
         gamma=math.inf, delta=0.037780323963667234),
 }
 

@@ -55,9 +55,15 @@ OneModelPass = namedtuple("OneModelPass", "log_likelihood posteriors scales emis
 def one_model_pass(model, obs):
     """The core's scaled forward and backward passes for one model (B = 1):
     log-likelihood, posteriors (T, K), scales (T,) and emissions (T, K)."""
-    params = [getattr(model, name)[..., None] for name in ghmm._PARAMS]
-    loglik, alpha, scales, b = ghmm._forward(*params, np.asarray(obs, dtype=np.float64)[:, None])
-    gamma, _ = ghmm._posterior(params[1], alpha, scales, b, np.empty_like(alpha))
+    initial, transition, means, variances = (getattr(model, name)[..., None]
+                                             for name in ghmm._PARAMS)
+    obs2d = np.asarray(obs, dtype=np.float64)[:, None]
+    emissions, alpha = np.empty((2, obs2d.shape[0]) + means.shape)
+    ghmm._squared_deviations(obs2d, means, emissions)
+    loglik, alpha, scales, b = ghmm._forward(initial, transition, variances, emissions, alpha)
+    # a separate w, since the emissions are read after the backward pass
+    gamma, _ = ghmm._posterior(transition, alpha, scales, b, np.empty_like(alpha),
+                               np.empty_like(alpha[1:]))
     return OneModelPass(float(loglik[0]), gamma[:, :, 0], scales[:, 0], b[:, :, 0])
 
 

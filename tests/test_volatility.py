@@ -17,10 +17,9 @@ from nmcbounds.volatility import (
     GarchModel,
     VolatilityConfig,
     _ar1,
-    _bfgs,
     _fit_seed,
-    _garch_nll,
     _garch_terms,
+    _search_terms,
     _slot_keys,
     comparison_table,
     fit_garch11,
@@ -237,27 +236,44 @@ def test_garch_zero_returns_fixed_point():
 def test_garch_converged_reads_the_returned_search(monkeypatch):
     r = returns_from(simulate_garch(0.0, 5e-6, 0.10, 0.85, 500, seed=3))
     assert fit_garch11(r).converged is True
-    monkeypatch.setattr(volatility, "_SEARCH_STEPS", 5)
+    # Newton reaches the tolerance in 4 steps from every start here
+    monkeypatch.setattr(volatility, "_SEARCH_STEPS", 2)
     assert fit_garch11(r).converged is False
 
 
-def test_garch_search_objective_penalizes_an_omega_beyond_float_range():
+def test_garch_search_objective_rejects_an_omega_beyond_float_range():
     r = simulate_garch(0.0, 5e-6, 0.10, 0.85, 200, seed=3)
     var = float(r.var())
     for theta in ([0.0, 800.0, 2.0, 0.0], [0.0, 709.0, 2.0, 0.0]):
-        f, g = _garch_nll(np.array(theta), r, var, math.sqrt(var))
-        assert f == 1e12 and not g.any()
+        assert _search_terms(np.array(theta), r, var, math.sqrt(var)) is None
 
 
-def test_bfgs_reaches_the_score_tolerance_on_rosenbrock():
-    def rosenbrock(x):
-        a, b = x
-        return (1 - a) ** 2 + 100 * (b - a * a) ** 2, np.array(
-            [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
-
-    x, f, g = _bfgs(rosenbrock, np.array([-1.2, 1.0]), ())
-    assert np.abs(g).max() <= 1e-7 and f < 1e-14
-    assert np.allclose(x, 1.0, atol=1e-6)
+@pytest.mark.parametrize("s_rho, capped", [(1.5, False), (20.0, True)], ids=["inside", "at-cap"])
+def test_search_hessian_matches_central_differences_of_the_gradient(s_rho, capped):
+    # theta = (mu / sd, log omega, logit rho, logit split); logit rho = 20
+    # puts rho past the cap on both sides of every difference
+    r = simulate_garch(2e-4, 2e-6, 0.09, 0.89, 300, seed=2)
+    var = float(r.var())
+    sd = math.sqrt(var)
+    theta = np.array([0.3, math.log(0.05 * var), s_rho, -1.0])
+    f, g, hess = _search_terms(theta, r, var, sd)
+    delta = 1e-5
+    fd_grad, fd_hess = np.empty(4), np.empty((4, 4))
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = delta
+        hi, lo = _search_terms(theta + step, r, var, sd), _search_terms(theta - step, r, var, sd)
+        fd_grad[i] = (hi[0] - lo[0]) / (2 * delta)
+        fd_hess[i] = (hi[1] - lo[1]) / (2 * delta)
+    assert np.allclose(fd_grad, g, rtol=1e-6, atol=1e-9)
+    free = [0, 1, 2, 3]
+    if capped:
+        # nothing moves with logit rho at the cap; the search sees a unit row
+        assert g[2] == 0 and not fd_hess[2].any() and not fd_hess[:, 2].any()
+        assert (hess[2] == np.eye(4)[2]).all() and (hess[:, 2] == np.eye(4)[2]).all()
+        free = [0, 1, 3]
+    sub = np.ix_(free, free)
+    assert np.allclose(fd_hess[sub], hess[sub], rtol=1e-5, atol=1e-7 * np.abs(hess).max())
 
 
 def ar1_loop(x, beta):
