@@ -8,6 +8,7 @@ from nmcbounds import (
     builtin_example,
     full_report,
     md_alpha,
+    spectral_bound,
     spectral_radius,
     tv_envelope,
 )
@@ -30,7 +31,7 @@ print(f"\nCoupling matrix over unordered state pairs is {M.dim}x{M.dim}; "
       f"spectral radius r = {est.r:.6f} (bracket width {est.eps:.1e})")
 print("Spectral-radius bound 2(1-1/4)(r+eps)^n:")
 for n in (1, 2, 3, 4):
-    print(f"  n={n}: {2 * 0.75 * (est.r + est.eps) ** n:.4f}")
+    print(f"  n={n}: {spectral_bound(est.r, est.eps, P.p, n):.4f}")
 
 print("\nFull report (all curves) vs the true distances of 1000 random starts:")
 report = full_report(K, 10, mc_samples=500, seed=0)

@@ -24,13 +24,16 @@ engine keeps the orders of numpy 2.4.6's item-major (B, p) einsums and
 sums it was first written with, so flows stay bit-identical to that form:
 
 - a coefficient term sum_x term[x] C_j(x, y) (einsum ``xy,xb->yb``): a
-  chain over x, ((t0 + t1) + t2) + ..., as ``bx,xy->by`` added;
+  chain over x, ((t0 + t1) + t2) + ..., as ``bx,xy->by`` added, since an
+  einsum whose summed axis leads and whose batch axis is innermost adds in
+  sequence, elementwise along B;
 - a sum over states (``.sum`` along a contiguous p axis): numpy's pairwise
   order, which is the same chain below 8 terms (`_state_sum`).
 
 The uncertified path (`_flow_steps`, which forms and checks P_mu) stays
-item-major, with its products as chains over the middle state
-(`_batch_product`), and `_flows` transposes at its edge.
+item-major and `_flows` transposes at its edge; its products
+(`_batch_product`) are the same kind of einsum, ``mxb,xyb->myb`` on
+batch-last copies, so they too add over the middle state as a chain.
 ``tests/test_chain.py`` pins the engine against a frozen copy of the
 item-major form.
 """
@@ -385,16 +388,13 @@ def _flow_steps(K: PolynomialKernel, mus: np.ndarray, n: int):
 
 def _batch_product(a, P):
     """a @ P per item of a (B, m, p) and a (B, p, p) stack, summed over the
-    middle state as a chain, ((a_0 P_0 + a_1 P_1) + a_2 P_2) + ..., in
-    elementwise arithmetic: a matmul rounds as the machine's BLAS kernel
-    does, and this rounds alike on every CPU build.  The passes run on
-    batch-last copies, so each one loops along B rather than along p."""
+    middle state as a chain, ((a_0 P_0 + a_1 P_1) + a_2 P_2) + ...: a matmul
+    rounds as the machine's BLAS kernel does, and an einsum over batch-last
+    copies, with the middle state leading, rounds alike on every CPU
+    build."""
     a = np.ascontiguousarray(a.transpose(1, 2, 0))
     P = np.ascontiguousarray(P.transpose(1, 2, 0))
-    out = a[:, :1] * P[None, 0]
-    for x in range(1, P.shape[0]):
-        out += a[:, x, None] * P[None, x]
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return np.ascontiguousarray(np.einsum("mxb,xyb->myb", a, P).transpose(2, 0, 1))
 
 
 def _free_steps(K: PolynomialKernel, cols: np.ndarray, n: int):

@@ -15,31 +15,32 @@ counter-based stream (``rng.stream_uniforms``) for all slots in one pass.
 
 Inside the core a batch is stored state-major, with the batch axis last
 and contiguous: initial, means and variances are (K, B), transitions
-(K, K, B), and emissions, alpha, beta and gamma (T, K, B).  A recursion
-step is then K-term arithmetic on length-B rows, not an einsum or a
-reduction over a short state axis.  The K-term sums keep the orders that
-numpy 2.4.6 uses for the item-major (B, K) einsums and sums the core was
-first written with, so the fits stay bit-identical to that form:
+(K, K, B), and emissions, alpha, beta and gamma (T, K, B).  Every
+contraction is then an einsum whose summed axis leads and whose batch axis
+is innermost, so it adds over that axis in sequence, ((p0 + p1) + p2) +
+..., elementwise along B.  The sums keep the orders that numpy 2.4.6 uses
+for the item-major (B, K) einsums and sums the core was first written
+with, so the fits stay bit-identical to that form:
 
-- forward contraction sum_i alpha_i a_ij (einsum ``bi,bij->bj``): a chain,
-  ((p0 + p1) + p2) + ...;
+- forward contraction sum_i alpha_i a_ij (item-major ``bi,bij->bj``, a
+  chain): ``ib,ijb->jb``;
+- backward contraction sum_j a_ij w_j (item-major ``bij,bj->bi`` over a
+  contiguous j, which adds two lanes, even j and odd j, then even + odd):
+  ``jib,jb->ib`` once per lane over the lane's rows (``_dot_lanes``); at
+  K = 3 that is (p0 + p2) + p1, at K = 5 ((p0 + p2) + p4) + (p1 + p3);
 - a sum over the state axis (``.sum`` along a contiguous K axis): numpy's
   pairwise order, which is the same chain below 8 terms
   (``chain._state_sum``, shared with the kernel flow engine);
-- backward contraction sum_j a_ij w_j (einsum ``bij,bj->bi``, contiguous
-  j): two lanes, even j and odd j, each a chain, then even + odd; at K = 3
-  that is (p0 + p2) + p1, at K = 4 (p0 + p2) + (p1 + p3), at K = 5
-  ((p0 + p2) + p4) + (p1 + p3) (``_dot_sum``, which also follows the
-  unrolled blocks of eight from 8 states on);
 - the log-likelihood sums log(scales) along a contiguous (B, T) row, since
   numpy sums it pairwise and a strided row changes the last bits;
-- the time-axis contractions of xi_sum and the M-step stay einsums, on
-  state-major operands (``tib,tjb->ijb``, ``tkb,tb->kb``, ``tkb,tkb->kb``),
-  which add over t in the same sequential order as before.
+- the time-axis contractions of xi_sum and the M-step (``tib,tjb->ijb``,
+  ``tkb,tb->kb``, ``tkb,tkb->kb``) add over t in sequence; xi_sum's has no
+  terms at T = 1, so it is zero there.
 
 These are numpy's orders on x86-64 (baseline SIMD with two float64 lanes,
 no fused multiply-add); ``tests/test_ghmm.py`` pins them against a frozen
-copy of the item-major core.
+copy of the item-major core, and ``tests/test_chain.py`` pins these
+einsums against the explicit chain.
 """
 
 from __future__ import annotations
@@ -131,31 +132,14 @@ class GhmmStack:
         return GhmmModel(*(getattr(self, name)[index] for name in _PARAMS))
 
 
-def _chain_sum(rows, out):
-    """((r0 + r1) + r2) + ... over the leading axis, into ``out``."""
-    if len(rows) == 1:
-        np.copyto(out, rows[0])
-    else:
-        np.add(rows[0], rows[1], out=out)
-    for row in rows[2:]:
-        out += row
-    return out
-
-
-def _dot_sum(rows, out, spare):
-    """Sum over the leading axis in the order of einsum's contiguous dot
-    product: two lanes, even and odd terms, each a chain that takes whole
-    blocks of eight from the top down (6, 4, 2, 0 and 7, 5, 3, 1) and the
-    remainder upward; then even lane + odd lane.  The even lane goes into
-    ``out``, the odd one into ``spare``."""
-    n = len(rows)
+def _dot_lanes(n: int):
+    """The two index lanes of einsum's contiguous dot product over n
+    terms: even and odd, each taking whole blocks of eight from the top
+    down (6, 4, 2, 0 and 7, 5, 3, 1) and then the remainder upward."""
     full = n - n % 8
-    even = [rows[i + j] for i in range(0, full, 8) for j in (6, 4, 2, 0)]
-    odd = [rows[i + j] for i in range(0, full, 8) for j in (7, 5, 3, 1)]
-    _chain_sum(even + [rows[j] for j in range(full, n, 2)], out)
-    if n > 1:
-        out += _chain_sum(odd + [rows[j] for j in range(full + 1, n, 2)], spare)
-    return out
+    even = [i + j for i in range(0, full, 8) for j in (6, 4, 2, 0)] + list(range(full, n, 2))
+    odd = [i + j for i in range(0, full, 8) for j in (7, 5, 3, 1)] + list(range(full + 1, n, 2))
+    return even, odd
 
 
 def _squared_deviations(obs2d, means, out):
@@ -193,12 +177,10 @@ def _forward(initial, transition, variances, emissions, alpha):
     T = emissions.shape[0]
     b = _emissions(emissions, variances)
     scales = np.empty((T,) + variances.shape[1:])
-    prod = np.empty(transition.shape)
     a = initial * b[0]
     for t in range(T):
         if t:
-            np.multiply(alpha[t - 1][:, None], transition, out=prod)
-            _chain_sum(prod, a)                                     # sum_i alpha_i a_ij
+            np.einsum("ib,ijb->jb", alpha[t - 1], transition, out=a)   # sum_i alpha_i a_ij
             a *= b[t]
         scales[t] = _state_sum(a)
         np.divide(a, scales[t], out=alpha[t])
@@ -216,24 +198,21 @@ def _posterior(transition, alpha, scales, emissions, beta, w):
     of the emissions is read for the last time as that row is written."""
     T = alpha.shape[0]
     b = emissions
-    by_target = np.ascontiguousarray(transition.transpose(1, 0, 2))   # [j, i] = a_ij
-    prod = np.empty(by_target.shape)
-    spare = np.empty(beta.shape[1:])
+    even, odd = _dot_lanes(transition.shape[0])
+    by_target = transition.transpose(1, 0, 2)                    # [j, i] = a_ij
+    by_even, by_odd = (np.ascontiguousarray(by_target[lane]) for lane in (even, odd))
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         np.multiply(b[t + 1], beta[t + 1], out=w[t])
-        np.multiply(by_target, w[t][:, None], out=prod)
-        _dot_sum(prod, beta[t], spare)                   # sum_j a_ij w_j
+        np.einsum("jib,jb->ib", by_even, w[t][even], out=beta[t])       # sum_j a_ij w_j
+        beta[t] += np.einsum("jib,jb->ib", by_odd, w[t][odd])
         beta[t] /= scales[t + 1]
     gamma = np.multiply(alpha, beta, out=beta)
     gamma /= _state_sum(gamma.swapaxes(0, 1))[:, None]
-    if T > 1:
-        # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
-        # (Rabiner 1989, eq. 37, in the scaled variables)
-        w /= scales[1:, None]
-        xi_sum = np.einsum("tib,tjb->ijb", alpha[:-1], w) * transition
-    else:
-        xi_sum = np.zeros(transition.shape)
+    # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)
+    # (Rabiner 1989, eq. 37, in the scaled variables); zero at T = 1
+    w /= scales[1:, None]
+    xi_sum = np.einsum("tib,tjb->ijb", alpha[:-1], w) * transition
     return gamma, xi_sum
 
 
@@ -316,14 +295,11 @@ def _mstep(gamma, xi_sum, obs2d, means_old, global_var, sq):
     global_var carries each batch item's own observation variance for the
     starvation reset."""
     K = means_old.shape[0]
-    if gamma.shape[0] > 1:
-        # a sum over the leading axis adds the rows in sequence, so this is
-        # gamma.sum(axis=0) bit for bit
-        trans_mass = gamma[:-1].sum(axis=0)
-        mass = trans_mass + gamma[-1]                 # (K, B)
-    else:
-        trans_mass = np.ones(gamma.shape[1:])
-        mass = gamma[0].copy()
+    # a sum over the leading axis adds the rows in sequence, so this is
+    # gamma.sum(axis=0) bit for bit; at T = 1 trans_mass is 0, so the
+    # transition denominator below is 1
+    trans_mass = gamma[:-1].sum(axis=0)
+    mass = trans_mass + gamma[-1]                     # (K, B)
     starved = mass < STARVATION_MASS
     safe_mass = np.where(starved, 1.0, mass)
 

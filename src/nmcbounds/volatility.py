@@ -236,11 +236,10 @@ _SEARCH_STEPS = 400      # Newton steps per start, 100 per parameter
 _HESS_PAIRS = ((0, 0), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3))
 
 
-def _garch_terms(params, r, h0, hessian=False):
+def _garch_terms(params, r, h0):
     """The Gaussian NLL of GARCH(1,1) at (mu, omega, alpha1, beta1), its
-    per-observation scores (4, n) and, with ``hessian``, its (4, 4) Hessian;
-    None where the variance path is not finite and positive or the NLL
-    overflows.
+    per-observation scores (4, n) and its (4, 4) Hessian; None where the
+    variance path is not finite and positive or the NLL overflows.
 
     Differentiating the recursion gives dh_t = d(omega + alpha1 e_{t-1}^2)
     + h_{t-1} dbeta1 + beta1 dh_{t-1} from dh_0 = 0 (h_0 is fixed per fit),
@@ -268,8 +267,6 @@ def _garch_terms(params, r, h0, hessian=False):
     dnll_dh = 0.5 * inv_h * (1.0 - u)
     scores = dh * dnll_dh
     scores[0] -= e * inv_h
-    if not hessian:
-        return nll, scores, None
     d2h = np.zeros((len(_HESS_PAIRS), r.shape[0]))
     d2h[0, 1:] = 2.0 * alpha1
     d2h[1, 1:] = -2.0 * e[:-1]
@@ -326,7 +323,7 @@ def _search_terms(theta, r, h0, sd):
         params, rho, frac = _theta_to_params(theta, sd)
     except OverflowError:
         return None
-    terms = _garch_terms(params, r, h0, hessian=True)
+    terms = _garch_terms(params, r, h0)
     if terms is None:
         return None
     nll, scores, H = terms
@@ -451,7 +448,10 @@ def fit_garch11(returns) -> GarchFit:
         raise ValueError("returns must be finite")
     if r.shape[0] < 50:
         raise ValueError("need at least 50 observations to fit GARCH(1,1)")
-    var = float(r.var())
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(r.var())
+    if not math.isfinite(var):
+        raise ValueError("returns too large: their variance overflows")
     sd = math.sqrt(var)
     if not sd > _DEGENERATE * float(np.abs(r).max()):
         raise ValueError("degenerate returns: no variation on the scale of the returns")
@@ -466,7 +466,7 @@ def fit_garch11(returns) -> GarchFit:
     x, _, grad = best
     params, rho, _ = _theta_to_params(x, sd)
     capped = rho >= _RHO_CAP
-    nll, scores, H = _garch_terms(params, r, var, hessian=True)
+    nll, scores, H = _garch_terms(params, r, var)
     converged = bool(np.abs(grad).max() <= _SCORE_TOL)
     se, tstat = _sandwich_errors(params, capped, scores, H)
     mu, omega, alpha1, beta1 = params

@@ -560,6 +560,32 @@ def test_state_sum_follows_numpy_pairwise_order():
             assert _state_sum(np.ascontiguousarray(rows.T)).tobytes() == rows.sum(axis=1).tobytes()
 
 
+def explicit_chain(terms):
+    """((r0 + r1) + r2) + ... over the leading axis."""
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def test_leading_axis_einsums_add_in_sequence():
+    # the state-major contractions of the EM core (forward, one backward
+    # lane) and of chain._batch_product: with the summed axis leading and
+    # the batch axis innermost, einsum adds the terms in turn
+    gen = np.random.default_rng(4)
+    for n in range(1, 21):
+        for B in (1, 2, 1420, 4097):
+            vec, mat, cube = (gen.random(shape) * 10.0 ** gen.integers(-8, 8, shape)
+                              for shape in ((n, B), (n, n, B), (n, n, B)))
+            forward = np.einsum("ib,ijb->jb", vec, mat)
+            assert forward.tobytes() == explicit_chain(vec[:, None] * mat).tobytes()
+            backward = np.einsum("jib,jb->ib", mat, vec)
+            assert backward.tobytes() == explicit_chain(mat * vec[:, None]).tobytes()
+            product = np.einsum("mxb,xyb->myb", cube, mat)
+            assert product.tobytes() == explicit_chain(
+                cube.transpose(1, 0, 2)[:, :, None] * mat[:, None]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # _flat_dirichlet
 

@@ -319,6 +319,15 @@ def test_garch_rejects_non_finite_returns(bad):
         fit_garch11(r)
 
 
+@pytest.mark.parametrize("scale", [1e156, 1e160, 1e300])
+def test_garch_rejects_returns_whose_variance_overflows(scale):
+    # finite returns, but their sample variance is beyond float range; the
+    # fit refuses them without an overflow warning
+    r = simulate_garch(0.0, 5e-6, 0.10, 0.85, 200, seed=3) * scale
+    with pytest.raises(ValueError, match="variance overflows"):
+        fit_garch11(r)
+
+
 @pytest.mark.parametrize("field", ["mu", "omega", "alpha1", "beta1"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_garch_model_rejects_non_finite_parameters(field, bad):
@@ -380,7 +389,7 @@ def test_garch_score_and_hessian_match_central_differences(seed, rho, frac, mu_s
     params = np.array([mu_sd * math.sqrt(var), var * (1.0 - rho) * omega_ratio,
                        rho * frac, rho * (1.0 - frac)])
     scale = np.array([math.sqrt(var), params[1], params[2], params[3]])
-    nll, scores, H = _garch_terms(tuple(params), r, var, hessian=True)
+    nll, scores, H = _garch_terms(tuple(params), r, var)
     grad = scores.sum(axis=1)
     hess = H * scale[:, None] * scale
     assert np.isfinite(nll)
