@@ -26,13 +26,18 @@ with, so the fits stay bit-identical to that form:
   chain): ``ib,ijb->jb``;
 - backward contraction sum_j a_ij w_j (item-major ``bij,bj->bi`` over a
   contiguous j, which adds two lanes, even j and odd j, then even + odd):
-  ``jib,jb->ib`` once per lane over the lane's rows (``_dot_lanes``); at
-  K = 3 that is (p0 + p2) + p1, at K = 5 ((p0 + p2) + p4) + (p1 + p3);
+  ``jib,jb->ib`` once per lane over the lane's rows (``_dot_lanes``), as
+  at K = 5, ((p0 + p2) + p4) + (p1 + p3); while the odd lane has at most
+  one term (K <= 3) the lanes are one chain, (p0 + p2) + p1 at K = 3, so
+  one ``jib,jb->ib`` over the rows gathered in that order forms it;
 - a sum over the state axis (``.sum`` along a contiguous K axis): numpy's
   pairwise order, which is the same chain below 8 terms
   (``chain._state_sum``, shared with the kernel flow engine);
 - the log-likelihood sums log(scales) along a contiguous (B, T) row, since
-  numpy sums it pairwise and a strided row changes the last bits;
+  numpy sums it pairwise and a strided row changes the last bits (``log``
+  writes the transposed scales in that layout);
+- the emission exponent is (obs - mean)^2 / (-2 v), the bits of the
+  item-major -0.5 d d / v (``_emissions``);
 - the time-axis contractions of xi_sum and the M-step (``tib,tjb->ijb``,
   ``tkb,tb->kb``, ``tkb,tkb->kb``) add over t in sequence; xi_sum's has no
   terms at T = 1, so it is zero there.
@@ -155,11 +160,11 @@ def _emissions(sq, variances):
     """Gaussian densities, shape (T, K, B), in place from the squared
     deviations ``sq``; floored to avoid hard zeros.
 
-    (d d)(-0.5) equals (d (-0.5)) d bit for bit, since scaling by a power
-    of two is exact, except where d d underflows; there exp(-x / v) is 1.0
-    either way, as v >= VARIANCE_FLOOR."""
-    b = np.multiply(sq, -0.5, out=sq)
-    b /= variances
+    (d d) / (-2 v) equals (d (-0.5)) d / v bit for bit, since scaling by a
+    power of two is exact, except where d d underflows; there exp gives 1.0
+    either way, as v >= VARIANCE_FLOOR.  2 v overflows only where 2 pi v
+    does, which the normalizer already cannot survive."""
+    b = np.divide(sq, -2.0 * variances, out=sq)
     np.exp(b, out=b)
     b /= np.sqrt(2.0 * math.pi * variances)
     return np.maximum(b, EMISSION_FLOOR, out=b)
@@ -174,17 +179,23 @@ def _forward(initial, transition, variances, emissions, alpha):
     (T, B), emissions).  Each model's log-likelihood sums its scales as one
     contiguous row, in the same order whatever the batch size.
     """
-    T = emissions.shape[0]
     b = _emissions(emissions, variances)
-    scales = np.empty((T,) + variances.shape[1:])
-    a = initial * b[0]
-    for t in range(T):
-        if t:
-            np.einsum("ib,ijb->jb", alpha[t - 1], transition, out=a)   # sum_i alpha_i a_ij
-            a *= b[t]
-        scales[t] = _state_sum(a)
-        np.divide(a, scales[t], out=alpha[t])
-    loglik = np.log(np.ascontiguousarray(scales.T)).sum(axis=1)
+    scales = np.empty((b.shape[0],) + variances.shape[1:])
+    short = initial.shape[0] < 8          # _state_sum is then one add.reduce
+    prev = None
+    for b_t, c, a in zip(b, scales, alpha):
+        if prev is None:
+            np.multiply(initial, b_t, out=a)
+        else:
+            np.einsum("ib,ijb->jb", prev, transition, out=a)       # sum_i alpha_i a_ij
+            a *= b_t
+        if short:
+            np.add.reduce(a, axis=0, out=c)
+        else:
+            c[...] = _state_sum(a)
+        a /= c
+        prev = a
+    loglik = np.log(scales.T, order="C").sum(axis=1)
     return loglik, alpha, scales, b
 
 
@@ -196,17 +207,26 @@ def _posterior(transition, alpha, scales, emissions, beta, w):
     Row t of the (T - 1, K, B) buffer ``w`` keeps the backward step's
     b_t+1 beta_t+1 for xi; ``w`` may be ``emissions[1:]``, since row t + 1
     of the emissions is read for the last time as that row is written."""
-    T = alpha.shape[0]
-    b = emissions
-    even, odd = _dot_lanes(transition.shape[0])
-    by_target = transition.transpose(1, 0, 2)                    # [j, i] = a_ij
-    by_even, by_odd = (np.ascontiguousarray(by_target[lane]) for lane in (even, odd))
+    T, K = alpha.shape[:2]
+    even, odd = _dot_lanes(K)
+    # the rows a_.j in lane order; while the odd lane has at most one term
+    # (K <= 3) the lanes are one chain, (p0 + p2) + p1, and one einsum
+    # adds it
+    order = np.array(even + odd)
+    by_order = np.ascontiguousarray(transition.transpose(1, 0, 2)[order])   # [j, i] = a_ij
+    picked = np.empty_like(beta[0])
+    split = K if len(odd) <= 1 else len(even)
+    head, tail = (by_order[:split], picked[:split]), (by_order[split:], picked[split:])
     beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        np.multiply(b[t + 1], beta[t + 1], out=w[t])
-        np.einsum("jib,jb->ib", by_even, w[t][even], out=beta[t])       # sum_j a_ij w_j
-        beta[t] += np.einsum("jib,jb->ib", by_odd, w[t][odd])
-        beta[t] /= scales[t + 1]
+    for beta_t, beta_next, b_next, w_t, c in zip(
+            beta[-2::-1], beta[:0:-1], emissions[:0:-1], w[::-1], scales[:0:-1]):
+        np.multiply(b_next, beta_next, out=w_t)
+        # the indices are in range; "raise" would buffer the out= copy
+        np.take(w_t, order, axis=0, out=picked, mode="clip")
+        np.einsum("jib,jb->ib", *head, out=beta_t)                  # sum_j a_ij w_j
+        if split < K:
+            beta_t += np.einsum("jib,jb->ib", *tail)
+        beta_t /= c
     gamma = np.multiply(alpha, beta, out=beta)
     gamma /= _state_sum(gamma.swapaxes(0, 1))[:, None]
     # xi_t(i, j) is proportional to alpha_t(i) a_ij b_j(o_t+1) beta_t+1(j)

@@ -437,11 +437,14 @@ def fit_garch11(returns) -> GarchFit:
     persistence alpha1 + beta1 (capped at 1 - 1e-7) and its split through
     logistics.  The search (``_newton``) runs from three starts and the
     lowest end point is the fit; at the cap it moves mu, omega and the
-    split only.  ``converged`` says the search's gradient (mean over
-    observations, mu in units of the returns' std) is at most _SCORE_TOL in
-    every component at the returned point.  Standard errors are Bollerslev
-    and Wooldridge's sandwich H^-1 G H^-1 from the analytic scores and
-    Hessian; at the cap those of alpha1 and beta1 are NaN.
+    split only.  It fits the returns in units of their std (sd, with
+    var = sd^2 their sample variance) and maps the fit back: mu and its
+    standard error times sd, omega and its standard error times var, the
+    log-likelihood minus n log sd.  ``converged`` says the search's
+    gradient (mean over observations, in those units) is at most
+    _SCORE_TOL in every component at the returned point.  Standard errors
+    are Bollerslev and Wooldridge's sandwich H^-1 G H^-1 from the analytic
+    scores and Hessian; at the cap those of alpha1 and beta1 are NaN.
     """
     r = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, dtype=np.float64)
     if not np.all(np.isfinite(r)):
@@ -456,22 +459,27 @@ def fit_garch11(returns) -> GarchFit:
     if not sd > _DEGENERATE * float(np.abs(r).max()):
         raise ValueError("degenerate returns: no variation on the scale of the returns")
 
+    # the search runs on returns in units of their std, so no scale of the
+    # returns overflows or underflows its terms; the units come back after
+    z = r / sd
+    var_z = float(z.var())
     best = None
     for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
-        x0 = np.array([float(r.mean()) / sd, math.log(var * (1.0 - rho0)),
+        x0 = np.array([float(z.mean()), math.log(var_z * (1.0 - rho0)),
                        _logit(rho0), _logit(frac0)])
-        end = _newton(x0, r, var, sd)
+        end = _newton(x0, z, var_z, 1.0)
         if best is None or end[1] < best[1]:
             best = end
     x, _, grad = best
-    params, rho, _ = _theta_to_params(x, sd)
+    params, rho, _ = _theta_to_params(x, 1.0)
     capped = rho >= _RHO_CAP
-    nll, scores, H = _garch_terms(params, r, var)
+    nll, scores, H = _garch_terms(params, z, var_z)
     converged = bool(np.abs(grad).max() <= _SCORE_TOL)
     se, tstat = _sandwich_errors(params, capped, scores, H)
-    mu, omega, alpha1, beta1 = params
-    return GarchFit(GarchModel(mu, omega, alpha1, beta1), se, tstat, -nll,
-                    alpha1 + beta1 > 0.999, converged)
+    mu, omega, alpha1, beta1 = params[0] * sd, params[1] * var, params[2], params[3]
+    se = dict(se, mu=se["mu"] * sd, omega=se["omega"] * var)
+    return GarchFit(GarchModel(mu, omega, alpha1, beta1), se, tstat,
+                    -nll - r.shape[0] * math.log(sd), alpha1 + beta1 > 0.999, converged)
 
 
 def garch_conditional_vol(model: GarchModel, returns) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -568,6 +569,62 @@ def test_fits_beyond_eight_states_equal_per_model_path(K):
     gen = np.random.default_rng(K)
     windows = gen.standard_normal((4, 40))
     assert_matches_parent_path(windows, GhmmStack(*valid_params(gen, 4, K)), 3)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [5e-140, 1e-160])
+def test_underflowing_deviations_equal_per_model_path(level, K):
+    # a constant window with one one-ulp step: every squared deviation is
+    # subnormal (level 5e-140) or zero (1e-160), where -0.5 d d / v and
+    # d d / (-2 v) may round apart but exp gives 1.0 either way; the
+    # window's variance is far below the floor, so every state sits there
+    window = np.full(40, level)
+    window[17] = np.nextafter(level, 1.0)
+    windows = np.stack([window, window[::-1]])
+    starts = quantile_starts(windows, K)
+    assert ((windows[:, :, None] - starts.means[:, None, :]) ** 2).max() < np.finfo(float).tiny
+    assert_matches_parent_path(windows, starts, 6)
+    assert (fit_window_batch(windows, starts, 6)[0].variances == VARIANCE_FLOOR).all()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_states_held_at_the_variance_floor_equal_per_model_path(K):
+    # a window flat for two thirds of its length, whose flat states end
+    # each epoch at VARIANCE_FLOOR, and one of noise too small for any
+    # state to leave the floor
+    gen = np.random.default_rng(K)
+    flat = np.zeros(60)
+    flat[40:] = gen.normal(0.0, 0.01, 20)
+    windows = np.stack([flat, gen.normal(0.0, 1e-6, 60)])
+    starts = random_inits(windows, K, [key_of([K, i]) for i in range(2)])
+    assert_matches_parent_path(windows, starts, 8)
+    variances = fit_window_batch(windows, starts, 8)[0].variances
+    assert (variances[1] == VARIANCE_FLOOR).all()
+    assert K == 1 or (variances[0] == VARIANCE_FLOOR).any()
+
+
+def test_variances_past_half_the_float_range_warn_in_the_parent_path():
+    # d d / (-2 v) differs from -0.5 d d / v only where 2 v overflows,
+    # v > 2^1023.  The normalizer sqrt(2 pi v) of the parent path overflows
+    # there already, so no fit it makes without a RuntimeWarning reaches
+    # that case; the M-step cannot lead there from the observations
+    # either, since a weighted variance is at most range^2 / 4 and a
+    # range past 2^512.5 overflows the window's own sum of squared
+    # deviations (at least range^2 / 2).
+    gen = np.random.default_rng(5)
+    wide = np.zeros((2, 30))
+    wide[:, :2] = 2.0 ** 511.6, -2.0 ** 511.6
+    for K in (1, 2, 3, 4):
+        params = valid_params(gen, 2, K)
+        windows = gen.standard_normal((2, 30))
+        huge = [a.copy() for a in params]
+        huge[3][0, -1] = 2.0 ** 1023
+        for fit in (fit_window_batch, oracle_fit_window_batch):
+            for obs, start in ((windows, huge), (wide, params)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(RuntimeWarning, match="overflow"):
+                        fit(obs, GhmmStack(*start), 2)
 
 
 def test_fit_window_batch_chunks_give_the_same_fits(monkeypatch):

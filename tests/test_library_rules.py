@@ -4,8 +4,10 @@ Exception``), so bugs cannot turn into flags or silent passes; no
 ``scipy`` import that runs when a module is imported (a statement at module
 level, also inside a top-level ``if``, ``try``, ``with`` or class body), so
 that ``import nmcbounds`` stays free of scipy and only the functions that
-call scipy pay for loading it; and no public function or class that only
-the tests reach."""
+call scipy pay for loading it; no BLAS call (``@``, ``np.dot`` and the
+like, ``np.linalg``, einsum's ``optimize=``) in the EM core or the flow
+engine, whose results must not depend on the BLAS kernel; and no public
+function or class that only the tests reach."""
 
 import ast
 from pathlib import Path
@@ -80,6 +82,57 @@ def test_scipy_rule_fires_on_import_time_statements_only():
             "from .scipy import helper\n")
     assert _violations(ast.parse(code)) == [
         (line, "module-level scipy import") for line in (1, 2, 3, 5, 7, 11)]
+
+
+# ---------------------------------------------------------------------------
+# no BLAS in the EM core and the flow engine: a BLAS call rounds as the
+# machine's kernel does, so the EM fits and the sampled products contract
+# with einsums that numpy runs in its own loops (no optimize=)
+
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+BLAS_FREE = {"ghmm": None, "chain": ("_free_steps", "_flow_steps", "_batch_product")}
+
+
+def _blas_uses(tree: ast.AST) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") and (
+                "linalg" in node.module or any(a.name in BLAS_NAMES for a in node.names)):
+            found.append((node.lineno, "import"))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append((node.lineno, "einsum optimize="))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(BLAS_FREE))
+def test_no_blas_in_the_em_core_or_the_flow_engine(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    names = BLAS_FREE[module]
+    nodes = [tree] if names is None else [n for n in tree.body if getattr(n, "name", None) in names]
+    assert names is None or len(nodes) == len(names)
+    assert [use for node in nodes for use in _blas_uses(node)] == []
+
+
+def test_blas_rule_detects_each_pattern():
+    code = ("a @ b\n"
+            "a @= b\n"
+            "np.dot(a, b)\n"
+            "np.matmul(a, b)\n"
+            "np.inner(a, b)\n"
+            "np.tensordot(a, b)\n"
+            "np.linalg.eigvals(a)\n"
+            "np.einsum('ij,jk->ik', a, b, optimize=True)\n"
+            "from numpy.linalg import inv\n"
+            "from numpy import dot\n"
+            "a.dot(b)\n"
+            "np.einsum('ij,jk->ik', a, b)\n"
+            "a * b\n")
+    assert sorted(line for line, _ in _blas_uses(ast.parse(code))) == list(range(1, 12))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,36 @@ def test_garch_rejects_returns_whose_variance_overflows(scale):
         fit_garch11(r)
 
 
+def white_returns():
+    return np.random.default_rng(0).normal(0.0, 0.01, 300)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e90, 1e150])
+def test_garch_fits_returns_at_extreme_scales(scale):
+    # the search runs in units of the returns' std, so none of its terms
+    # overflows, underflows or divides by zero (the test configuration
+    # turns each RuntimeWarning into an error) and the fit scales along
+    unit, fit = fit_garch11(white_returns()), fit_garch11(white_returns() * scale)
+    assert fit.converged
+    assert fit.model.mu / scale == pytest.approx(unit.model.mu, rel=1e-12)
+    assert fit.model.omega / scale**2 == pytest.approx(unit.model.omega, rel=1e-12)
+    assert fit.model.beta1 == pytest.approx(unit.model.beta1, rel=1e-12)
+    assert fit.loglik == pytest.approx(unit.loglik - 300 * math.log(scale), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0**300, 2.0**-300])
+def test_garch_fit_scales_exactly_by_a_power_of_two(scale):
+    # r * 2^k standardizes to the bits of r, so the search is the same and
+    # only the mapping back scales: mu by 2^k, omega by 2^2k
+    unit, fit = fit_garch11(white_returns()), fit_garch11(white_returns() * scale)
+    assert (fit.model.mu, fit.model.omega) == (unit.model.mu * scale, unit.model.omega * scale**2)
+    assert (fit.model.alpha1, fit.model.beta1) == (unit.model.alpha1, unit.model.beta1)
+    assert fit.std_errors["mu"] == unit.std_errors["mu"] * scale
+    assert fit.std_errors["omega"] == unit.std_errors["omega"] * scale**2
+    assert fit.t_stats == pytest.approx(unit.t_stats, nan_ok=True, rel=0, abs=0)
+    assert fit.converged == unit.converged
+
+
 @pytest.mark.parametrize("field", ["mu", "omega", "alpha1", "beta1"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_garch_model_rejects_non_finite_parameters(field, bad):
