@@ -369,7 +369,7 @@ class BoundReport:
             "lambda": [float(v) for v in self.lam],
             "gamma": None if math.isinf(self.gamma) else float(self.gamma),
             "gamma_infinite": bool(math.isinf(self.gamma)),
-            "delta": float(self.delta),
+            "delta": None if math.isnan(self.delta) else float(self.delta),
             "spectral_radius": float(self.r),
             "eps": float(self.eps),
             "k_range": list(K_RANGE),
@@ -447,9 +447,9 @@ def full_report(K: PolynomialKernel, n_max: int, mc_samples: int = 2000,
     d0 = initial_distance_bound(p)
     for i, k in enumerate(K_RANGE):
         curves[f"kstep_k{k}"] = kstep_bound_curve(alpha[i], lam[i], lam[0], d0, k, n_max)
-    delta_for_curve = 0.0 if math.isnan(delta) else delta
-    curves["combined_small_n"] = combined_bound(r, eps, delta_for_curve, p, n, "small-n")
-    curves["combined_large_n"] = combined_bound(r, eps, delta_for_curve, p, n, "large-n")
+    # an unavailable delta (NaN) leaves both combined curves NaN: no bound
+    curves["combined_small_n"] = combined_bound(r, eps, delta, p, n, "small-n")
+    curves["combined_large_n"] = combined_bound(r, eps, delta, p, n, "large-n")
 
     return BoundReport(
         p=p, alpha=alpha, alpha_nonlinear=alpha_nl, lam=lam, gamma=gamma,

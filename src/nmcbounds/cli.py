@@ -70,8 +70,9 @@ def cmd_bounds(args) -> int:
     report = bounds_mod.full_report(kernel, args.steps, seed=args.seed)
     names, rows = report.curve_table()
     export_report(ComparisonTable(names, rows), f"{args.out_prefix}_bounds.csv")
-    write_atomic(f"{args.out_prefix}_coefficients.json", lambda fh: fh.write(
-        json.dumps(report.coefficients_dict(), indent=2, sort_keys=True) + "\n"))
+    # strict JSON: RFC 8259 has no NaN or Infinity
+    write_atomic(f"{args.out_prefix}_coefficients.json", lambda fh: fh.write(json.dumps(
+        report.coefficients_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"))
     show = min(4, args.steps)
     print("bound curves, n = 1..%d" % show)
     print("  ".join(f"{c:>18}" for c in names))

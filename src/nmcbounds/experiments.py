@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,11 +104,10 @@ def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeRe
 
 @dataclass
 class ComparisonTable:
-    """Plain rectangular table plus run metadata, ready for CSV export."""
+    """Plain rectangular table (a header and rows), ready for CSV export."""
 
     columns: list
     rows: list
-    metadata: dict = field(default_factory=dict)
 
 
 def compare_bounds(K: PolynomialKernel, steps: int, trials: int = 1000,
@@ -133,8 +132,7 @@ def compare_bounds(K: PolynomialKernel, steps: int, trials: int = 1000,
             float(report.curves["combined_small_n"][i]),
             float(report.curves["combined_large_n"][i]),
         ])
-    table = ComparisonTable(columns, rows, metadata={"trials": trials, "seed": seed})
-    return table, report
+    return ComparisonTable(columns, rows), report
 
 
 def _format_cell(v) -> str:

@@ -303,7 +303,6 @@ def random_init(obs, n_states: int, rng) -> GhmmModel:
 class BaumWelchFit:
     model: GhmmModel
     loglik_trace: np.ndarray      # length epochs + 1: before each update, then final
-    starvation_flags: list        # (epoch, state) pairs that needed a reset
 
 
 def _mstep(gamma, xi_sum, obs2d, means_old, global_var, sq):
@@ -396,9 +395,8 @@ def fit_baum_welch(obs, n_states: int = 3, epochs: int = 15) -> BaumWelchFit:
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     start = quantile_starts(obs[None], n_states)
-    fitted, traces, starved = fit_window_batch(obs[None], start, epochs)
-    flags = [(int(epoch), int(k)) for epoch, k in zip(*np.nonzero(starved[0]))]
-    return BaumWelchFit(fitted.model(0), traces[0], flags)
+    fitted, traces, _ = fit_window_batch(obs[None], start, epochs)
+    return BaumWelchFit(fitted.model(0), traces[0])
 
 
 def sample_ghmm(model: GhmmModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -104,19 +104,20 @@ def _slot_keys(seed: int, dates, length: int, reps: int) -> np.ndarray:
     return derive_seed(seed, _fit_seed(t, length, np.arange(reps, dtype=np.uint64)).ravel())
 
 
-def transition_tv_bounds(transitions, n_states: int) -> np.ndarray:
+def transition_tv_bounds(transitions) -> np.ndarray:
     """One-step coupling bounds ``spectral_bound(r, eps, K, 1)`` =
-    2(1 - 1/K)(r + eps) of a (B, K, K) stack of fitted hidden chains, each
-    clipped to [0, 2]."""
+    2(1 - 1/K)(r + eps) of a (B, K, K) stack of fitted hidden chains, K read
+    from the stack's last axis, each clipped to [0, 2]."""
     trans = np.asarray(transitions, dtype=np.float64)
     est = coupling_radii(trans / trans.sum(axis=-1, keepdims=True))
-    return np.clip(spectral_bound(est.r, est.eps, n_states, 1), 0.0, 2.0)
+    return np.clip(spectral_bound(est.r, est.eps, trans.shape[-1], 1), 0.0, 2.0)
 
 
-def transition_tv_bound(transition: np.ndarray, n_states: int) -> float:
-    """One-step spectral-radius bound of a fitted hidden chain, in [0, 2]."""
+def transition_tv_bound(transition: np.ndarray) -> float:
+    """One-step spectral-radius bound of one fitted (K, K) hidden chain, in
+    [0, 2]."""
     trans = np.asarray(transition, dtype=np.float64)[None]
-    return float(transition_tv_bounds(trans, n_states)[0])
+    return float(transition_tv_bounds(trans)[0])
 
 
 def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None) -> TvVolatilitySeries:
@@ -143,7 +144,7 @@ def tv_volatility(returns: ReturnSeries, config: VolatilityConfig | None = None)
         starts = random_inits(windows, cfg.n_states, _slot_keys(cfg.seed, eval_idx, L, cfg.reps))
         fitted, _, starved = fit_window_batch(np.repeat(windows, cfg.reps, axis=0),
                                               starts, cfg.epochs)
-        bounds = transition_tv_bounds(fitted.transition, cfg.n_states)
+        bounds = transition_tv_bounds(fitted.transition)
         values[:, j * cfg.reps:(j + 1) * cfg.reps] = bounds.reshape(D, cfg.reps)
         bad += starved.any(axis=(1, 2)).reshape(D, cfg.reps).sum(axis=1)
 
@@ -296,21 +297,22 @@ def _logit(p):
     return math.log(p / (1.0 - p))
 
 
-def _theta_to_params(theta, sd):
-    """(mu, omega, alpha1, beta1) of a search point theta = (mu / sd, log
-    omega, logit rho, logit split), with rho = alpha1 + beta1 capped at
-    _RHO_CAP and the split alpha1 / rho; also returns rho and the split.
-    Raises OverflowError where omega is not a finite float."""
-    s_mu, log_omega, s_rho, s_frac = theta
+def _theta_to_params(theta):
+    """(mu, omega, alpha1, beta1) of a search point theta = (mu, log omega,
+    logit rho, logit split), with rho = alpha1 + beta1 capped at _RHO_CAP
+    and the split alpha1 / rho; also returns rho and the split.  Raises
+    OverflowError where omega is not a finite float."""
+    mu, log_omega, s_rho, s_frac = theta
     rho = min(_expit(s_rho), _RHO_CAP)
     frac = _expit(s_frac)
-    return (float(s_mu * sd), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
+    return (float(mu), math.exp(log_omega), rho * frac, rho * (1.0 - frac)), rho, frac
 
 
-def _search_terms(theta, r, h0, sd):
+def _search_terms(theta, r, h0):
     """Mean NLL per observation and its gradient and Hessian at a search
-    point theta = (mu / sd, log omega, logit rho, logit split); None where
-    omega is not a finite float or ``_garch_terms`` returns None.
+    point theta = (mu, log omega, logit rho, logit split), in the units of
+    the returns r; None where omega is not a finite float or
+    ``_garch_terms`` returns None.
 
     The Hessian is (J' H J + sum_i g_i d2p_i) / n, with J, H and g the
     Jacobian, NLL Hessian and NLL gradient of p = (mu, omega, alpha1,
@@ -320,7 +322,7 @@ def _search_terms(theta, r, h0, sd):
     logit rho gets a unit row and column, so the search leaves it alone.
     """
     try:
-        params, rho, frac = _theta_to_params(theta, sd)
+        params, rho, frac = _theta_to_params(theta)
     except OverflowError:
         return None
     terms = _garch_terms(params, r, h0)
@@ -330,7 +332,7 @@ def _search_terms(theta, r, h0, sd):
     capped = rho >= _RHO_CAP
     drho = 0.0 if capped else rho * (1.0 - rho)
     dfrac = frac * (1.0 - frac)
-    jac = np.array([[sd, 0.0, 0.0, 0.0],
+    jac = np.array([[1.0, 0.0, 0.0, 0.0],
                     [0.0, params[1], 0.0, 0.0],
                     [0.0, 0.0, drho * frac, rho * dfrac],
                     [0.0, 0.0, drho * (1.0 - frac), -rho * dfrac]])
@@ -358,7 +360,7 @@ def _scaled_inverse(A):
     return inner * d[:, None] * d
 
 
-def _newton(theta, r, h0, sd):
+def _newton(theta, r, h0):
     """Minimize the mean NLL from the search point theta by Newton steps;
     returns (theta, nll, gradient) at the last accepted point.
 
@@ -374,7 +376,7 @@ def _newton(theta, r, h0, sd):
     when a trial point equals the current one, and after _SEARCH_STEPS
     steps.
     """
-    f, g, hess = _search_terms(theta, r, h0, sd)
+    f, g, hess = _search_terms(theta, r, h0)
     slack = r.shape[0] * np.finfo(float).eps
     decrement = math.inf
     for _ in range(_SEARCH_STEPS):
@@ -399,7 +401,7 @@ def _newton(theta, r, h0, sd):
             trial = theta + t * step
             if np.array_equal(trial, theta):
                 return theta, f, g
-            terms = _search_terms(trial, r, h0, sd)
+            terms = _search_terms(trial, r, h0)
             if terms is not None and terms[0] <= f + 1e-4 * t * slope + slack * abs(f):
                 break
             t *= 0.5
@@ -467,11 +469,11 @@ def fit_garch11(returns) -> GarchFit:
     for rho0, frac0 in ((0.9, 0.1 / 0.9), (0.5, 0.5), (0.97, 0.05)):
         x0 = np.array([float(z.mean()), math.log(var_z * (1.0 - rho0)),
                        _logit(rho0), _logit(frac0)])
-        end = _newton(x0, z, var_z, 1.0)
+        end = _newton(x0, z, var_z)
         if best is None or end[1] < best[1]:
             best = end
     x, _, grad = best
-    params, rho, _ = _theta_to_params(x, 1.0)
+    params, rho, _ = _theta_to_params(x)
     capped = rho >= _RHO_CAP
     nll, scores, H = _garch_terms(params, z, var_z)
     converged = bool(np.abs(grad).max() <= _SCORE_TOL)
@@ -498,16 +500,16 @@ def _minmax(column):
     col = np.asarray(column, dtype=np.float64)
     lo, hi = float(col.min()), float(col.max())
     if hi - lo <= 0:
-        return np.zeros_like(col), lo, hi
-    return (col - lo) / (hi - lo), lo, hi
+        return np.zeros_like(col)
+    return (col - lo) / (hi - lo)
 
 
 def comparison_table(returns: ReturnSeries, tv: TvVolatilitySeries,
                      garch_sigma) -> ComparisonTable:
     """Per-date comparison of squared returns, GARCH sigma and TV volatility.
 
-    Normalized columns are min-max over the evaluated range; the bounds
-    used are recorded in the table metadata.
+    Normalized columns are min-max over the evaluated dates, so each range
+    is the min and max of the raw column beside it.
     """
     garch_sigma = np.asarray(garch_sigma, dtype=np.float64)
     if garch_sigma.shape[0] != len(returns):
@@ -521,9 +523,9 @@ def comparison_table(returns: ReturnSeries, tv: TvVolatilitySeries,
     rows_idx = [index[d] for d in tv.dates]
     sq = returns.values[rows_idx] ** 2
     gs = garch_sigma[rows_idx]
-    norm_sq, sq_lo, sq_hi = _minmax(sq)
-    norm_gs, gs_lo, gs_hi = _minmax(gs)
-    norm_tv, tv_lo, tv_hi = _minmax(tv.tv_mean)
+    norm_sq = _minmax(sq)
+    norm_gs = _minmax(gs)
+    norm_tv = _minmax(tv.tv_mean)
     columns = ["date", "sq_return", "garch_sigma", "tv_mean", "tv_std",
                "tv_ci_lo", "tv_ci_hi", "norm_sq_return", "norm_garch_sigma",
                "norm_tv_mean", "quality_flags"]
@@ -534,15 +536,7 @@ def comparison_table(returns: ReturnSeries, tv: TvVolatilitySeries,
                      float(tv.tv_ci_lo[i]), float(tv.tv_ci_hi[i]),
                      float(norm_sq[i]), float(norm_gs[i]), float(norm_tv[i]),
                      int(tv.quality_flags[i])])
-    meta = {
-        "normalization": "min-max over evaluated dates",
-        "sq_return_range": (sq_lo, sq_hi),
-        "garch_sigma_range": (gs_lo, gs_hi),
-        "tv_mean_range": (tv_lo, tv_hi),
-        "n_fits_per_date": tv.n_fits,
-        "config": tv.config,
-    }
-    return ComparisonTable(columns, rows, meta)
+    return ComparisonTable(columns, rows)
 
 
 # ---------------------------------------------------------------------------

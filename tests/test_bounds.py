@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmcbounds.bounds import (
+    K_RANGE,
     delta_estimate,
     full_report,
     gamma_estimate,
@@ -32,7 +34,7 @@ from nmcbounds.chain import (
     validate_kernel,
 )
 from nmcbounds import bounds as bounds_mod
-from nmcbounds.errors import InfiniteGammaError, KernelInvalidError
+from nmcbounds.errors import InfiniteGammaError, KernelInvalidError, NonconvergenceError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
 
 from conftest import DEGENERATE_CHAINS, bowl_kernel
@@ -380,6 +382,27 @@ def test_periodic_linear_chain_reports_delta_zero(P):
     with pytest.warns(UserWarning, match="alpha == lambda == 0"):
         report = full_report(PolynomialKernel.linear(np.asarray(P)), 5)
     assert report.delta == 0.0 and report.flags == []
+
+
+def test_unavailable_delta_leaves_both_combined_curves_nan(monkeypatch, ex1_k01):
+    # a fixed-point search that gives up (a flow that settles into a cycle,
+    # say) leaves no delta, so the combined curves, which add it, bound nothing
+    reference = full_report(ex1_k01, 8, mc_samples=200, seed=0)
+
+    def gives_up(K):
+        raise NonconvergenceError("no fixed point within the iteration budget")
+
+    monkeypatch.setattr(bounds_mod, "delta_estimate", gives_up)
+    report = full_report(ex1_k01, 8, mc_samples=200, seed=0)
+    assert math.isnan(report.delta)
+    assert any(f.startswith("delta_unavailable") for f in report.flags)
+    assert sorted(report.curves) == sorted(reference.curves)
+    for name in ("combined_small_n", "combined_large_n"):
+        assert np.isnan(report.curves[name]).all()
+    for name in ("md", "md_lipschitz", "spectral", *(f"kstep_k{k}" for k in K_RANGE)):
+        assert report.curves[name].tobytes() == reference.curves[name].tobytes()
+    coefficients = json.loads(json.dumps(report.coefficients_dict(), allow_nan=False))
+    assert coefficients["delta"] is None
 
 
 def test_combined_bound_example1_value(p1_matrix):

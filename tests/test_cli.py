@@ -100,6 +100,29 @@ def test_failed_coefficients_dump_leaves_no_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cut_bounds.csv"]
 
 
+def test_bounds_with_an_unavailable_delta_writes_nan_curves_and_strict_json(
+        tmp_path, capsys, monkeypatch):
+    def gives_up(K):
+        raise nmcbounds.errors.NonconvergenceError("no fixed point within the iteration budget")
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not a JSON number")
+
+    monkeypatch.setattr(nmcbounds.bounds, "delta_estimate", gives_up)
+    code, _, _ = run_cli(["bounds", "--example", "1", "--steps", "5",
+                          "--out-prefix", str(tmp_path / "nodelta")], capsys)
+    assert code == 0
+    coeffs = json.loads((tmp_path / "nodelta_coefficients.json").read_text(),
+                        parse_constant=no_constant)
+    assert coeffs["delta"] is None
+    assert any(f.startswith("delta_unavailable") for f in coeffs["flags"])
+    header, *rows = (tmp_path / "nodelta_bounds.csv").read_text().splitlines()
+    columns = header.split(",")
+    assert len(rows) == 5
+    for name in ("combined_small_n", "combined_large_n"):
+        assert [row.split(",")[columns.index(name)] for row in rows] == ["nan"] * 5
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     out = tmp_path / "sim_none.csv"

@@ -57,7 +57,7 @@ def test_transition_bound_near_zero_for_interchangeable_states():
     trans = np.array([[0.34, 0.33, 0.33],
                       [0.33, 0.34, 0.33],
                       [0.33, 0.33, 0.34]])
-    v = transition_tv_bound(trans, 3)
+    v = transition_tv_bound(trans)
     assert v < 0.05
 
 
@@ -66,7 +66,7 @@ def test_transition_bound_rises_with_separation():
                        [0.05, 0.9, 0.05],
                        [0.05, 0.05, 0.9]])
     mixed = np.full((3, 3), 1 / 3)
-    assert transition_tv_bound(sticky, 3) > transition_tv_bound(mixed, 3) + 0.3
+    assert transition_tv_bound(sticky) > transition_tv_bound(mixed) + 0.3
 
 
 def test_tv_volatility_iid_small():
@@ -114,8 +114,8 @@ def test_batched_transition_bounds_equal_per_fit_bounds(seed, K, B):
     gen = np.random.default_rng(seed)
     stack = gen.dirichlet(np.full(K, 0.5), size=(B, K))
     stack[0] = 1.0 / K                       # kappa = 1 everywhere: bound 0
-    values = transition_tv_bounds(stack, K)
-    singles = [transition_tv_bound(P, K) for P in stack]
+    values = transition_tv_bounds(stack)
+    singles = [transition_tv_bound(P) for P in stack]
     assert values.tolist() == singles
     assert values[0] == 0.0
     # the clipped product equals the former per-item Python-float form
@@ -243,26 +243,27 @@ def test_garch_converged_reads_the_returned_search(monkeypatch):
 
 def test_garch_search_objective_rejects_an_omega_beyond_float_range():
     r = simulate_garch(0.0, 5e-6, 0.10, 0.85, 200, seed=3)
-    var = float(r.var())
+    z = r / r.std()                          # the search runs in units of the std
     for theta in ([0.0, 800.0, 2.0, 0.0], [0.0, 709.0, 2.0, 0.0]):
-        assert _search_terms(np.array(theta), r, var, math.sqrt(var)) is None
+        assert _search_terms(np.array(theta), z, float(z.var())) is None
 
 
 @pytest.mark.parametrize("s_rho, capped", [(1.5, False), (20.0, True)], ids=["inside", "at-cap"])
 def test_search_hessian_matches_central_differences_of_the_gradient(s_rho, capped):
-    # theta = (mu / sd, log omega, logit rho, logit split); logit rho = 20
-    # puts rho past the cap on both sides of every difference
+    # theta = (mu, log omega, logit rho, logit split) in units of the
+    # returns' std; logit rho = 20 puts rho past the cap on both sides of
+    # every difference
     r = simulate_garch(2e-4, 2e-6, 0.09, 0.89, 300, seed=2)
-    var = float(r.var())
-    sd = math.sqrt(var)
+    z = r / r.std()
+    var = float(z.var())
     theta = np.array([0.3, math.log(0.05 * var), s_rho, -1.0])
-    f, g, hess = _search_terms(theta, r, var, sd)
+    f, g, hess = _search_terms(theta, z, var)
     delta = 1e-5
     fd_grad, fd_hess = np.empty(4), np.empty((4, 4))
     for i in range(4):
         step = np.zeros(4)
         step[i] = delta
-        hi, lo = _search_terms(theta + step, r, var, sd), _search_terms(theta - step, r, var, sd)
+        hi, lo = _search_terms(theta + step, z, var), _search_terms(theta - step, z, var)
         fd_grad[i] = (hi[0] - lo[0]) / (2 * delta)
         fd_hess[i] = (hi[1] - lo[1]) / (2 * delta)
     assert np.allclose(fd_grad, g, rtol=1e-6, atol=1e-9)
