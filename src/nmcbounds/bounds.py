@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .chain import (
 from .coupling import coupling_radii
 from .errors import (
     InfiniteGammaError,
-    KernelInvalidError,
     NmcError,
     NonconvergenceError,
 )
@@ -62,7 +62,7 @@ class CoefficientEstimate:
 
 
 def _alpha_of_matrix(P: np.ndarray, k: int) -> float:
-    Pk = np.linalg.matrix_power(P, k)
+    Pk = reduce(_batch_product, [P[None]] * k)[0]       # alike on every BLAS kernel
     iu, ju = np.triu_indices(P.shape[0], 1)
     return float(np.minimum(Pk[iu], Pk[ju]).sum(axis=1).min(initial=1.0))
 
@@ -425,11 +425,11 @@ def full_report(K: PolynomialKernel, n_max: int, mc_samples: int = 2000,
         gamma = math.inf
         flags.append("gamma_infinite: ratio assumption fails for this kernel")
 
-    # a failed fixed-point search leaves the rest of the report usable;
+    # a failed fixed-point solve leaves the rest of the report usable;
     # anything else is a bug and propagates
     try:
         delta = delta_estimate(K)
-    except (NonconvergenceError, KernelInvalidError) as exc:
+    except NonconvergenceError as exc:
         delta = math.nan
         flags.append(f"delta_unavailable: {exc}")
 

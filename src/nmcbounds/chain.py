@@ -14,13 +14,13 @@ validity on the whole simplex is a univariate check per row
 (`validate_kernel`), and a kernel certified valid steps its flows without
 forming P_mu.
 
-The flow engine (`_flows`) is the one core behind `flow_batch`,
-`stationary` and `experiments.tv_envelope`.  It stores a batch
-state-major: B distributions are a (p, B) array, one column each, with
-the batch axis last and contiguous, so a step is p-term arithmetic on
-length-B rows rather than work on a short state axis.  `flow_batch`
-transposes at its edge and `stationary` flows one (p, 1) column.  The
-engine keeps the orders of numpy 2.4.6's item-major (B, p) einsums and
+The flow engine (`_flows`) is the one core behind `flow_batch` and
+`experiments.tv_envelope`; `stationary` solves for the fixed point
+instead.  It stores a batch state-major: B distributions are a (p, B)
+array, one column each, with the batch axis last and contiguous, so a
+step is p-term arithmetic on length-B rows rather than work on a short
+state axis; `flow_batch` transposes at its edge.  The engine keeps the
+orders of numpy 2.4.6's item-major (B, p) einsums and
 sums it was first written with, so flows stay bit-identical to that form:
 
 - a coefficient term sum_x term[x] C_j(x, y) (einsum ``xy,xb->yb``): a
@@ -223,7 +223,7 @@ class PolynomialKernel:
         goes below 0 on [0, 1], the linear rows sum to 1 and every higher
         coefficient row sums to 0, each within p * eps * max(1, the row's
         absolute sum).  The flows of a certified kernel skip forming P_mu
-        (`flow_batch`, `stationary`); the checked path would only clip and
+        (`flow_batch`, `tv_envelope`); the checked path would only clip and
         renormalize at rounding level there."""
         coeff = np.stack(self.coeff)
         drift = coeff.sum(axis=2)
@@ -452,21 +452,54 @@ class StationaryResult:
     residual: float
 
 
-def stationary(K: PolynomialKernel, tol: float = 1e-10, max_iter: int = 10**6) -> StationaryResult:
-    """Fixed point of mu -> mu^T P_mu by iteration from the barycenter."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mu = np.full((K.p, 1), 1.0 / K.p)
-    residual = np.inf
-    for it, nxt in enumerate(_flows(K, mu, max_iter), start=1):
-        residual = float(np.abs(nxt - mu).sum())
-        if residual <= tol:
-            return StationaryResult(_clean_probs(mu[:, 0]), it, residual)
-        mu = nxt
-    raise NonconvergenceError(
-        f"no fixed point within {max_iter} iterations (residual {residual:.3e})",
-        last_iterate=_clean_probs(mu[:, 0]), residual=residual, iterations=max_iter,
-    )
+def _solve(m: np.ndarray) -> np.ndarray | None:
+    """x with a x = b from the augmented matrix m = [a | b], which it
+    overwrites, by Gauss-Jordan elimination with partial pivoting in
+    elementwise arithmetic: the same bits on every BLAS kernel, unlike
+    LAPACK.  None if a is singular."""
+    eye = np.eye(len(m))
+    for i in range(len(m)):
+        r = i + int(np.abs(m[i:, i]).argmax())
+        if m[r, i] == 0.0:
+            return None
+        row = m[r] / m[r, i]
+        m[r] = m[i]
+        m[i] = row
+        m -= (m[:, i] - eye[i])[:, None] * row
+    return m[:, -1]
+
+
+def stationary(K: PolynomialKernel) -> StationaryResult:
+    """Fixed point of Phi(mu) = mu^T P_mu by Newton's method from the barycenter.
+
+    Row x of P_mu reads only mu[x], so Phi_y = sum_{j,x} C_j(x, y) mu_x^(j+1),
+    J[y, x] = sum_j (j + 1) C_j(x, y) mu_x^j, and a step solves
+    (J - I) d = mu - Phi(mu) with its last row, implied by the others, set to
+    sum(d) = 1 - sum(mu).  It stops after a step <= 1e-12, or raises
+    NonconvergenceError after 50 steps, at a singular J - I, off the simplex,
+    or where pi repels: J - pi 1^T (J on sum(d) = 0) has spectral radius >= 1.
+    """
+    coeff, j = np.stack(K.coeff), np.arange(K.degree)[:, None]
+    mu, size, it = np.full(K.p, 1.0 / K.p), math.inf, 0
+    while True:
+        powers = mu ** j
+        phi = np.einsum("jxy,jx->y", coeff, powers * mu)
+        jac = np.einsum("jxy,jx->yx", coeff, powers * (j + 1))
+        if size <= 1e-12 or it == 50:
+            break
+        system = np.column_stack([jac - np.eye(K.p), mu - phi])
+        system[-1, :-1], system[-1, -1] = 1.0, 1.0 - mu.sum()
+        step = _solve(system)
+        if step is None:            # J has eigenvalue 1 on sum(d) = 0
+            break
+        mu, size, it = mu + step, float(np.abs(step).sum()), it + 1
+    residual = float(np.abs(phi - mu).sum())
+    rate = float(np.abs(np.linalg.eigvals(jac - mu[:, None])).max())
+    if not (size <= 1e-12 and mu.min() >= -_NEG_CLIP and rate < 1.0):
+        raise NonconvergenceError(
+            f"no attracting fixed point: Newton's method stopped at {np.array2string(mu, precision=8)}"
+            f" (residual {residual:.1e}, linear rate {rate:.4f}, Newton steps {it})")
+    return StationaryResult(_clean_probs(mu), it, residual)
 
 
 def _flat_dirichlet(rng, shape) -> np.ndarray:

@@ -29,13 +29,7 @@ class KernelInvalidError(NmcError):
 
 
 class NonconvergenceError(NmcError):
-    """Fixed-point iteration did not reach tolerance within max_iter."""
-
-    def __init__(self, message, last_iterate=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-        self.iterations = iterations
+    """Newton's method found no fixed point, or the one it found repels."""
 
 
 class InfiniteGammaError(NmcError):

@@ -53,6 +53,17 @@ def row_sum_drift_kernel() -> PolynomialKernel:
     return PolynomialKernel((np.full((2, 2), 0.5), np.diag([0.1, 0.1]), np.diag([-0.2, -0.2])))
 
 
+def two_cycle_kernel() -> PolynomialKernel:
+    """Certified 2-state degree-2 kernel with one fixed point, mu[0] =
+    0.38153098, which repels: the flow's linear rate there is 1.0247, so
+    from other starts the flow settles into a 2-cycle around it."""
+    C1 = np.array([[0.009164296157704163, 0.9908357038422958],
+                   [0.02096185404860789, 0.9790381459513922]])
+    C2 = np.array([[0.1358886867263398, -0.1358886867263398],
+                   [0.9027083880848846, -0.9027083880848846]])
+    return PolynomialKernel((C1, C2))
+
+
 def bowl_kernel(floor: float) -> PolynomialKernel:
     """Valid degree-3 kernel on 3 states whose entry (0, 0) is
     floor + (t - 0.37)^2 with t = mu[0], the rest of row 0 going to state 1;

@@ -1,6 +1,7 @@
 import inspect
 import json
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nmcbounds.chain import (
     stationary,
     _flat_dirichlet,
     _flow_steps,
+    _solve,
     _state_sum,
     tv_distance,
     validate_kernel,
@@ -35,7 +37,7 @@ from nmcbounds.ghmm import GhmmModel, GhmmStack
 from nmcbounds.rng import as_generator
 from nmcbounds.signal import PriceSeries, ReturnSeries
 
-from conftest import random_distributions, row_sum_drift_kernel
+from conftest import random_distributions, row_sum_drift_kernel, two_cycle_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +250,15 @@ def test_validate_finds_an_interior_dip():
         evaluate_batch(K, report.witness[None])
 
 
-def random_kernel(seed, p, degree, scale, zero_sum):
-    """Dirichlet linear rows plus normal higher coefficients of size
-    ``scale``, their rows centred when ``zero_sum``."""
+def random_kernel(seed, p, degree, scale, zero_sum, concentration=1.0):
+    """Dirichlet(``concentration``) linear rows plus normal higher
+    coefficients of size ``scale``, their rows centred when ``zero_sum``."""
     gen = np.random.default_rng(seed)
     highs = []
     for _ in range(degree - 1):
         c = gen.normal(size=(p, p)) * scale
         highs.append(c - c.mean(axis=1, keepdims=True) if zero_sum else c)
-    return PolynomialKernel((gen.dirichlet(np.ones(p), size=p), *highs))
+    return PolynomialKernel((gen.dirichlet(np.full(p, concentration), size=p), *highs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,7 +300,7 @@ def test_propagate_linear_one_step():
 
 def test_propagate_fixed_point_stays():
     K = builtin_example(1, 0.1)
-    pi = stationary(K, tol=1e-13).distribution
+    pi = stationary(K).distribution
     for mu in flow_batch(K, pi.probs[None], 5)[:, 0]:
         assert tv_distance(Distribution(mu), pi) < 1e-9
 
@@ -365,12 +367,12 @@ def checked_flow(K, starts, n):
     return np.stack([starts] + [mus for _, mus in _flow_steps(K, starts, n)])
 
 
-def certified_kernel(seed, p, degree, room):
+def certified_kernel(seed, p, degree, room, concentration=1.0):
     """A `random_kernel` whose higher coefficients use at most ``room`` of
     each linear entry, so no entry goes below 0; centring after the shrink
     keeps their row sums at rounding level of the entries, so the kernel is
     certified."""
-    K = random_kernel(seed, p, degree, 1.0, True)
+    K = random_kernel(seed, p, degree, 1.0, True, concentration)
     if degree == 1:
         return K
     spread = sum(np.abs(c) for c in K.coeff[1:])
@@ -435,35 +437,96 @@ def test_stationary_linear_matches_elimination_oracle(p1_matrix):
     A = np.vstack([(P - np.eye(4)).T, np.ones(4)])
     b = np.concatenate([np.zeros(4), [1.0]])
     pi_oracle, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = stationary(PolynomialKernel.linear(P), tol=1e-12)
+    res = stationary(PolynomialKernel.linear(P))
     assert np.abs(res.distribution.probs - pi_oracle).max() < 1e-9
 
 
 def test_stationary_nonlinear_agrees_with_long_runs():
     K = builtin_example(1, 0.1)
-    res = stationary(K, tol=1e-10)
+    res = stationary(K)
     # oracle: long propagation from several random starts
     starts = np.array([d.probs for d in random_distributions(4, 5, seed=23)])
     for tail in flow_batch(K, starts, 10_000)[-1]:
         assert tv_distance(Distribution(tail), res.distribution) < 2e-10
     # the nonlinear fixed point sits near the linear one
-    lin = stationary(PolynomialKernel.linear(EXAMPLE1_P), tol=1e-10)
+    lin = stationary(PolynomialKernel.linear(EXAMPLE1_P))
     assert tv_distance(res.distribution, lin.distribution) < 0.1
 
 
 def test_stationary_residual_contract():
     K = builtin_example(1, 0.2)
-    res = stationary(K, tol=1e-10)
+    res = stationary(K)
     nxt = res.distribution.probs @ evaluate_kernel(K, res.distribution).entries
     assert np.abs(nxt - res.distribution.probs).sum() <= 1e-10
 
 
 def test_stationary_nonconvergence_error():
-    K = builtin_example(1, 0.1)
-    with pytest.raises(NonconvergenceError) as info:
-        stationary(K, tol=1e-14, max_iter=3)
-    assert info.value.last_iterate is not None
-    assert info.value.residual > 0
+    # the one fixed point of the 2-cycle kernel repels, so the flow cannot
+    # settle there; the error names the point and the rate, within a second
+    K = two_cycle_kernel()
+    start = time.perf_counter()
+    with pytest.raises(NonconvergenceError, match=r"stopped at \[0\.38153098 0\.61846902\]") as info:
+        stationary(K)
+    assert time.perf_counter() - start < 1.0
+    assert "linear rate 1.0247" in str(info.value)
+    mu = np.array([0.38153098, 0.61846902])
+    assert np.abs(mu @ evaluate_batch(K, mu[None])[0] - mu).sum() < 1e-7
+    assert np.abs(np.linalg.eigvals(flow_jacobian(K, mu) - mu[:, None])).max() > 1.02
+    # from the barycenter the flow settles into a 2-cycle around it
+    tail = flow_batch(K, np.full((1, 2), 0.5), 2000)[-3:, 0, 0]
+    assert abs(tail[0] - tail[2]) < 1e-12 and abs(tail[0] - tail[1]) > 0.3
+
+
+def test_stationary_of_the_identity_names_no_attracting_point():
+    # every point is fixed, so J - I is singular and none attracts
+    with pytest.raises(NonconvergenceError, match=r"stopped at \[0\.33333333 0\.33333333 "
+                                                  r"0\.33333333\] .*linear rate 1\.0000"):
+        stationary(PolynomialKernel.linear(np.eye(3)))
+
+
+def test_solve_matches_lapack_and_refuses_a_singular_matrix():
+    gen = np.random.default_rng(12)
+    for p in range(1, 13):
+        a, b = gen.normal(size=(p, p)), gen.normal(size=p)
+        x = _solve(np.column_stack([a, b]))
+        assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-12 * np.linalg.cond(a)
+    assert _solve(np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 1.0]])) is None
+
+
+def flow_jacobian(K, mu):
+    """J[y, x] = sum_j (j + 1) C_j(x, y) mu_x^j: the derivative of
+    mu -> mu^T P_mu, whose row x reads only mu[x]."""
+    return sum((j + 1) * c.T * mu ** j for j, c in enumerate(K.coeff))
+
+
+def assert_near_the_iteration(K, pi, budget=20_000):
+    """Where the frozen iteration stops within ``budget`` steps, its point,
+    at residual <= 1e-10, lies within 1e-10 ||(I - J)^-1||_1 of the fixed
+    point to first order, plus rounding; (I - J + pi 1^T)^-1 is (I - J)^-1
+    on the plane sum = 0 and keeps sums.  1e-10 / (1 - rate) is not a bound
+    when J is far from normal."""
+    found = item_major_stationary(K, budget)
+    if found is not None:
+        inverse = np.linalg.inv(np.eye(K.p) - flow_jacobian(K, pi) + pi[:, None])
+        assert np.abs(pi - found).sum() <= 1e-10 * np.abs(inverse).sum(axis=0).max() + 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 4),
+       room=st.floats(0.0, 0.95), concentration=st.sampled_from([0.3, 1.0]))
+@example(seed=1368231803, p=4, degree=3, room=0.282643347710207, concentration=1.0)
+def test_newton_fixed_point_against_the_iteration(seed, p, degree, room, concentration):
+    K = certified_kernel(seed, p, degree, room, concentration)
+    try:
+        res = stationary(K)
+    except NonconvergenceError:             # a repelling point: the iteration fails too
+        assert item_major_stationary(K, 20_000) is None
+        return
+    pi = res.distribution.probs
+    assert res.residual <= 1e-14
+    assert np.abs(pi @ evaluate_batch(K, pi[None])[0] - pi).sum() <= 1e-14
+    assert np.abs(np.linalg.eigvals(flow_jacobian(K, pi) - pi[:, None])).max() < 1.0
+    assert_near_the_iteration(K, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +571,18 @@ def item_major_flow_batch(K, mu0s, n):
     return out
 
 
-def item_major_stationary(K, tol=1e-10):
-    """(cleaned fixed point, iterations) from the barycenter."""
+def item_major_stationary(K, budget, tol=1e-10):
+    """The cleaned fixed point by iteration from the barycenter, or None
+    when no step within ``budget`` is at most ``tol``."""
     mu = np.full((1, K.p), 1.0 / K.p)
-    for it, nxt in enumerate(item_major_flows(K, mu, 10**6), start=1):
+    for nxt in item_major_flows(K, mu, budget):
         if float(np.abs(nxt - mu).sum()) <= tol:
-            return item_major_clean_rows(mu[0]), it
+            return item_major_clean_rows(mu[0])
         mu = nxt
+    return None
 
 
-def item_major_tv_envelope(K, trials, steps, rng):
-    pi, _ = item_major_stationary(K)
+def item_major_tv_envelope(K, pi, trials, steps, rng):
     starts = _flat_dirichlet(as_generator(rng), (trials, K.p))
     dev = item_major_flow_batch(K, starts, steps)
     dev -= pi
@@ -529,11 +593,10 @@ def item_major_tv_envelope(K, trials, steps, rng):
 def assert_engine_matches_item_major(K, B, seed, steps=12):
     starts = _flat_dirichlet(np.random.default_rng(seed), (B, K.p))
     assert np.array_equal(flow_batch(K, starts, steps), item_major_flow_batch(K, starts, steps))
-    res = stationary(K)
-    pi, iterations = item_major_stationary(K)
-    assert np.array_equal(res.distribution.probs, pi) and res.iterations == iterations
+    pi = stationary(K).distribution.probs
+    assert_near_the_iteration(K, pi)
     env = tv_envelope(K, B, steps, seed)
-    frozen = item_major_tv_envelope(K, B, steps, seed)
+    frozen = item_major_tv_envelope(K, pi, B, steps, seed)
     for live, old in zip((env.tv_min, env.tv_mean, env.tv_max), frozen):
         assert np.array_equal(live, old)
 

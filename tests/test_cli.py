@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import nmcbounds
 from nmcbounds.cli import main
 
-from conftest import bowl_kernel, read_report
+from conftest import bowl_kernel, read_report, two_cycle_kernel
 
 
 def run_cli(argv, capsys):
@@ -121,6 +122,45 @@ def test_bounds_with_an_unavailable_delta_writes_nan_curves_and_strict_json(
     assert len(rows) == 5
     for name in ("combined_small_n", "combined_large_n"):
         assert [row.split(",")[columns.index(name)] for row in rows] == ["nan"] * 5
+
+
+def write_two_cycle_model(path):
+    K = two_cycle_kernel()
+    path.write_text(json.dumps({"p": 2, "degree": 2,
+                                "coeff": [c.reshape(-1).tolist() for c in K.coeff]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_simulate_on_a_repelling_fixed_point_exits_3_within_a_second(tmp_path, capsys):
+    # the envelope measures TV to a fixed point that the flow never settles at
+    model = write_two_cycle_model(tmp_path / "cycle.json")
+    start = time.perf_counter()
+    code, _, err = run_cli(["simulate", "--model", model, "--steps", "5",
+                            "--out", str(tmp_path / "cycle.csv")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.splitlines()[-1].startswith(
+        "error: no attracting fixed point: Newton's method stopped at [0.38153098 0.61846902] "
+        "(residual ")
+    assert "linear rate 1.0247" in err
+    assert not (tmp_path / "cycle.csv").exists()
+
+
+def test_bounds_on_a_repelling_fixed_point_flags_delta_within_a_second(tmp_path, capsys):
+    model = write_two_cycle_model(tmp_path / "cycle.json")
+    start = time.perf_counter()
+    code, _, _ = run_cli(["bounds", "--model", model, "--steps", "5",
+                          "--out-prefix", str(tmp_path / "cycle")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    text = (tmp_path / "cycle_coefficients.json").read_text()
+    assert '"delta": null' in text
+    coeffs = json.loads(text)
+    [flag] = [f for f in coeffs["flags"] if f.startswith("delta_unavailable")]
+    assert flag.startswith("delta_unavailable: no attracting fixed point: Newton's method "
+                           "stopped at [0.38153098 0.61846902]")
+    assert "linear rate 1.0247" in flag
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

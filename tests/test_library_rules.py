@@ -85,12 +85,16 @@ def test_scipy_rule_fires_on_import_time_statements_only():
 
 
 # ---------------------------------------------------------------------------
-# no BLAS in the EM core and the flow engine: a BLAS call rounds as the
-# machine's kernel does, so the EM fits and the sampled products contract
-# with einsums that numpy runs in its own loops (no optimize=)
+# no BLAS in the EM core, the flow engine, the exact alpha_k and the
+# fixed-point solve: a BLAS call rounds as the machine's kernel does, so the
+# EM fits and the sampled products contract with einsums that numpy runs in
+# its own loops (no optimize=), and the Newton steps solve by elementwise
+# Gauss-Jordan elimination
 
 BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
-BLAS_FREE = {"ghmm": None, "chain": ("_free_steps", "_flow_steps", "_batch_product")}
+BLAS_FREE = {"ghmm": None,
+             "chain": ("_free_steps", "_flow_steps", "_batch_product", "_solve"),
+             "bounds": ("_alpha_of_matrix",)}
 
 
 def _blas_uses(tree: ast.AST) -> list:
