@@ -33,6 +33,7 @@ from .chain import (
     _flat_dirichlet,
     _flow_steps,
     _row_witness,
+    _state_sum,
     evaluate_batch,
     require_valid,
     stationary,
@@ -84,7 +85,8 @@ def _sampled_kstep(K: PolynomialKernel, k_max: int, samples: int, rng):
     Each k reads the prefix P_{mu_0} ... P_{mu_{k-1}} of the running
     product: alpha_k is the least row overlap between the two sides (an
     upper estimate of the infimum), lambda_k the largest row gap over
-    ||mu - nu||_1 >= 1e-12 (a lower estimate of the supremum).
+    ||mu - nu||_1 >= 1e-12 (a lower estimate of the supremum).  The product
+    is kept batch-last, [x, y, item], and the sums over y lead (`_state_sum`).
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -96,14 +98,15 @@ def _sampled_kstep(K: PolynomialKernel, k_max: int, samples: int, rng):
     alphas, lams = [], []
     prod = None
     for P, _ in _flow_steps(K, np.concatenate([mus, nus]), k_max):
-        prod = P if prod is None else _batch_product(prod, P)
-        A, B = prod[:n_pairs], prod[n_pairs:]
+        P = np.ascontiguousarray(P.transpose(1, 2, 0))
+        prod = P if prod is None else np.einsum("mxb,xyb->myb", prod, P)
+        A, B = np.split(np.ascontiguousarray(prod.transpose(1, 0, 2)), [n_pairs], axis=2)
         best = 1.0
         for x in range(K.p):
-            # row overlaps of A[:, x] with every row of B, one sum per (pair, x')
-            best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
+            # row overlaps of A[:, x] with every row of B, one sum per (x', pair)
+            best = min(best, float(_state_sum(np.minimum(A[:, x, None], B)).min()))
         alphas.append(CoefficientEstimate(best, "upper-of-inf", n_pairs))
-        ratio = np.abs(A - B).sum(axis=2).max(axis=1)[keep] / denom
+        ratio = _state_sum(np.abs(A - B)).max(axis=0)[keep] / denom
         lams.append(CoefficientEstimate(max(0.0, float(ratio.max())), "lower-of-sup", denom.size))
     return alphas, lams
 

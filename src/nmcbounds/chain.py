@@ -30,6 +30,9 @@ sums it was first written with, so flows stay bit-identical to that form:
 - a sum over states (``.sum`` along a contiguous p axis): numpy's pairwise
   order, which is the same chain below 8 terms (`_state_sum`).
 
+A step forms the higher terms on the nonlinear rows only (row 0 alone in
+example 1) and clips only a negative entry; no bit moves (`_free_steps`).
+
 The uncertified path (`_flow_steps`, which forms and checks P_mu) stays
 item-major and `_flows` transposes at its edge; its products
 (`_batch_product`) are the same kind of einsum, ``mxb,xyb->myb`` on
@@ -403,19 +406,27 @@ def _free_steps(K: PolynomialKernel, cols: np.ndarray, n: int):
 
     Row x of P_mu is sum_j C_j(x, .) w[x]^j with w the cleaned mu, so
     mu_{t+1} = sum_j (mu_t * w^j) C_j.  One einsum per coefficient keeps
-    the reduction independent of the batch size (a matmul does not).  A
-    linear kernel never reads w, so it only checks the drift.
+    the reduction independent of the batch size (a matmul does not).  Only
+    the nonlinear rows, where some C_j(x, .), j >= 1, is nonzero, form w and
+    the higher terms (none for a linear kernel); the normalizer sums every
+    row, and the clip runs only on a negative entry.  No bit moves: einsum
+    adds in order from +0, a sum from +0 is never -0, and v + (+-0) = v for
+    v != -0, so a skipped C_j(x, y) t = +-0 adds nothing; clip(v) = v for
+    v >= +0, and a -0.0 entry only flips the sign of a zero product.
     """
+    highs = np.stack(K.coeff)[1:]
+    rows = np.flatnonzero(highs.any(axis=(0, 2)))
+    highs = highs[:, rows]
     for _ in range(n):
         low = cols.min()
         if low < -_NEG_CLIP:
             raise ValueError(f"entry {low:.3e} too negative to be rounding noise")
         nxt = np.einsum("xy,xb->yb", K.coeff[0], cols)
-        if K.degree > 1:
-            w = np.clip(cols, 0.0, None)
-            w /= _state_sum(w)
-            term = cols
-            for c in K.coeff[1:]:
+        if rows.size:
+            w = np.clip(cols, 0.0, None) if low < 0.0 else cols
+            w = w[rows] / _state_sum(w)
+            term = cols[rows]
+            for c in highs:
                 term = term * w
                 nxt += np.einsum("xy,xb->yb", c, term)
         cols = nxt
@@ -477,7 +488,9 @@ def stationary(K: PolynomialKernel) -> StationaryResult:
     (J - I) d = mu - Phi(mu) with its last row, implied by the others, set to
     sum(d) = 1 - sum(mu).  It stops after a step <= 1e-12, or raises
     NonconvergenceError after 50 steps, at a singular J - I, off the simplex,
-    or where pi repels: J - pi 1^T (J on sum(d) = 0) has spectral radius >= 1.
+    or where pi repels or is neutral: J - pi 1^T (J on sum(d) = 0) has
+    spectral radius >= 1 - 8 p eps, a rounding allowance that makes every
+    periodic chain (rate exactly 1) raise.
     """
     coeff, j = np.stack(K.coeff), np.arange(K.degree)[:, None]
     mu, size, it = np.full(K.p, 1.0 / K.p), math.inf, 0
@@ -495,7 +508,8 @@ def stationary(K: PolynomialKernel) -> StationaryResult:
         mu, size, it = mu + step, float(np.abs(step).sum()), it + 1
     residual = float(np.abs(phi - mu).sum())
     rate = float(np.abs(np.linalg.eigvals(jac - mu[:, None])).max())
-    if not (size <= 1e-12 and mu.min() >= -_NEG_CLIP and rate < 1.0):
+    if not (size <= 1e-12 and mu.min() >= -_NEG_CLIP
+            and rate < 1.0 - 8 * K.p * np.finfo(np.float64).eps):
         raise NonconvergenceError(
             f"no attracting fixed point: Newton's method stopped at {np.array2string(mu, precision=8)}"
             f" (residual {residual:.1e}, linear rate {rate:.4f}, Newton steps {it})")

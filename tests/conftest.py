@@ -39,6 +39,15 @@ DEGENERATE_CHAINS = (
 )
 
 
+# periodic linear chains: the fixed point is neutral (linear rate exactly 1),
+# so no flow from another start settles there
+NEUTRAL_CHAINS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+)
+
+
 def random_distributions(p, count, seed):
     gen = np.random.default_rng(seed)
     draws = gen.standard_exponential((count, p))

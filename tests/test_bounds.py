@@ -36,6 +36,7 @@ from nmcbounds.chain import (
 from nmcbounds import bounds as bounds_mod
 from nmcbounds.errors import InfiniteGammaError, KernelInvalidError, NonconvergenceError
 from nmcbounds.experiments import EXAMPLE1_P, builtin_example
+from nmcbounds.rng import as_generator
 
 from conftest import DEGENERATE_CHAINS, bowl_kernel
 
@@ -588,6 +589,44 @@ def frozen_lipschitz_lambda(K, k, samples, rng):
     prods = frozen_products(K, np.concatenate([mus, nus]), k)
     ratio = np.abs(prods[:n_pairs] - prods[n_pairs:]).sum(axis=2).max(axis=1) / denom
     return max(0.0, float(ratio.max())), n_pairs
+
+
+def item_major_sampled_kstep(K, k_max, samples, rng):
+    """`bounds._sampled_kstep` with its running product item-major,
+    (item, x, y), and its sums over y along the contiguous last axis, as
+    it was before the product went batch-last; frozen as the reference.
+    Returns the (value, samples) of alpha_k and of lambda_k, k = 1..k_max."""
+    mus, nus = frozen_pairs(K.p, samples, as_generator(rng))
+    n_pairs = mus.shape[0]
+    denom = np.abs(mus - nus).sum(axis=1)
+    keep = ~(denom < 1e-12)
+    denom = denom[keep]
+    alphas, lams = [], []
+    prod = None
+    for P, _ in _flow_steps(K, np.concatenate([mus, nus]), k_max):
+        if prod is not None:
+            a = np.ascontiguousarray(prod.transpose(1, 2, 0))
+            b = np.ascontiguousarray(P.transpose(1, 2, 0))
+            P = np.ascontiguousarray(np.einsum("mxb,xyb->myb", a, b).transpose(2, 0, 1))
+        prod = P
+        A, B = prod[:n_pairs], prod[n_pairs:]
+        best = 1.0
+        for x in range(K.p):
+            best = min(best, float(np.minimum(A[:, x, None, :], B).sum(axis=2).min()))
+        alphas.append((best, n_pairs))
+        ratio = np.abs(A - B).sum(axis=2).max(axis=1)[keep] / denom
+        lams.append((max(0.0, float(ratio.max())), denom.size))
+    return alphas, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), degree=st.integers(2, 4),
+       k_max=st.integers(1, 4), samples=st.integers(0, 50))
+def test_sampled_kstep_equals_the_item_major_form(seed, p, degree, k_max, samples):
+    K = bernstein_kernel(np.random.default_rng(seed), p, degree, 0.2 / p, 0.5)
+    alphas, lams = bounds_mod._sampled_kstep(K, k_max, samples, seed)
+    assert ([(a.value, a.samples) for a in alphas], [(v.value, v.samples) for v in lams]) == \
+        item_major_sampled_kstep(K, k_max, samples, seed)
 
 
 def assert_matches_frozen(K, k, samples, seed):

@@ -37,7 +37,7 @@ from nmcbounds.ghmm import GhmmModel, GhmmStack
 from nmcbounds.rng import as_generator
 from nmcbounds.signal import PriceSeries, ReturnSeries
 
-from conftest import random_distributions, row_sum_drift_kernel, two_cycle_kernel
+from conftest import NEUTRAL_CHAINS, random_distributions, row_sum_drift_kernel, two_cycle_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +484,19 @@ def test_stationary_of_the_identity_names_no_attracting_point():
         stationary(PolynomialKernel.linear(np.eye(3)))
 
 
+@pytest.mark.parametrize("P", NEUTRAL_CHAINS, ids=["2-cycle", "2-periodic", "3-cycle"])
+def test_stationary_of_a_periodic_chain_names_no_attracting_point(P):
+    # the computed rate falls on either side of 1 by rounding; all three raise
+    with pytest.raises(NonconvergenceError, match=r"linear rate 1\.0000"):
+        stationary(PolynomialKernel.linear(P))
+
+
+def test_stationary_of_a_nearly_periodic_chain_attracts():
+    eps = 1e-6                                       # linear rate 1 - 2e-6
+    res = stationary(PolynomialKernel.linear([[eps, 1.0 - eps], [1.0 - eps, eps]]))
+    assert (res.distribution.probs == 0.5).all()
+
+
 def test_solve_matches_lapack_and_refuses_a_singular_matrix():
     gen = np.random.default_rng(12)
     for p in range(1, 13):
@@ -613,6 +626,36 @@ def test_state_major_engine_equals_item_major_form(seed, p, degree, room, B):
     K = certified_kernel(seed, p, degree, room)
     assert K.certified
     assert_engine_matches_item_major(K, B, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8), degree=st.integers(2, 4),
+       room=st.floats(0.0, 0.95), all_zero=st.booleans())
+@example(seed=1, p=4, degree=2, room=0.5, all_zero=True)       # a kernel with no nonlinear row
+def test_engine_skips_the_linear_rows_without_moving_a_bit(seed, p, degree, room, all_zero):
+    # about half the rows of each higher coefficient are 0 (some of them
+    # -0.0), one coefficient entirely when all_zero; the engine steps only
+    # the other rows, and one start holds -0.0 entries
+    gen = np.random.default_rng(seed)
+    K = certified_kernel(seed, p, degree, room)
+    highs = [c * (gen.random((p, 1)) < 0.5) for c in K.coeff[1:]]
+    if all_zero:
+        highs[gen.integers(len(highs))][:] = 0.0
+    K = PolynomialKernel((K.coeff[0], *highs))
+    assert K.certified
+    starts = np.concatenate([np.eye(p), _flat_dirichlet(gen, (40, p)), np.eye(p)[:1]])
+    starts[-1, 1:] = -0.0
+    assert flow_batch(K, starts, 12).tobytes() == item_major_flow_batch(K, starts, 12).tobytes()
+    try:
+        pi = stationary(K).distribution.probs
+    except NonconvergenceError:
+        with pytest.raises(NonconvergenceError):
+            tv_envelope(K, 50, 12, seed)
+        return
+    env = tv_envelope(K, 50, 12, seed)
+    frozen = item_major_tv_envelope(K, pi, 50, 12, seed)
+    for live, old in zip((env.tv_min, env.tv_mean, env.tv_max), frozen):
+        assert np.array_equal(live, old)
 
 
 def test_state_sum_follows_numpy_pairwise_order():

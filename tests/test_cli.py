@@ -12,7 +12,7 @@ import pytest
 import nmcbounds
 from nmcbounds.cli import main
 
-from conftest import bowl_kernel, read_report, two_cycle_kernel
+from conftest import NEUTRAL_CHAINS, bowl_kernel, read_report, two_cycle_kernel
 
 
 def run_cli(argv, capsys):
@@ -145,6 +145,19 @@ def test_simulate_on_a_repelling_fixed_point_exits_3_within_a_second(tmp_path, c
         "(residual ")
     assert "linear rate 1.0247" in err
     assert not (tmp_path / "cycle.csv").exists()
+
+
+@pytest.mark.parametrize("P", NEUTRAL_CHAINS, ids=["2-cycle", "2-periodic", "3-cycle"])
+def test_simulate_on_a_periodic_chain_exits_3(tmp_path, capsys, P):
+    model = tmp_path / "periodic.json"
+    model.write_text(json.dumps({"p": len(P), "degree": 1, "coeff": [P.reshape(-1).tolist()]}),
+                     encoding="utf-8")
+    with pytest.warns(UserWarning, match="alpha == lambda == 0"):      # the report comes first
+        code, _, err = run_cli(["simulate", "--model", str(model), "--steps", "5",
+                                "--out", str(tmp_path / "periodic.csv")], capsys)
+    assert code == 3
+    assert "no attracting fixed point" in err and "linear rate 1.0000" in err
+    assert not (tmp_path / "periodic.csv").exists()
 
 
 def test_bounds_on_a_repelling_fixed_point_flags_delta_within_a_second(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_scipy_rule_fires_on_import_time_statements_only():
 BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
 BLAS_FREE = {"ghmm": None,
              "chain": ("_free_steps", "_flow_steps", "_batch_product", "_solve"),
-             "bounds": ("_alpha_of_matrix",)}
+             "bounds": ("_alpha_of_matrix", "_sampled_kstep")}
 
 
 def _blas_uses(tree: ast.AST) -> list:
