@@ -8,6 +8,7 @@ domination claims can be checked as data.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -73,33 +74,64 @@ class EnvelopeResult:
     tv_max: np.ndarray
 
 
-_ENVELOPE_BLOCK = 8192      # start columns flowed together by `tv_envelope`
+_ENVELOPE_BLOCK = 8192
+"""The most start columns `tv_envelope` flows together (a leaf of its
+summation tree).  It must stay >= 128: numpy splits a row only past 128
+terms, so a smaller cap would split where numpy adds in one piece."""
+
+
+def _pairwise_total(n: int, cap: int, leaf):
+    """Sum of n terms in the order of numpy's pairwise ``sum`` along a
+    contiguous axis, built from ``leaf(m)``, the sum of the next m terms.
+
+    Past ``cap`` (>= 128) terms the run splits as numpy splits it, the
+    first half ``n // 2`` rounded down to a multiple of 8, and the two
+    halves' totals are added; each leaf of at most ``cap`` terms is summed
+    by numpy itself.  The leaves are called in order, left to right."""
+    if n <= cap:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_total(half, cap, leaf) + _pairwise_total(n - half, cap, leaf)
 
 
 def tv_envelope(K: PolynomialKernel, trials: int, steps: int, rng) -> EnvelopeResult:
     """Envelope of exact ||mu_n - pi||_TV over random (flat Dirichlet)
     initial distributions.
 
-    The starts are flowed in blocks of columns, and each step writes only
-    its TV distances, so memory is (steps + 1) * trials, not times p.  The
-    statistics are taken over whole contiguous rows of trials at the end,
-    so they do not depend on the block size.
+    The trials stream through the leaves of numpy's pairwise summation
+    tree over a row of ``trials`` terms: a run of more than
+    `_ENVELOPE_BLOCK` terms splits, as numpy splits any run past 128, into
+    a first half of ``n // 2`` rounded down to a multiple of 8 and the
+    rest, so the cap must stay >= 128.  Each leaf draws its starts from the
+    one generator (the same values as one draw of all of them), flows
+    them, folds its per-step TV distances into running minima and maxima
+    and keeps their per-step sum; the leaf sums are added back up along
+    the same tree.  So the mean is ``tv.mean(axis=1)`` of the full
+    (steps + 1, trials) matrix bit for bit, and memory is
+    O(p * block + steps * leaves), whatever ``trials`` is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pi = stationary(K).distribution
-    starts = _flat_dirichlet(as_generator(rng), (trials, K.p))
+    gen = as_generator(rng)
     target = pi.probs[:, None]
-    tv = np.empty((steps + 1, trials))
-    for lo in range(0, trials, _ENVELOPE_BLOCK):
-        block = slice(lo, lo + _ENVELOPE_BLOCK)
-        cols = np.ascontiguousarray(starts[block].T)                 # (p, block)
-        tv[0, block] = _state_sum(np.abs(cols - target))
-        for t, mus in enumerate(_flows(K, cols, steps), start=1):
-            tv[t, block] = _state_sum(np.abs(mus - target))
-    return EnvelopeResult(tv.min(axis=1), tv.mean(axis=1), tv.max(axis=1))
+    tv_min = np.full(steps + 1, np.inf)
+    tv_max = np.full(steps + 1, -np.inf)
+
+    def leaf(m):
+        cols = np.ascontiguousarray(_flat_dirichlet(gen, (m, K.p)).T)    # (p, m)
+        sums = np.empty(steps + 1)
+        for t, mus in enumerate(itertools.chain([cols], _flows(K, cols, steps))):
+            tv = _state_sum(np.abs(mus - target))
+            tv_min[t] = np.minimum(tv_min[t], tv.min())
+            tv_max[t] = np.maximum(tv_max[t], tv.max())
+            sums[t] = np.add.reduce(tv)
+        return sums
+
+    total = _pairwise_total(trials, _ENVELOPE_BLOCK, leaf)
+    return EnvelopeResult(tv_min, total / trials, tv_max)
 
 
 @dataclass

@@ -617,7 +617,8 @@ def assert_engine_matches_item_major(K, B, seed, steps=12):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 20), degree=st.integers(1, 3),
        room=st.floats(0.0, 0.95),
-       B=st.sampled_from([1, 2, _ENVELOPE_BLOCK - 1, _ENVELOPE_BLOCK + 1]))
+       B=st.sampled_from([1, 2, _ENVELOPE_BLOCK - 1, _ENVELOPE_BLOCK + 1,
+                          3 * _ENVELOPE_BLOCK + 5]))
 @example(seed=5, p=8, degree=2, room=0.9, B=_ENVELOPE_BLOCK + 1)
 @example(seed=6, p=12, degree=3, room=0.5, B=2)
 @example(seed=7, p=20, degree=2, room=0.9, B=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from nmcbounds import experiments
 from nmcbounds.chain import Distribution, PolynomialKernel, evaluate_kernel, validate_kernel
 from nmcbounds.errors import KernelInvalidError
 from nmcbounds.experiments import (
+    _ENVELOPE_BLOCK,
+    _pairwise_total,
     EXAMPLE1_P,
     ComparisonTable,
     builtin_example,
@@ -70,6 +74,60 @@ def test_envelope_rejects_trials_below_one_before_any_work(monkeypatch, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         tv_envelope(builtin_example(1, 0.1), trials, 5, gen)
     assert gen.bit_generator.state == state
+
+
+def leaf_tree_sums(x, cap, split=None):
+    """The last-axis sums of x, built from per-leaf `np.add.reduce` calls and
+    added up along `_pairwise_total`'s tree (or, with ``split``, a tree
+    that cuts there instead)."""
+    pos = 0
+
+    def leaf(m):
+        nonlocal pos
+        pos += m
+        return np.add.reduce(x[..., pos - m:pos], axis=-1)
+
+    if split is None:
+        return _pairwise_total(x.shape[-1], cap, leaf)
+
+    def tree(n):
+        if n <= cap:
+            return leaf(n)
+        half = split(n)
+        return tree(half) + tree(n - half)
+
+    return tree(x.shape[-1])
+
+
+def test_leaf_tree_follows_numpy_pairwise_order():
+    # pins the summation order `tv_envelope` relies on for its mean: a numpy
+    # build that sums a contiguous row in another order fails here
+    gen = np.random.default_rng(34)
+    moved = 0
+    for n in (*range(1, 2101), 8191, 8192, 8193, 16385, 100000, 131073, 1000003):
+        for shape in ((n,), (3, n)):
+            x = gen.random(shape) * 10.0 ** gen.integers(-8, 8, shape)
+            total = np.add.reduce(x, axis=-1)
+            caps = (128, 200, _ENVELOPE_BLOCK) if n <= 2100 else (128, _ENVELOPE_BLOCK)
+            for cap in caps:
+                tree = leaf_tree_sums(x, cap)
+                assert np.asarray(tree).tobytes() == total.tobytes(), (n, shape, cap)
+                assert np.asarray(tree / n).tobytes() == x.mean(axis=-1).tobytes(), (n, shape, cap)
+            if n > 128 and len(shape) == 1:
+                moved += leaf_tree_sums(x, 128, split=lambda m: m // 2) != total
+    assert moved > 0        # a split off numpy's multiples of 8 shows
+
+
+def test_envelope_memory_does_not_grow_with_trials():
+    # the (steps + 1) x trials TV matrix alone would be 48.8 MB here
+    K = builtin_example(1, 0.1)
+    tracemalloc.start()
+    try:
+        tv_envelope(K, 400_000, 15, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_envelope_rejects_row_sum_drift():

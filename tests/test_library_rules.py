@@ -94,7 +94,8 @@ def test_scipy_rule_fires_on_import_time_statements_only():
 BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
 BLAS_FREE = {"ghmm": None,
              "chain": ("_free_steps", "_flow_steps", "_batch_product", "_solve"),
-             "bounds": ("_alpha_of_matrix", "_sampled_kstep")}
+             "bounds": ("_alpha_of_matrix", "_sampled_kstep"),
+             "experiments": ("_pairwise_total", "tv_envelope")}
 
 
 def _blas_uses(tree: ast.AST) -> list:
