@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,10 +62,11 @@ class CoefficientEstimate:
     samples: int = 0
 
 
-def _alpha_of_matrix(P: np.ndarray, k: int) -> float:
-    Pk = reduce(_batch_product, [P[None]] * k)[0]       # alike on every BLAS kernel
+def _alpha_of_matrix(P: np.ndarray, k_max: int) -> list:
+    """alpha_1..alpha_k_max of P from one running product P^k = P^(k-1) P."""
     iu, ju = np.triu_indices(P.shape[0], 1)
-    return float(np.minimum(Pk[iu], Pk[ju]).sum(axis=1).min(initial=1.0))
+    return [float(np.minimum(Pk[0, iu], Pk[0, ju]).sum(axis=1).min(initial=1.0))
+            for Pk in accumulate([P[None]] * k_max, _batch_product)]   # alike on every BLAS kernel
 
 
 def _sample_pairs(p: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +125,7 @@ def md_alpha(model, k: int, samples: int = 2000, rng=None) -> CoefficientEstimat
         raise ValueError("k must be >= 1")
     K = PolynomialKernel.linear(model) if isinstance(model, StochasticMatrix) else model
     if K.degree == 1:
-        return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k), "exact")
+        return CoefficientEstimate(_alpha_of_matrix(K.coeff[0], k)[-1], "exact")
     return _sampled_kstep(K, k, samples, rng)[0][-1]
 
 
@@ -412,8 +413,8 @@ def full_report(K: PolynomialKernel, n_max: int, mc_samples: int = 2000,
     p = K.p
     flags = []
 
-    P_lin = StochasticMatrix(K.coeff[0])
-    alpha = [md_alpha(P_lin, k).value for k in K_RANGE]
+    exact = _alpha_of_matrix(K.coeff[0], max(K_RANGE))
+    alpha = [exact[k - 1] for k in K_RANGE]
     if K.degree > 1:
         alphas, lams = _sampled_kstep(K, max(K_RANGE), mc_samples, rng)
         alpha_nl = [alphas[k - 1].value for k in K_RANGE]
@@ -436,7 +437,7 @@ def full_report(K: PolynomialKernel, n_max: int, mc_samples: int = 2000,
         delta = math.nan
         flags.append(f"delta_unavailable: {exc}")
 
-    est = coupling_radii(P_lin.entries[None])
+    est = coupling_radii(K.coeff[0][None])
     r, eps = float(est.r[0]), float(est.eps[0])
 
     n = np.arange(1, n_max + 1, dtype=np.float64)

@@ -6,9 +6,6 @@ whose odd-length levels are zero-padded.  The map is orthonormal, so
 reconstruction is exact and coefficient energy equals signal energy.  Each
 level is a sum over the 16 taps on strided slices of a wrapped copy, in tap
 order and with no BLAS call, so no BLAS kernel changes the denoised prices.
-
-scipy is imported at its call sites, ``scipy.special`` inside ``ks_test``
-and ``ljung_box``, so importing this module (and the CLI) loads no scipy.
 """
 
 from __future__ import annotations
@@ -288,6 +285,21 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """P(sup |B| > x), x > 0, for a Brownian bridge B: seven terms of the faster
+    series reach rounding on both sides of 1 (Marsaglia, Tsang & Wang 2003)."""
+    if x >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 8))
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
+        math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * x * x)) for k in range(1, 8))
+
+
+def _chi2_sf(q: float, df: int) -> float:
+    """Chi-square survival at an even df = 2m: exactly e^-h sum_{k<m} h^k / k!, h = q / 2."""
+    h = q / 2.0
+    return math.exp(-h) * sum(h ** k / math.factorial(k) for k in range(df // 2))
+
+
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -310,15 +322,13 @@ def ks_test(x) -> KsResult:
     u, scale = _unit_scaled(v)
     if scale == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
-    from scipy import special
-
     z = np.sort(u / u.std(ddof=1))
-    cdf = special.ndtr(z)
+    cdf = np.array([0.5 * math.erfc(-zi / math.sqrt(2.0)) for zi in z])     # normal cdf
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()
     d_minus = (cdf - (i - 1) / n).max()
     stat = float(max(d_plus, d_minus))
-    p = float(special.kolmogorov(math.sqrt(n) * stat))
+    p = _kolmogorov_sf(math.sqrt(n) * stat)
     return KsResult(stat, p, significance_stars(p))
 
 
@@ -348,7 +358,5 @@ def ljung_box(x) -> LjungBoxResult:
         rho = float((u[k:] * u[:-k]).sum()) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
-    from scipy import special
-
-    p = float(special.gammaincc(LJUNG_BOX_LAGS / 2.0, q / 2.0))   # chi-square survival
+    p = _chi2_sf(q, LJUNG_BOX_LAGS)       # exact, as LJUNG_BOX_LAGS is even
     return LjungBoxResult(q, p, significance_stars(p))

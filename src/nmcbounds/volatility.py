@@ -17,13 +17,10 @@ coupling operator bounds the fitted transition stack; the starvation mask
 becomes the per-date quality flags.  No per-slot generator or model object
 is built.
 
-The GARCH(1,1) baseline needs no scipy: its variance path and derivative
-rows run through one first-order recursion (``_ar1``, recursive doubling),
-one safeguarded Newton search on the analytic Hessian (``_newton``) both
-finds and polishes the fit, and its logistic and logit are ``math``
-one-liners.  So neither importing this module nor running ``volatility``
-loads any scipy module, which would cost more memory and start-up time
-than the indicator itself.
+In the GARCH(1,1) baseline, the variance path and derivative rows run
+through one first-order recursion (``_ar1``, recursive doubling), one
+safeguarded Newton search on the analytic Hessian (``_newton``) both finds
+and polishes the fit, and the logistic and logit are ``math`` one-liners.
 """
 
 from __future__ import annotations

@@ -575,12 +575,13 @@ def test_cold_start_loads_no_scipy(tmp_path):
         commands.append(["volatility", *source, "--reps", "1", "--window-min", "60",
                          "--window-max", "60", "--date-stride", "30",
                          "--out-prefix", str(tmp_path / source[0][2:])])
+    commands.append(["stats", "--prices", str(prices), "--out", str(tmp_path / "stats.csv")])
     proc = run_cold(["-c", COLD_RUN, json.dumps(commands)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == [["import", []], ["bounds --example", 0, []], ["simulate --example", 0, []],
                     ["coupling-check --example", 0, []], ["volatility --self-check", 0, []],
-                    ["volatility --prices", 0, []]]
+                    ["volatility --prices", 0, []], ["stats --prices", 0, []]]
 
 
 @pytest.mark.parametrize("command", ["stats", "volatility"])

@@ -3,12 +3,16 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nmcbounds.errors import PriceDataError
 from nmcbounds.signal import (
     DB8_DEC_HI,
     DB8_DEC_LO,
+    LJUNG_BOX_LAGS,
     PriceSeries,
+    _chi2_sf,
+    _kolmogorov_sf,
     denoise,
     descriptive_stats,
     dwt,
@@ -272,3 +276,66 @@ def test_ljung_box_null_mean_near_df():
 def test_ljung_box_too_short():
     with pytest.raises(ValueError):
         ljung_box(np.zeros(10))
+
+
+# ---------------------------------------------------------------------------
+# the p-value forms against scipy.special, the implementation they replace
+
+ORACLE_RTOL = 5e-14
+
+
+def relative_error(values, reference):
+    return float(np.max(np.abs(np.asarray(values) / reference - 1.0)))
+
+
+def test_normal_cdf_form_matches_scipy_ndtr():
+    # the form ks_test evaluates at each sorted z; the seeded-series test below
+    # checks its statistic against one built on scipy's ndtr
+    z = np.linspace(-8.0, 8.0, 16001)       # down to ndtr(-8) = 6e-16
+    values = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z]
+    assert relative_error(values, special.ndtr(z)) < ORACLE_RTOL
+
+
+def test_chi2_survival_matches_scipy_gammaincc():
+    assert LJUNG_BOX_LAGS % 2 == 0           # the finite sum is exact only for an even df
+    h = np.concatenate([np.geomspace(1e-12, 1e-2, 1001), np.linspace(1e-2, 60.0, 12001)])
+    values = [_chi2_sf(2.0 * v, LJUNG_BOX_LAGS) for v in h]
+    assert relative_error(values, special.gammaincc(LJUNG_BOX_LAGS / 2, h)) < ORACLE_RTOL
+
+
+def test_kolmogorov_survival_matches_scipy_on_both_sides_of_one():
+    eps = np.finfo(np.float64).eps
+    steps = np.arange(1, 1001)
+    x = np.concatenate([np.linspace(0.05, 6.0, 11801), 1.0 - steps * eps, 1.0 + steps * eps,
+                        1.0 + np.linspace(-1e-6, 1e-6, 2001)])
+    assert relative_error([_kolmogorov_sf(v) for v in x], special.kolmogorov(x)) < ORACLE_RTOL
+
+
+def _seeded_series():
+    for seed in range(4):
+        z = np.random.default_rng(seed).standard_normal(754)
+        yield z                              # the null of both tests
+        yield z ** 3                         # heavy tails: KS p far below 1e-3
+        ar = np.empty_like(z)
+        ar[0] = z[0]
+        for t in range(1, z.shape[0]):
+            ar[t] = 0.5 * ar[t - 1] + z[t]
+        yield ar                             # serial correlation: Ljung-Box p near 0
+    yield np.random.default_rng(9).standard_normal(30)
+
+
+def test_ks_and_ljung_box_match_their_scipy_values_on_seeded_series():
+    for x in _seeded_series():
+        n = x.shape[0]
+        u = x - x.mean()
+        z = np.sort(u / u.std(ddof=1))
+        cdf = special.ndtr(z)
+        i = np.arange(1, n + 1)
+        stat = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
+        ks = ks_test(x)
+        assert ks.statistic == pytest.approx(stat, rel=1e-13, abs=0.0)
+        assert ks.p_value == pytest.approx(special.kolmogorov(math.sqrt(n) * ks.statistic),
+                                           rel=ORACLE_RTOL, abs=0.0)
+        lb = ljung_box(x)
+        assert lb.p_value == pytest.approx(special.gammaincc(LJUNG_BOX_LAGS / 2, lb.q_stat / 2),
+                                           rel=ORACLE_RTOL, abs=0.0)
